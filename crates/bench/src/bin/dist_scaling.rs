@@ -24,7 +24,7 @@
 
 use nwq_circuit::Circuit;
 use nwq_dist::{
-    distributed_energy, plan_communication, plan_communication_naive, run_distributed,
+    distributed_energy, plan_communication, plan_communication_naive, run_sharded,
     run_sharded_resilient, CostModel, FaultSchedule, RecoveryOptions, ShardOptions,
 };
 use nwq_pauli::PauliOp;
@@ -105,7 +105,7 @@ fn run_point(n_qubits: usize, n_ranks: usize, layers: usize, op: &PauliOp) -> Po
     let plan = plan_communication(&c, n_ranks).expect("plan");
     let naive = plan_communication_naive(&c, n_ranks).expect("naive plan");
     let started = Instant::now();
-    let state = run_distributed(&c, &[], n_ranks).expect("sharded run");
+    let state = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).expect("sharded run");
     let wall_s = started.elapsed().as_secs_f64();
     let stats = state.comm_stats();
     assert_eq!(
@@ -167,7 +167,7 @@ fn comm_probe(n_qubits: usize, rank_grid: &[usize]) -> JsonValue {
     let diag_single = nwq_statevec::simulate(&diag, &[]).expect("single-node diag");
     let mut diag_naive_bytes = 0u64;
     for &r in rank_grid.iter().filter(|&&r| r > 1) {
-        let state = run_distributed(&diag, &[], r).expect("diag run");
+        let state = run_sharded(&diag, &[], r, &ShardOptions::default()).expect("diag run");
         let stats = state.comm_stats();
         assert_eq!(
             (stats.messages, stats.bytes),
@@ -196,7 +196,7 @@ fn comm_probe(n_qubits: usize, rank_grid: &[usize]) -> JsonValue {
     let mut uccsd_bytes = 0u64;
     let mut uccsd_naive_bytes = 0u64;
     for &r in rank_grid {
-        let state = run_distributed(&uccsd, &params, r).expect("uccsd run");
+        let state = run_sharded(&uccsd, &params, r, &ShardOptions::default()).expect("uccsd run");
         let stats = state.comm_stats();
         for (a, b) in state
             .gather()
@@ -257,10 +257,8 @@ fn recovery_probe(
 ) -> JsonValue {
     let c = layered_circuit(n_qubits, layers);
     let opts = ShardOptions {
-        fuse_local: false,
         exchange_timeout_ms: 500,
         exchange_retries: 2,
-        ..ShardOptions::default()
     };
     let recovery = RecoveryOptions {
         snapshot_every,
@@ -268,7 +266,7 @@ fn recovery_probe(
         keep_versions: 2,
         snapshot_dir: None,
     };
-    let clean = run_distributed(&c, &[], n_ranks).expect("clean run");
+    let clean = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).expect("clean run");
     let clean_amps: Vec<u64> = clean
         .gather()
         .amplitudes()
@@ -282,7 +280,7 @@ fn recovery_probe(
     let mut resilient_s = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        run_distributed(&c, &[], n_ranks).expect("plain rep");
+        run_sharded(&c, &[], n_ranks, &ShardOptions::default()).expect("plain rep");
         plain_s = plain_s.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         let (state, report) =

@@ -1,1 +1,1 @@
-//! Benchmark support crate; all content lives in benches/ and src/bin/.
+//! Benchmark support crate; all content lives in src/bin/.

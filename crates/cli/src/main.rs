@@ -18,7 +18,7 @@
 //!           [--params a,b,...] [--x0 a,b,...] [--max-evals N] [--max-iter K]
 //!           [--priority low|normal|high] [--deadline-ms MS] [--id N] [--wait 0|1]
 //!           [--timeout-ms MS]
-//! nwq dist  [--qubits N] [--ranks R] [--layers L] [--fuse-local 0|1]
+//! nwq dist  [--qubits N] [--ranks R] [--layers L]
 //!           [--snapshot-every N] [--inject-rank-loss RATE] [--fault-seed SEED]
 //!           [--exchange-timeout-ms MS] [--exchange-retries N]
 //!           [--metrics FILE.json]
@@ -460,7 +460,6 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
     let n_qubits: usize = args.get("qubits", 16)?;
     let n_ranks: usize = args.get("ranks", 4)?;
     let layers: usize = args.get("layers", 2)?;
-    let fuse_local = args.get("fuse-local", 0u8)? != 0;
     let snapshot_every: usize = args.get("snapshot-every", 0)?;
     let loss_rate: f64 = args.get("inject-rank-loss", 0.0)?;
     if !(0.0..=1.0).contains(&loss_rate) {
@@ -469,11 +468,6 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
         ));
     }
     let resilient = snapshot_every > 0 || loss_rate > 0.0;
-    if resilient && fuse_local {
-        return Err("--fuse-local 1 is incompatible with the resilient path \
-                    (recovery replays per-gate for bitwise identity)"
-            .into());
-    }
 
     // Layered hardware-efficient circuit whose CX ring always crosses the
     // global/local boundary — same family the dist_scaling bench sweeps.
@@ -490,19 +484,10 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
         }
     }
 
-    let lean = args.get("lean", 1u8)? != 0;
-    // Each mode is checked against its own planner: the θ-aware lean plan
-    // or the naive full-exchange pattern.
-    let plan = if lean {
-        nwq_dist::plan_communication(&c, n_ranks).map_err(|e| e.to_string())?
-    } else {
-        nwq_dist::plan_communication_naive(&c, n_ranks).map_err(|e| e.to_string())?
-    };
+    let plan = nwq_dist::plan_communication(&c, n_ranks).map_err(|e| e.to_string())?;
     let opts = nwq_dist::ShardOptions {
-        fuse_local,
         exchange_timeout_ms: args.get("exchange-timeout-ms", 2000)?,
         exchange_retries: args.get("exchange-retries", 4)?,
-        lean_exchange: lean,
     };
     let started = std::time::Instant::now();
     let (state, recovery_report) = if resilient {
@@ -534,7 +519,7 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
             ..Default::default()
         };
         let (state, report) =
-            nwq_dist::run_distributed_resilient(&c, &[], n_ranks, &opts, &recovery, &schedule)
+            nwq_dist::run_sharded_resilient(&c, &[], n_ranks, &opts, &recovery, &schedule)
                 .map_err(|e| e.to_string())?;
         (state, Some(report))
     } else {
@@ -566,29 +551,21 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
         state.partition_len()
     );
     println!(
-        "gates   : {gates} total ({} local, {} global{})",
-        stats.local_gates,
-        stats.global_gates,
-        if fuse_local { ", local runs fused" } else { "" }
+        "gates   : {gates} total ({} local, {} global)",
+        stats.local_gates, stats.global_gates
     );
     println!(
-        "comm    : {} messages, {} bytes (planned {} / {}, {})",
-        stats.messages,
-        stats.bytes,
-        plan.messages,
-        plan.bytes,
-        if lean { "lean" } else { "naive" }
+        "comm    : {} messages, {} bytes (planned {} / {})",
+        stats.messages, stats.bytes, plan.messages, plan.bytes
     );
-    if lean {
-        println!(
-            "lean    : {} exchanges elided, {} fused, {} bytes saved vs naive",
-            stats.exchanges_elided, stats.exchanges_fused, stats.bytes_saved
-        );
-    }
+    println!(
+        "lean    : {} exchanges elided, {} fused, {} bytes saved vs naive",
+        stats.exchanges_elided, stats.exchanges_fused, stats.bytes_saved
+    );
     // After a recovery, the measured stats cover only the final
     // generation's replayed suffix — the plan-equality invariant only
     // holds for fault-free runs.
-    if !fuse_local && loss_rate == 0.0 && stats != plan {
+    if loss_rate == 0.0 && stats != plan {
         return Err("measured exchange traffic diverged from the communication plan".into());
     }
     println!(

@@ -10,8 +10,8 @@
 //! | [`DirectBackend`] | one | direct amplitude reduction, no basis gates | §4.1 + §4.2 |
 //! | [`SamplingBackend`] | one | finite shots (statistical noise) | §4.2.1 baseline |
 //!
-//! A fifth, [`DistributedBackend`], runs the ansatz on the simulated
-//! multi-rank engine and reads out directly — the multi-node path.
+//! A fifth, [`DistributedBackend`], runs the ansatz on the sharded
+//! multi-rank engine and reads out gather-free — the multi-node path.
 
 use nwq_circuit::Circuit;
 use nwq_common::{Error, Result};
@@ -381,8 +381,9 @@ impl Backend for SamplingBackend {
 
 // ---------------------------------------------------------------------------
 
-/// Runs the ansatz on the simulated multi-rank distributed engine, then
-/// reads the energy directly from the gathered state.
+/// Runs the ansatz on the sharded multi-rank engine, then reads the
+/// energy out gather-free, shard by shard — an evaluation never holds the
+/// `2^n` amplitudes in one allocation.
 #[derive(Debug)]
 pub struct DistributedBackend {
     n_ranks: usize,
@@ -409,12 +410,17 @@ impl DistributedBackend {
 impl Backend for DistributedBackend {
     fn energy(&mut self, ansatz: &Circuit, params: &[f64], observable: &PauliOp) -> Result<f64> {
         check_widths(ansatz, observable)?;
-        let (state, comm) = nwq_dist::run_and_gather(ansatz, params, self.n_ranks)?;
-        self.comm += comm;
+        let state = nwq_dist::run_sharded(
+            ansatz,
+            params,
+            self.n_ranks,
+            &nwq_dist::ShardOptions::default(),
+        )?;
+        self.comm += state.comm_stats();
         self.stats.evaluations += 1;
         self.stats.ansatz_runs += 1;
         self.stats.gates_applied += ansatz.len() as u64;
-        state.energy(observable)
+        nwq_dist::distributed_energy(&state, observable)
     }
 
     fn stats(&self) -> BackendStats {

@@ -1,13 +1,13 @@
-//! Communication accounting for the simulated multi-rank execution.
+//! Communication accounting for sharded execution.
 
 use nwq_circuit::Circuit;
-use nwq_common::{Error, Result};
+use nwq_common::Result;
 use std::ops::AddAssign;
 
-/// Counters for simulated inter-rank communication. This is the quantity
-/// that dominates distributed statevector simulation (SV-Sim's PGAS
-/// design): gates on *global* qubits (those encoded in the rank id) force
-/// partner ranks to exchange their full partitions.
+/// Counters for inter-rank communication. This is the quantity that
+/// dominates distributed statevector simulation (SV-Sim's PGAS design):
+/// gates on *global* qubits (those encoded in the rank id) force partner
+/// ranks to exchange partitions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Point-to-point messages exchanged.
@@ -19,11 +19,11 @@ pub struct CommStats {
     /// Gates that were entirely rank-local.
     pub local_gates: u64,
     /// Messages the naive full-exchange pattern would have sent but the
-    /// θ-aware lean executor elided structurally: diagonal global gates
+    /// θ-aware executor elided structurally: diagonal global gates
     /// (local phase sweep), block-local application, and the skipped
     /// sub-blocks of block-structured global-global gates.
     pub exchanges_elided: u64,
-    /// Lean-pattern pair exchanges avoided by exchange *fusion*:
+    /// Pair exchanges avoided by exchange *fusion*:
     /// consecutive same-class exchanges separated only by global phases
     /// reuse the first exchange's partner mirror.
     pub exchanges_fused: u64,
@@ -72,22 +72,19 @@ impl AddAssign for CommStats {
 /// rejects: `n_ranks` must be a power of two small enough that every rank
 /// keeps at least 2 local qubits.
 ///
-/// This is the θ-aware plan for the default lean executor: it resolves
-/// every gate's bound matrix, classifies it against the PGAS layout
-/// (diagonal → elided, block → half-payload or sub-block exchange), and
-/// marks fusion windows — the same per-step pass the executor compiles,
-/// so "measured == planned" is a structural identity on fault-free runs.
-/// Symbolic (unbound) circuits are planned against a representative
-/// generic binding; pass concrete angles via [`plan_communication_with`]
-/// when you have them. The naive full-exchange pattern
-/// ([`crate::ShardOptions::lean_exchange`] = false) is predicted by
-/// [`plan_communication_naive`].
+/// This is the θ-aware plan: it resolves every gate's bound matrix,
+/// classifies it against the PGAS layout (diagonal → elided, block →
+/// half-payload or sub-block exchange), and marks fusion windows — it
+/// compiles the very tape the executor replays, so "measured == planned"
+/// is a structural identity on fault-free runs. Symbolic (unbound)
+/// circuits are planned against a representative generic binding; pass
+/// concrete angles via [`plan_communication_with`] when you have them.
 pub fn plan_communication(circuit: &Circuit, n_ranks: usize) -> Result<CommStats> {
     plan_communication_with(circuit, &[], n_ranks)
 }
 
 /// [`plan_communication`] against a concrete parameter binding — the plan
-/// the lean executor realizes when running `circuit` with `params`.
+/// the executor realizes when running `circuit` with `params`.
 pub fn plan_communication_with(
     circuit: &Circuit,
     params: &[f64],
@@ -96,28 +93,14 @@ pub fn plan_communication_with(
     crate::shard::plan_lean(circuit, params, n_ranks)
 }
 
-/// Predicts the *naive* exchange pattern (lean execution disabled): every
-/// global gate moves full partitions pairwise within its 2^globals-rank
-/// group, regardless of matrix structure. This was the only pattern (and
-/// the only planner) before θ-aware planning; it remains the baseline that
-/// `bytes_saved` is measured against. (The planner used to clamp
-/// `n_local` to 0 for degenerate rank counts and happily report
-/// full-partition pairwise traffic for partitions that cannot exist —
-/// both planners reject those, exactly like the executor.)
+/// Predicts the *naive* exchange pattern: every global gate moves full
+/// partitions pairwise within its 2^globals-rank group, regardless of
+/// matrix structure. No executor sends this way; it is the planner-only
+/// baseline `bytes_saved` is measured against (`bytes + bytes_saved` of
+/// any run equals this plan's `bytes`). Rejects exactly the rank counts
+/// the executor rejects.
 pub fn plan_communication_naive(circuit: &Circuit, n_ranks: usize) -> Result<CommStats> {
-    if !n_ranks.is_power_of_two() {
-        return Err(Error::Invalid(format!(
-            "{n_ranks} ranks: rank count must be a power of two"
-        )));
-    }
-    let n_global = n_ranks.trailing_zeros() as usize;
-    let n_qubits = circuit.n_qubits();
-    if n_global + 2 > n_qubits {
-        return Err(Error::Invalid(format!(
-            "{n_ranks} ranks leave fewer than 2 local qubits of a {n_qubits}-qubit register"
-        )));
-    }
-    let n_local = n_qubits - n_global;
+    let n_local = crate::shard::validate_ranks(circuit.n_qubits(), n_ranks)?;
     let part_bytes = 16u64 << n_local;
     let mut stats = CommStats::default();
     for g in circuit.gates() {
@@ -140,6 +123,7 @@ pub fn plan_communication_naive(circuit: &Circuit, n_ranks: usize) -> Result<Com
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{run_sharded, ShardOptions};
     use nwq_circuit::Circuit;
 
     #[test]
@@ -158,7 +142,7 @@ mod tests {
         c.h(3); // with 4 ranks, qubits 2,3 are global
         let s = plan_communication(&c, 4).unwrap();
         // 2 groups of 2 ranks, each rank sends to 1 partner: 4 messages.
-        // H is dense, so lean and naive agree.
+        // H is dense, so the plan and the naive baseline agree.
         assert_eq!(s.messages, 4);
         assert_eq!(s.bytes, 4 * 16 * 4); // partitions of 2^2 amplitudes
         assert_eq!(s.global_gates, 1);
@@ -190,8 +174,8 @@ mod tests {
         assert_eq!(naive.messages, 12);
         assert_eq!(naive.global_gates, 1);
         assert_eq!(naive.exchanges_elided, 0);
-        // Lean: CX's control-off sub-block is the identity, so only the
-        // two control-on ranks pair-exchange across the target bit.
+        // θ-aware: CX's control-off sub-block is the identity, so only
+        // the two control-on ranks pair-exchange across the target bit.
         let lean = plan_communication(&c, 4).unwrap();
         assert_eq!(lean.messages, 2);
         assert_eq!(lean.bytes, 2 * 16 * 4);
@@ -300,7 +284,7 @@ mod tests {
             }
             for n_ranks in [1usize << n_qubits, 1usize << (n_qubits + 1)] {
                 let planned = plan_communication(&c, n_ranks);
-                let executed = crate::exec::run_distributed(&c, &[], n_ranks);
+                let executed = run_sharded(&c, &[], n_ranks, &ShardOptions::default());
                 assert!(
                     planned.is_err(),
                     "planner must reject {n_ranks} ranks on {n_qubits} qubits"
@@ -319,7 +303,9 @@ mod tests {
             if n_qubits >= 4 {
                 let n_ranks = 1usize << (n_qubits - 2);
                 let planned = plan_communication(&c, n_ranks).unwrap();
-                let (_, measured) = crate::exec::run_and_gather(&c, &[], n_ranks).unwrap();
+                let measured = run_sharded(&c, &[], n_ranks, &ShardOptions::default())
+                    .unwrap()
+                    .comm_stats();
                 assert_eq!(planned, measured, "{n_qubits} qubits / {n_ranks} ranks");
             }
         }

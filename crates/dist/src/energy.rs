@@ -86,24 +86,10 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
     }
 }
 
-/// Convenience for scaling runs: execute `circuit` sharded over `n_ranks`
-/// and read the energy without ever materializing the full register in
-/// one allocation. Returns `(energy, comm stats of the gate phase)`.
-pub fn run_distributed_energy(
-    circuit: &nwq_circuit::Circuit,
-    params: &[f64],
-    n_ranks: usize,
-    op: &PauliOp,
-) -> Result<(f64, crate::comm::CommStats)> {
-    let state = crate::exec::run_distributed(circuit, params, n_ranks)?;
-    let energy = distributed_energy(&state, op)?;
-    Ok((energy, state.comm_stats()))
-}
-
-/// [`run_distributed_energy`] through the survivable executor: the gate
-/// phase runs with snapshots + recovery, then the energy is read out
-/// gather-free from the recovered (bitwise-identical) shards. Returns
-/// `(energy, recovery report)`.
+/// Runs `circuit` through the survivable executor
+/// ([`crate::shard::run_sharded_resilient`]: snapshots + recovery), then
+/// reads the energy out gather-free from the recovered
+/// (bitwise-identical) shards. Returns `(energy, recovery report)`.
 pub fn run_resilient_energy(
     circuit: &nwq_circuit::Circuit,
     params: &[f64],
@@ -114,7 +100,7 @@ pub fn run_resilient_energy(
     schedule: &crate::faults::FaultSchedule,
 ) -> Result<(f64, crate::shard::RecoveryReport)> {
     let (state, report) =
-        crate::exec::run_distributed_resilient(circuit, params, n_ranks, opts, recovery, schedule)?;
+        crate::shard::run_sharded_resilient(circuit, params, n_ranks, opts, recovery, schedule)?;
     let energy = distributed_energy(&state, op)?;
     Ok((energy, report))
 }
@@ -122,6 +108,7 @@ pub fn run_resilient_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{run_sharded, ShardOptions};
     use nwq_circuit::Circuit;
 
     fn sample_circuit(n: usize) -> Circuit {
@@ -143,7 +130,8 @@ mod tests {
         let single = nwq_statevec::simulate(&c, &[]).unwrap();
         let expected = nwq_statevec::expval::energy_direct_batched(&single, &h).unwrap();
         for n_ranks in [1usize, 2, 4, 8] {
-            let (e, _) = run_distributed_energy(&c, &[], n_ranks, &h).unwrap();
+            let d = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).unwrap();
+            let e = distributed_energy(&d, &h).unwrap();
             assert!(
                 (e - expected).abs() < 1e-12,
                 "ranks={n_ranks}: {e} vs {expected}"
@@ -154,7 +142,7 @@ mod tests {
     #[test]
     fn energy_rejects_width_mismatch() {
         let c = sample_circuit(4);
-        let d = crate::exec::run_distributed(&c, &[], 2).unwrap();
+        let d = run_sharded(&c, &[], 2, &ShardOptions::default()).unwrap();
         let h = PauliOp::parse("1.0 ZZZZZ").unwrap();
         assert!(distributed_energy(&d, &h).is_err());
     }
@@ -162,7 +150,7 @@ mod tests {
     #[test]
     fn energy_surfaces_non_finite_states() {
         let c = sample_circuit(5);
-        let mut d = crate::exec::run_distributed(&c, &[], 4).unwrap();
+        let mut d = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
         d.corrupt_amplitude(1, 0, nwq_common::C64::new(f64::NAN, 0.0))
             .unwrap();
         let h = PauliOp::parse("1.0 ZZZZZ").unwrap();

@@ -1,13 +1,15 @@
 //! Deterministic fault injection for resilience testing.
 //!
 //! Long VQE campaigns on real HPC systems see evaluation failures, NaN/Inf
-//! amplitudes, norm drift, lost ranks, and corrupted exchanges as routine
+//! amplitudes, dead ranks, dropped messages and stragglers as routine
 //! events. This module makes those events *reproducible*: a seeded
 //! [`FaultInjector`] decides, per opportunity, whether a fault fires, so
 //! every recovery path in the workspace can be exercised by an ordinary
 //! unit test. The injector is pure configuration + RNG — it never touches
-//! simulator state itself; the execution layers ([`crate::exec`] and the
-//! `FaultyBackend` decorator in `nwq-core`) ask it what to break.
+//! simulator state itself; the execution layers ask it what to break: the
+//! `FaultyBackend` decorator in `nwq-core` per evaluation, the sharded
+//! executor through a [`FaultSchedule`] drawn with
+//! [`FaultSchedule::from_injector`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,18 +24,11 @@ pub struct FaultSpec {
     /// Probability that an evaluation returns a NaN energy (models
     /// corrupted amplitudes reaching the reduction).
     pub nan_amplitude: f64,
-    /// Probability that a kernel sweep leaves the state with norm drift
-    /// (models accumulated floating-point corruption).
-    pub norm_drift: f64,
-    /// Probability that a rank is lost during a global-qubit exchange.
-    /// This is the *legacy, terminal* class: the run aborts. For the
-    /// recoverable class see [`FaultSpec::rank_death`].
-    pub rank_loss: f64,
-    /// Probability that an exchanged message corrupts an amplitude.
-    pub message_corruption: f64,
-    /// Probability (per gate step) that a rank process dies — the
-    /// *recoverable* class consumed by [`crate::shard::run_sharded_resilient`]
-    /// via [`FaultSchedule::from_injector`].
+    /// Probability (per gate step) that a rank process dies — consumed by
+    /// [`crate::shard::run_sharded_resilient`] via
+    /// [`FaultSchedule::from_injector`]. Whether a death is recoverable is
+    /// the run's [`crate::RecoveryOptions::max_recoveries`], not the
+    /// fault's.
     pub rank_death: f64,
     /// Probability (per gate step) that a rank silently drops its exchange
     /// sends, leaving partners to hit their receive deadline.
@@ -53,9 +48,6 @@ impl Default for FaultSpec {
         FaultSpec {
             eval_failure: 0.0,
             nan_amplitude: 0.0,
-            norm_drift: 0.0,
-            rank_loss: 0.0,
-            message_corruption: 0.0,
             rank_death: 0.0,
             message_drop: 0.0,
             message_delay: 0.0,
@@ -80,9 +72,6 @@ impl FaultSpec {
     pub fn is_active(&self) -> bool {
         self.eval_failure > 0.0
             || self.nan_amplitude > 0.0
-            || self.norm_drift > 0.0
-            || self.rank_loss > 0.0
-            || self.message_corruption > 0.0
             || self.rank_death > 0.0
             || self.message_drop > 0.0
             || self.message_delay > 0.0
@@ -96,13 +85,7 @@ pub struct FaultStats {
     pub eval_failures: u64,
     /// NaN-amplitude faults fired.
     pub nan_amplitudes: u64,
-    /// Norm-drift faults fired.
-    pub norm_drifts: u64,
-    /// Rank losses fired.
-    pub rank_losses: u64,
-    /// Message corruptions fired.
-    pub message_corruptions: u64,
-    /// Recoverable rank deaths fired.
+    /// Rank deaths fired.
     pub rank_deaths: u64,
     /// Message drops fired.
     pub message_drops: u64,
@@ -115,9 +98,6 @@ impl FaultStats {
     pub fn total(&self) -> u64 {
         self.eval_failures
             + self.nan_amplitudes
-            + self.norm_drifts
-            + self.rank_losses
-            + self.message_corruptions
             + self.rank_deaths
             + self.message_drops
             + self.message_delays
@@ -180,36 +160,7 @@ impl FaultInjector {
         fired
     }
 
-    /// Should the next sweep pick up norm drift?
-    pub fn should_drift_norm(&mut self) -> bool {
-        let fired = self.trip(self.spec.norm_drift, "resilience.faults.norm_drift");
-        self.stats.norm_drifts += fired as u64;
-        fired
-    }
-
-    /// Should the next global exchange lose a rank? Returns the lost rank
-    /// id (in `0..n_ranks`) when it fires.
-    pub fn should_lose_rank(&mut self, n_ranks: usize) -> Option<usize> {
-        let fired = self.trip(self.spec.rank_loss, "resilience.faults.rank_loss");
-        self.stats.rank_losses += fired as u64;
-        if fired && n_ranks > 0 {
-            Some(self.rng.gen_range(0..n_ranks))
-        } else {
-            None
-        }
-    }
-
-    /// Should the next exchanged message corrupt an amplitude?
-    pub fn should_corrupt_message(&mut self) -> bool {
-        let fired = self.trip(
-            self.spec.message_corruption,
-            "resilience.faults.message_corruption",
-        );
-        self.stats.message_corruptions += fired as u64;
-        fired
-    }
-
-    /// Should a rank die at the next gate step (recoverably)? Returns the
+    /// Should a rank die at the next gate step? Returns the
     /// dying rank id when it fires; a second draw decides whether it dies
     /// mid-exchange (after its sends, before its receives).
     pub fn should_kill_rank(&mut self, n_ranks: usize) -> Option<(usize, bool)> {
@@ -245,16 +196,6 @@ impl FaultInjector {
             Some((self.rng.gen_range(0..n_ranks), self.spec.delay_ms))
         } else {
             None
-        }
-    }
-
-    /// A random index into a partition of `len` amplitudes (used to pick
-    /// the corruption site).
-    pub fn pick_index(&mut self, len: usize) -> usize {
-        if len <= 1 {
-            0
-        } else {
-            self.rng.gen_range(0..len)
         }
     }
 }
@@ -296,8 +237,8 @@ pub struct RankDelay {
     pub delay_ms: u64,
 }
 
-/// A deterministic schedule of recoverable shard faults, in *gate*
-/// coordinates. The resilient compiler translates these to absolute tape
+/// A deterministic schedule of shard faults, in *gate* coordinates — the
+/// sharded executor's only fault input. The tape compiler translates these to absolute tape
 /// indices and arms each entry exactly once, so a fault fires in the
 /// generation that first reaches its step and never re-fires during
 /// replay (which would otherwise recovery-loop forever).
@@ -373,9 +314,9 @@ mod tests {
         for _ in 0..1000 {
             assert!(!inj.should_fail_eval());
             assert!(!inj.should_inject_nan());
-            assert!(!inj.should_drift_norm());
-            assert!(inj.should_lose_rank(4).is_none());
-            assert!(!inj.should_corrupt_message());
+            assert!(inj.should_kill_rank(4).is_none());
+            assert!(inj.should_drop_message(4).is_none());
+            assert!(inj.should_delay_message(4).is_none());
         }
         assert_eq!(inj.stats().total(), 0);
     }
@@ -384,14 +325,15 @@ mod tests {
     fn fault_sequence_is_deterministic() {
         let spec = FaultSpec {
             eval_failure: 0.3,
-            rank_loss: 0.2,
+            rank_death: 0.2,
             seed: 99,
             ..FaultSpec::default()
         };
         let draw = |spec| {
             let mut inj = FaultInjector::new(spec);
             let evals: Vec<bool> = (0..200).map(|_| inj.should_fail_eval()).collect();
-            let ranks: Vec<Option<usize>> = (0..200).map(|_| inj.should_lose_rank(8)).collect();
+            let ranks: Vec<Option<(usize, bool)>> =
+                (0..200).map(|_| inj.should_kill_rank(8)).collect();
             (evals, ranks, inj.stats())
         };
         let (e1, r1, s1) = draw(spec);
@@ -399,7 +341,7 @@ mod tests {
         assert_eq!(e1, e2);
         assert_eq!(r1, r2);
         assert_eq!(s1, s2);
-        assert!(s1.eval_failures > 0 && s1.rank_losses > 0);
+        assert!(s1.eval_failures > 0 && s1.rank_deaths > 0);
     }
 
     #[test]
@@ -419,14 +361,14 @@ mod tests {
         nwq_telemetry::set_enabled(true);
         let before = nwq_telemetry::counter_value("resilience.faults_injected");
         let mut inj = FaultInjector::new(FaultSpec {
-            message_corruption: 1.0,
+            nan_amplitude: 1.0,
             seed: 1,
             ..FaultSpec::default()
         });
-        assert!(inj.should_corrupt_message());
-        assert!(inj.should_corrupt_message());
+        assert!(inj.should_inject_nan());
+        assert!(inj.should_inject_nan());
         let injected = nwq_telemetry::counter_value("resilience.faults_injected") - before;
-        let by_class = nwq_telemetry::counter_value("resilience.faults.message_corruption");
+        let by_class = nwq_telemetry::counter_value("resilience.faults.nan_amplitude");
         nwq_telemetry::set_enabled(false);
         assert_eq!(injected, 2);
         assert_eq!(by_class, 2);
@@ -462,24 +404,19 @@ mod tests {
     }
 
     #[test]
-    fn new_classes_do_not_shift_legacy_draw_sequences() {
-        // The legacy fault classes must keep their seeded sequences even
-        // now that the spec carries recoverable-class rates: legacy draws
-        // happen through the same `trip` path in the same order, and the
-        // new classes only consume RNG when their methods are called.
-        let legacy = FaultSpec {
-            rank_loss: 0.3,
-            seed: 17,
-            ..FaultSpec::default()
-        };
-        let mut a = FaultInjector::new(legacy);
+    fn unused_class_rates_do_not_shift_a_draw_sequence() {
+        // A class only consumes RNG when its method is called, so the
+        // evaluation-fault sequence is the same whether or not the spec
+        // also carries shard-fault rates.
+        let plain = FaultSpec::eval_failures(0.3, 17);
+        let mut a = FaultInjector::new(plain);
         let mut b = FaultInjector::new(FaultSpec {
             rank_death: 0.5,
             message_drop: 0.5,
-            ..legacy
+            ..plain
         });
-        let seq_a: Vec<Option<usize>> = (0..100).map(|_| a.should_lose_rank(8)).collect();
-        let seq_b: Vec<Option<usize>> = (0..100).map(|_| b.should_lose_rank(8)).collect();
+        let seq_a: Vec<bool> = (0..100).map(|_| a.should_fail_eval()).collect();
+        let seq_b: Vec<bool> = (0..100).map(|_| b.should_fail_eval()).collect();
         assert_eq!(seq_a, seq_b);
     }
 
@@ -491,19 +428,5 @@ mod tests {
         let d = s.deaths[0];
         assert_eq!((d.gate_step, d.rank, d.mid_exchange), (7, 2, false));
         assert!(FaultSchedule::none().is_empty());
-    }
-
-    #[test]
-    fn lost_rank_ids_are_in_range() {
-        let mut inj = FaultInjector::new(FaultSpec {
-            rank_loss: 1.0,
-            seed: 3,
-            ..FaultSpec::default()
-        });
-        for _ in 0..100 {
-            let r = inj.should_lose_rank(4).unwrap();
-            assert!(r < 4);
-        }
-        assert!(inj.pick_index(1) == 0 && inj.pick_index(16) < 16);
     }
 }

@@ -1,17 +1,15 @@
-//! A statevector partitioned across simulated ranks.
+//! A statevector partitioned across ranks.
 //!
 //! Rank `r` owns amplitudes whose top `log2(R)` index bits equal `r`
 //! (PGAS layout, as in SV-Sim): global index = `(rank << n_local) | local`.
-//! Gates on local qubits run independently per rank (in parallel — each
-//! rank models one node's GPU); gates touching global qubits require
-//! partner ranks to exchange partitions, which is where all communication
-//! cost comes from.
+//! This is the container only — what [`crate::shard`] assembles from its
+//! workers' shards and [`crate::energy`] reads out; gates are applied by
+//! the sharded executor, never here.
 
 use crate::comm::CommStats;
 use nwq_common::bits::dim;
-use nwq_common::{Error, Mat2, Mat4, Result, C64, C_ONE, C_ZERO};
+use nwq_common::{Error, Result, C64, C_ONE, C_ZERO};
 use nwq_statevec::StateVector;
-use rayon::prelude::*;
 
 /// A distributed statevector over `n_ranks` simulated ranks.
 #[derive(Clone, Debug)]
@@ -27,18 +25,7 @@ impl DistStateVector {
     /// that every rank owns at least 4 amplitudes so two-qubit local gates
     /// remain possible).
     pub fn zero(n_qubits: usize, n_ranks: usize) -> Result<Self> {
-        if !n_ranks.is_power_of_two() {
-            return Err(Error::Invalid(format!(
-                "{n_ranks} ranks: must be a power of two"
-            )));
-        }
-        let n_global = n_ranks.trailing_zeros() as usize;
-        if n_global + 2 > n_qubits {
-            return Err(Error::Invalid(format!(
-                "{n_ranks} ranks leave fewer than 2 local qubits of a {n_qubits}-qubit register"
-            )));
-        }
-        let n_local = n_qubits - n_global;
+        let n_local = crate::shard::validate_ranks(n_qubits, n_ranks)?;
         let part_len = dim(n_local);
         let mut partitions = vec![vec![C_ZERO; part_len]; n_ranks];
         partitions[0][0] = C_ONE;
@@ -105,11 +92,6 @@ impl DistStateVector {
         StateVector::from_amplitudes(amps).expect("partition sizes are powers of two")
     }
 
-    #[inline]
-    fn part_bytes(&self) -> u64 {
-        (self.partitions[0].len() * 16) as u64
-    }
-
     /// Amplitudes per rank partition.
     pub fn partition_len(&self) -> usize {
         self.partitions[0].len()
@@ -141,164 +123,11 @@ impl DistStateVector {
         }
         Ok(())
     }
-
-    /// Applies a single-qubit gate.
-    pub fn apply_mat2(&mut self, q: usize, m: &Mat2) -> Result<()> {
-        if q >= self.n_qubits {
-            return Err(Error::QubitOutOfRange {
-                qubit: q,
-                n_qubits: self.n_qubits,
-            });
-        }
-        if q < self.n_local {
-            // Rank-local: every rank applies the kernel to its partition.
-            self.comm.local_gates += 1;
-            nwq_telemetry::counter_add("dist.local_gates", 1);
-            self.partitions
-                .par_iter_mut()
-                .for_each(|p| nwq_statevec::kernels::apply_mat2(p, q, m));
-            return Ok(());
-        }
-        // Global qubit: ranks pair up across the qubit's rank-id bit and
-        // exchange partitions (modeled MPI sendrecv, 2 messages per pair).
-        self.comm.global_gates += 1;
-        nwq_telemetry::counter_add("dist.global_gates", 1);
-        let bit = 1usize << (q - self.n_local);
-        let n_ranks = self.partitions.len();
-        let part_bytes = self.part_bytes();
-        for r0 in 0..n_ranks {
-            if r0 & bit != 0 {
-                continue;
-            }
-            let r1 = r0 | bit;
-            let (lo, hi) = self.partitions.split_at_mut(r1);
-            let p0 = &mut lo[r0];
-            let p1 = &mut hi[0];
-            self.comm.messages += 2;
-            self.comm.bytes += 2 * part_bytes;
-            p0.iter_mut().zip(p1.iter_mut()).for_each(|(a, b)| {
-                let (x, y) = (*a, *b);
-                *a = m.0[0][0] * x + m.0[0][1] * y;
-                *b = m.0[1][0] * x + m.0[1][1] * y;
-            });
-        }
-        nwq_telemetry::counter_add("dist.messages", n_ranks as u64);
-        nwq_telemetry::counter_add("dist.bytes", n_ranks as u64 * part_bytes);
-        Ok(())
-    }
-
-    /// Applies a two-qubit gate; `qa` is the matrix's high bit.
-    pub fn apply_mat4(&mut self, qa: usize, qb: usize, m: &Mat4) -> Result<()> {
-        if qa >= self.n_qubits || qb >= self.n_qubits {
-            return Err(Error::QubitOutOfRange {
-                qubit: qa.max(qb),
-                n_qubits: self.n_qubits,
-            });
-        }
-        if qa == qb {
-            return Err(Error::DuplicateQubit(qa));
-        }
-        let local = self.n_local;
-        match (qa < local, qb < local) {
-            (true, true) => {
-                self.comm.local_gates += 1;
-                nwq_telemetry::counter_add("dist.local_gates", 1);
-                self.partitions
-                    .par_iter_mut()
-                    .for_each(|p| nwq_statevec::kernels::apply_mat4(p, qa, qb, m));
-                Ok(())
-            }
-            (false, true) => self.apply_global_local(qa, qb, m, false),
-            (true, false) => {
-                // Swap matrix qubit roles so the global qubit is "high".
-                self.apply_global_local(qb, qa, &m.swap_qubits(), false)
-            }
-            (false, false) => self.apply_global_global(qa, qb, m),
-        }
-    }
-
-    /// Two-qubit gate with `g` global (matrix high bit) and `l` local.
-    fn apply_global_local(&mut self, g: usize, l: usize, m: &Mat4, _: bool) -> Result<()> {
-        self.comm.global_gates += 1;
-        nwq_telemetry::counter_add("dist.global_gates", 1);
-        let bit = 1usize << (g - self.n_local);
-        let n_ranks = self.partitions.len();
-        let l_mask = 1usize << l;
-        let part_bytes = self.part_bytes();
-        for r0 in 0..n_ranks {
-            if r0 & bit != 0 {
-                continue;
-            }
-            let r1 = r0 | bit;
-            let (lo_part, hi_part) = self.partitions.split_at_mut(r1);
-            let p0 = &mut lo_part[r0];
-            let p1 = &mut hi_part[0];
-            self.comm.messages += 2;
-            self.comm.bytes += 2 * part_bytes;
-            for i in 0..p0.len() {
-                if i & l_mask != 0 {
-                    continue;
-                }
-                let j = i | l_mask;
-                // Matrix index: (global bit << 1) | local bit.
-                let v = [p0[i], p0[j], p1[i], p1[j]];
-                let mut out = [C_ZERO; 4];
-                for (r, o) in out.iter_mut().enumerate() {
-                    let row = &m.0[r];
-                    *o = row[0] * v[0] + row[1] * v[1] + row[2] * v[2] + row[3] * v[3];
-                }
-                p0[i] = out[0];
-                p0[j] = out[1];
-                p1[i] = out[2];
-                p1[j] = out[3];
-            }
-        }
-        nwq_telemetry::counter_add("dist.messages", n_ranks as u64);
-        nwq_telemetry::counter_add("dist.bytes", n_ranks as u64 * part_bytes);
-        Ok(())
-    }
-
-    /// Two-qubit gate with both qubits global: groups of four ranks.
-    fn apply_global_global(&mut self, qa: usize, qb: usize, m: &Mat4) -> Result<()> {
-        self.comm.global_gates += 1;
-        nwq_telemetry::counter_add("dist.global_gates", 1);
-        let ba = 1usize << (qa - self.n_local);
-        let bb = 1usize << (qb - self.n_local);
-        let n_ranks = self.partitions.len();
-        let part_len = self.partitions[0].len();
-        for base in 0..n_ranks {
-            if base & (ba | bb) != 0 {
-                continue;
-            }
-            let ranks = [base, base | bb, base | ba, base | ba | bb];
-            // All-to-all within the quad: each rank sends to 3 partners.
-            self.comm.messages += 12;
-            self.comm.bytes += 12 * self.part_bytes();
-            for i in 0..part_len {
-                let v = [
-                    self.partitions[ranks[0]][i],
-                    self.partitions[ranks[1]][i],
-                    self.partitions[ranks[2]][i],
-                    self.partitions[ranks[3]][i],
-                ];
-                for (r, &rank) in ranks.iter().enumerate() {
-                    let row = &m.0[r];
-                    self.partitions[rank][i] =
-                        row[0] * v[0] + row[1] * v[1] + row[2] * v[2] + row[3] * v[3];
-                }
-            }
-        }
-        // 12 messages per quad of ranks → 3 per rank overall.
-        nwq_telemetry::counter_add("dist.messages", 3 * n_ranks as u64);
-        nwq_telemetry::counter_add("dist.bytes", 3 * n_ranks as u64 * self.part_bytes());
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nwq_common::mat::{mat_cx, mat_h, mat_x};
 
     #[test]
     fn construction_checks() {
@@ -311,69 +140,22 @@ mod tests {
     }
 
     #[test]
-    fn local_gate_no_comm() {
-        let mut d = DistStateVector::zero(4, 2).unwrap();
-        d.apply_mat2(0, &mat_h()).unwrap();
-        assert_eq!(d.comm_stats().messages, 0);
-        assert_eq!(d.comm_stats().local_gates, 1);
-    }
-
-    #[test]
-    fn global_x_moves_amplitude_between_ranks() {
-        let mut d = DistStateVector::zero(4, 2).unwrap(); // qubit 3 global
-        d.apply_mat2(3, &mat_x()).unwrap();
-        let s = d.gather();
-        assert!((s.probability(0b1000) - 1.0).abs() < 1e-12);
-        assert_eq!(d.comm_stats().messages, 2);
-        assert_eq!(d.comm_stats().global_gates, 1);
-    }
-
-    #[test]
-    fn global_h_creates_cross_rank_superposition() {
-        let mut d = DistStateVector::zero(4, 2).unwrap();
-        d.apply_mat2(3, &mat_h()).unwrap();
-        let s = d.gather();
-        assert!((s.probability(0) - 0.5).abs() < 1e-12);
-        assert!((s.probability(0b1000) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn global_local_cx() {
-        // CX(3, 0) on 2 ranks: control global.
-        let mut d = DistStateVector::zero(4, 2).unwrap();
-        d.apply_mat2(3, &mat_x()).unwrap(); // set control
-        d.apply_mat4(3, 0, &mat_cx()).unwrap();
-        let s = d.gather();
-        assert!((s.probability(0b1001) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn local_global_cx() {
-        // CX(0, 3): control local, target global.
-        let mut d = DistStateVector::zero(4, 2).unwrap();
-        d.apply_mat2(0, &mat_x()).unwrap();
-        d.apply_mat4(0, 3, &mat_cx()).unwrap();
-        let s = d.gather();
-        assert!((s.probability(0b1001) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn global_global_cx() {
-        // 4 ranks on 5 qubits: qubits 3, 4 global.
+    fn corruption_hook_plants_non_finite_amplitudes() {
         let mut d = DistStateVector::zero(5, 4).unwrap();
-        d.apply_mat2(4, &mat_x()).unwrap();
-        d.apply_mat4(4, 3, &mat_cx()).unwrap();
-        let s = d.gather();
-        assert!((s.probability(0b11000) - 1.0).abs() < 1e-12);
-        // X(4): 2 rank pairs × 2 messages; CX(4,3): one quad × 12.
-        assert_eq!(d.comm_stats().messages, 4 + 12);
+        d.corrupt_amplitude(2, 3, C64::new(f64::NAN, f64::NAN))
+            .unwrap();
+        assert!(!d.gather().norm_sqr().is_finite());
+        assert!(d.corrupt_amplitude(4, 0, C_ZERO).is_err());
+        assert!(d.corrupt_amplitude(0, 8, C_ZERO).is_err());
     }
 
     #[test]
-    fn validation_errors() {
-        let mut d = DistStateVector::zero(4, 2).unwrap();
-        assert!(d.apply_mat2(4, &mat_x()).is_err());
-        assert!(d.apply_mat4(1, 1, &mat_cx()).is_err());
-        assert!(d.apply_mat4(1, 9, &mat_cx()).is_err());
+    fn drift_hook_breaks_normalization_detectably() {
+        let mut d = DistStateVector::zero(5, 4).unwrap();
+        d.scale_partition(0, 1.001).unwrap();
+        let norm = d.gather().norm_sqr();
+        assert!(norm.is_finite());
+        assert!((norm - 1.0).abs() > 1e-9, "norm {norm} should have drifted");
+        assert!(d.scale_partition(4, 1.001).is_err());
     }
 }

@@ -1,47 +1,41 @@
 //! Real sharded execution: one OS worker thread per rank, true message
 //! exchange on global-qubit gates.
 //!
-//! This is the executing backend behind [`crate::exec::run_distributed`].
-//! Where [`crate::partition::DistStateVector`]'s own `apply_*` methods
-//! *simulate* multi-rank execution by walking a single `Vec<Vec<C64>>`,
-//! this module actually distributes the register: each rank's shard is
-//! owned by its own thread, and a gate on a global qubit moves the
-//! partner shard through a channel (the in-process analog of an MPI
-//! sendrecv — same payload sizes, same message counts, same pairing).
+//! Each rank's shard is owned by its own thread, and a gate on a global
+//! qubit moves the partner shard (or the half of it the gate reads)
+//! through a channel — the in-process analog of an MPI sendrecv: same
+//! payload sizes, same message counts, same pairing.
 //!
-//! The execution is compiled first: the coordinator resolves every gate
-//! matrix once, classifies it local/global against the PGAS layout, and
-//! precomputes any injected faults so all workers replay one deterministic
-//! step list. Workers then run lock-free — the only cross-thread traffic
-//! is the amplitude payloads themselves.
+//! There is one way to run: [`run_sharded_resilient`] compiles the circuit
+//! once ([`compile_tape`]: every gate matrix resolved and classified
+//! against the PGAS layout, snapshot barriers inserted, the
+//! [`FaultSchedule`] translated to tape coordinates) and then spawns
+//! worker generations over that tape until one completes. [`run_sharded`]
+//! is the same loop with snapshots off, an empty schedule and no recovery
+//! budget. Workers run lock-free — the only cross-thread traffic is the
+//! amplitude payloads themselves.
 //!
-//! Bitwise parity with the single-node simulator is a hard invariant
-//! (pinned by tests and proptests across 1/2/4/8 shards): the per-shard
-//! apply paths in [`nwq_statevec::kernels`] mirror the single-node
-//! kernels' arithmetic exactly, including the diagonal fast paths.
+//! Bitwise parity with [`nwq_statevec::simulate`] is a hard invariant
+//! (pinned by tests and proptests across 1/2/4/8 shards, fault-free and
+//! under injected rank death): the per-shard apply paths in
+//! [`nwq_statevec::kernels`] mirror the single-node kernels' arithmetic
+//! exactly, including the diagonal fast paths.
 
 use crate::comm::CommStats;
-use crate::faults::{FaultInjector, FaultSchedule};
+use crate::faults::FaultSchedule;
 use crate::partition::DistStateVector;
 use crate::snapshot::SnapshotStore;
 use nwq_circuit::{Circuit, Gate, GateMatrix};
 use nwq_common::{Error, Mat2, Mat4, Result, C64, C_ONE, C_ZERO};
-use nwq_statevec::kernels;
-use nwq_statevec::{ExecPlan, PlanOp};
+use nwq_statevec::kernels::{self, Mat4Shape, SubKind};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Options for [`run_sharded`].
+/// Options for [`run_sharded`] and [`run_sharded_resilient`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardOptions {
-    /// Fuse runs of ≥ 2 consecutive rank-local gates through the compiled
-    /// [`ExecPlan`] machinery (template cache + rebind). Fusion multiplies
-    /// matrices, so the result is no longer *bitwise* identical to the
-    /// per-gate path — the parity harness runs unfused; benches opt in.
-    pub fuse_local: bool,
     /// Per-attempt receive deadline (milliseconds) on every pair-exchange.
     /// A partner that neither delivers nor disconnects within the deadline
     /// is retried with exponential backoff; after the retry budget the
@@ -51,26 +45,13 @@ pub struct ShardOptions {
     /// `exchange_timeout_ms << k`, so the defaults tolerate ~1 min of
     /// stall before declaring the partner lost.
     pub exchange_retries: u32,
-    /// θ-aware lean exchange (the default): global gates with diagonal
-    /// bound matrices apply as a local phase sweep (no exchange), block-
-    /// structured gates send only the shard half the partner's pair
-    /// kernel reads, and consecutive same-qubit exchanges separated only
-    /// by global phases share one exchange through a fusion mirror.
-    /// Disabling it restores the naive pattern — a full-shard exchange
-    /// on every global gate — whose traffic equals
-    /// [`crate::comm::plan_communication_naive`]; the *arithmetic* stays
-    /// shape-aware in both modes, which is what keeps either mode bitwise
-    /// identical to the single-node simulator.
-    pub lean_exchange: bool,
 }
 
 impl Default for ShardOptions {
     fn default() -> Self {
         ShardOptions {
-            fuse_local: false,
             exchange_timeout_ms: 2000,
             exchange_retries: 4,
-            lean_exchange: true,
         }
     }
 }
@@ -99,26 +80,15 @@ enum Step {
     /// Rank-local two-qubit gate, original argument order (the kernel
     /// normalizes exactly like the single-node path).
     Local2(usize, usize, Mat4),
-    /// Fused run of rank-local gates (only with
-    /// [`ShardOptions::fuse_local`]).
-    LocalFused(Arc<ExecPlan>),
-    /// Single-qubit gate on global (rank-id) bit `gbit`: pair exchange.
+    /// Single-qubit gate on global (rank-id) bit `gbit`.
     Global1 { gbit: usize, m: Mat2 },
     /// Two-qubit gate, global bit `gbit` is the matrix high bit, `lo` is
-    /// rank-local: pair exchange.
+    /// rank-local.
     GlobalLocal { gbit: usize, lo: usize, m: Mat4 },
-    /// Two-qubit gate on two global bits (`bhi` the matrix high bit):
-    /// quad all-to-all exchange.
+    /// Two-qubit gate on two global bits (`bhi` the matrix high bit).
     GlobalGlobal { bhi: usize, blo: usize, m: Mat4 },
-    /// Injected fault: overwrite one amplitude of one rank with NaN.
-    Corrupt { rank: usize, index: usize },
-    /// Injected fault: scale one rank's shard by the drift factor.
-    Drift { rank: usize },
-    /// Injected fault: the named rank dies (always the final step — the
-    /// legacy injector aborted the run at the point the loss fired).
-    Lose { rank: usize },
     /// Snapshot barrier: every rank deposits a bitwise copy of its shard
-    /// as `version` of the consistent cut (resilient tapes only).
+    /// as `version` of the consistent cut.
     Snapshot { version: usize },
 }
 
@@ -129,7 +99,7 @@ enum Step {
 /// every elision decision bitwise).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CommClass {
-    /// Rank-local step (gates, faults, snapshot barriers): no exchange.
+    /// Rank-local step (gates, snapshot barriers): no exchange.
     Local,
     /// Global gate with a diagonal matrix: a local phase sweep, zero
     /// messages (each rank's bits select its diagonal entries).
@@ -162,9 +132,9 @@ pub(crate) struct StepComm {
     pub(crate) class: CommClass,
     /// Shape of the step's prenormalized matrix (`Dense` placeholder for
     /// non-two-qubit steps).
-    pub(crate) shape: kernels::Mat4Shape,
-    /// Naive sends per rank for this step (1 pair / 3 quad / 0 local) —
-    /// what the pre-lean executor would have sent.
+    pub(crate) shape: Mat4Shape,
+    /// Sends per rank the naive full-exchange pattern would make for this
+    /// step (1 pair / 3 quad / 0 local) — the `bytes_saved` baseline.
     pub(crate) naive_sends: u8,
     /// This step reuses the fusion mirror established by an earlier
     /// exchange in its window instead of exchanging again.
@@ -178,7 +148,7 @@ pub(crate) struct StepComm {
 /// [`kernels::mat4_shape`]; the class decides the exchange *pattern* only
 /// — the executor picks arithmetic from the step + shape.
 fn classify_step(step: &Step) -> StepComm {
-    use kernels::{mat4_shape, Mat4Shape, SubKind};
+    use kernels::mat4_shape;
     let comm = |class, shape, naive_sends| StepComm {
         class,
         shape,
@@ -187,13 +157,9 @@ fn classify_step(step: &Step) -> StepComm {
         track: false,
     };
     match step {
-        Step::Local1(..)
-        | Step::Local2(..)
-        | Step::LocalFused(..)
-        | Step::Corrupt { .. }
-        | Step::Drift { .. }
-        | Step::Lose { .. }
-        | Step::Snapshot { .. } => comm(CommClass::Local, Mat4Shape::Dense, 0),
+        Step::Local1(..) | Step::Local2(..) | Step::Snapshot { .. } => {
+            comm(CommClass::Local, Mat4Shape::Dense, 0)
+        }
         Step::Global1 { gbit, m } => {
             if kernels::mat2_is_diagonal(m) {
                 comm(CommClass::Phase, Mat4Shape::Dense, 1)
@@ -256,9 +222,9 @@ fn classify_step(step: &Step) -> StepComm {
 /// `(gbit, lo, v)`) fuse iff every intervening step is a global phase
 /// (`Phase`, which both partners mirror deterministically) or a snapshot
 /// barrier (reads shards, never writes). Any other step — local gates,
-/// `LocalApply`, other exchanges, injected faults — invalidates the
-/// partner mirror, so it closes every window. At most one window is open
-/// at a time, which is why the executor carries a single mirror slot.
+/// `LocalApply`, other exchanges — invalidates the partner mirror, so it
+/// closes every window. At most one window is open at a time, which is
+/// why the executor carries a single mirror slot.
 fn compute_fusion(steps: &[Step], comm: &mut [StepComm]) {
     let mut open: Option<(usize, CommClass)> = None;
     for j in 0..comm.len() {
@@ -281,25 +247,9 @@ fn compute_fusion(steps: &[Step], comm: &mut [StepComm]) {
     }
 }
 
-/// Classifies every step and marks fusion windows.
-fn analyze_comm(steps: &[Step]) -> Vec<StepComm> {
-    let mut comm: Vec<StepComm> = steps.iter().map(classify_step).collect();
-    compute_fusion(steps, &mut comm);
-    comm
-}
-
-/// Compiled execution: the shared step list, its communication plan, and
-/// the gate accounting the planner predicts (`plan_communication` must
-/// agree with what the workers measure; both are derived from the same
-/// per-step classification).
-struct Compiled {
-    steps: Arc<Vec<Step>>,
-    comm: Arc<Vec<StepComm>>,
-    local_gates: u64,
-    global_gates: u64,
-}
-
-fn validate_ranks(n_qubits: usize, n_ranks: usize) -> Result<usize> {
+/// The layout check every dist entry point shares: a power-of-two rank
+/// count that leaves each rank at least 2 local qubits. Returns `n_local`.
+pub(crate) fn validate_ranks(n_qubits: usize, n_ranks: usize) -> Result<usize> {
     if !n_ranks.is_power_of_two() {
         return Err(Error::Invalid(format!(
             "{n_ranks} ranks: must be a power of two"
@@ -315,8 +265,8 @@ fn validate_ranks(n_qubits: usize, n_ranks: usize) -> Result<usize> {
 }
 
 /// Classifies and resolves one gate against the PGAS layout.
-fn gate_step(gate: &Gate, params: &[f64], n_local: usize) -> Result<(Step, bool)> {
-    let step = match gate.matrix(params)? {
+fn gate_step(gate: &Gate, params: &[f64], n_local: usize) -> Result<Step> {
+    Ok(match gate.matrix(params)? {
         GateMatrix::One(q, m) => {
             if q < n_local {
                 Step::Local1(q, m)
@@ -354,125 +304,142 @@ fn gate_step(gate: &Gate, params: &[f64], n_local: usize) -> Result<(Step, bool)
                 }
             }
         },
-    };
-    let global = matches!(
-        step,
-        Step::Global1 { .. } | Step::GlobalLocal { .. } | Step::GlobalGlobal { .. }
-    );
-    Ok((step, global))
+    })
 }
 
-/// Flushes a run of buffered local gates: runs of ≥ 2 compile to a fused
-/// plan over the local register, shorter runs stay per-gate.
-fn flush_local_run(
-    run: &mut Vec<Gate>,
-    steps: &mut Vec<Step>,
-    params: &[f64],
-    n_local: usize,
-    n_params: usize,
-) -> Result<()> {
-    if run.len() >= 2 {
-        let mut seg = Circuit::with_params(n_local, n_params);
-        for g in run.drain(..) {
-            seg.push(g)?;
-        }
-        let plan = ExecPlan::compile(&seg, params)?;
-        steps.push(Step::LocalFused(Arc::new(plan)));
-    } else {
-        for g in run.drain(..) {
-            steps.push(gate_step(&g, params, n_local)?.0);
+/// One planned, fire-once fault in *tape* coordinates. The armed flag is
+/// shared across recovery generations, so a fault fires in the generation
+/// that first reaches its step and never re-fires during replay.
+struct PlannedFault {
+    step: usize,
+    rank: usize,
+    armed: AtomicBool,
+}
+
+impl PlannedFault {
+    fn new(step: usize, rank: usize) -> Self {
+        PlannedFault {
+            step,
+            rank,
+            armed: AtomicBool::new(true),
         }
     }
-    Ok(())
+
+    /// Disarms and fires iff this entry targets (`step`, `rank`) and is
+    /// still armed.
+    fn fire(&self, step: usize, rank: usize) -> bool {
+        self.step == step && self.rank == rank && self.armed.swap(false, Ordering::SeqCst)
+    }
 }
 
-/// Resolves the circuit into the deterministic step list. When an
-/// `injector` is given, faults are drawn *here* — in exactly the order the
-/// per-gate legacy path drew them, so seeded runs reproduce — and baked
-/// into the list as explicit steps. Fault compilation never fuses (faults
-/// interleave per gate).
-fn compile_steps(
+/// The compiled fault schedule, translated from gate to tape coordinates
+/// and shared by every generation's workers.
+#[derive(Default)]
+struct FaultPlan {
+    /// `(fault, mid_exchange)` — mid-exchange deaths complete the step's
+    /// sends and die before its receives.
+    deaths: Vec<(PlannedFault, bool)>,
+    drops: Vec<PlannedFault>,
+    /// `(fault, delay_ms)`.
+    delays: Vec<(PlannedFault, u64)>,
+}
+
+impl FaultPlan {
+    fn death_at(&self, step: usize, rank: usize) -> Option<bool> {
+        self.deaths
+            .iter()
+            .find(|(f, _)| f.fire(step, rank))
+            .map(|&(_, mid)| mid)
+    }
+
+    fn drop_at(&self, step: usize, rank: usize) -> bool {
+        self.drops.iter().any(|f| f.fire(step, rank))
+    }
+
+    fn delay_at(&self, step: usize, rank: usize) -> Option<u64> {
+        self.delays
+            .iter()
+            .find(|(f, _)| f.fire(step, rank))
+            .map(|&(_, ms)| ms)
+    }
+}
+
+/// Compiled execution: the shared step list, its tape-aligned
+/// communication plan, the armed faults, and the gate accounting
+/// (`plan_communication` must agree with what the workers measure; both
+/// are derived from the same per-step classification).
+struct Tape {
+    n_local: usize,
+    steps: Vec<Step>,
+    comm: Vec<StepComm>,
+    faults: FaultPlan,
+    snapshots_planned: usize,
+    local_gates: u64,
+    global_gates: u64,
+}
+
+/// Resolves the circuit into the deterministic tape every worker replays:
+/// one step per gate (never fused — replay must be bitwise), a snapshot
+/// barrier every `snapshot_every` gates (0 = none), `schedule` translated
+/// from gate to tape coordinates and armed fire-once, then the per-step
+/// communication classes with their fusion windows.
+fn compile_tape(
     circuit: &Circuit,
     params: &[f64],
     n_ranks: usize,
-    fuse_local: bool,
-    mut injector: Option<&mut FaultInjector>,
-) -> Result<Compiled> {
+    snapshot_every: usize,
+    schedule: &FaultSchedule,
+) -> Result<Tape> {
     let n_local = validate_ranks(circuit.n_qubits(), n_ranks)?;
-    debug_assert!(injector.is_none() || !fuse_local);
-    let part_len = 1usize << n_local;
-    let mut steps = Vec::with_capacity(circuit.len());
-    let mut local_run: Vec<Gate> = Vec::new();
-    let mut local_gates = 0u64;
-    let mut global_gates = 0u64;
-    for gate in circuit.gates() {
-        if let Some(inj) = injector.as_deref_mut() {
-            if let Some(rank) = inj.should_lose_rank(n_ranks) {
-                // The legacy path aborted before this gate; freezing the
-                // step list here reproduces that exactly.
-                steps.push(Step::Lose { rank });
-                let comm = Arc::new(analyze_comm(&steps));
-                return Ok(Compiled {
-                    steps: Arc::new(steps),
-                    comm,
-                    local_gates,
-                    global_gates,
-                });
-            }
+    let mut steps = Vec::with_capacity(circuit.len() + 1);
+    let mut faults = FaultPlan::default();
+    let (mut local_gates, mut global_gates, mut snapshots_planned) = (0u64, 0u64, 0usize);
+    for (gate_idx, gate) in circuit.gates().iter().enumerate() {
+        if snapshot_every > 0 && gate_idx > 0 && gate_idx % snapshot_every == 0 {
+            steps.push(Step::Snapshot {
+                version: snapshots_planned,
+            });
+            snapshots_planned += 1;
         }
-        let (step, is_global) = gate_step(gate, params, n_local)?;
-        if is_global {
-            global_gates += 1;
-            flush_local_run(
-                &mut local_run,
-                &mut steps,
-                params,
-                n_local,
-                circuit.n_params(),
-            )?;
-            steps.push(step);
-        } else {
+        let at = steps.len();
+        for d in schedule.deaths.iter().filter(|d| d.gate_step == gate_idx) {
+            faults
+                .deaths
+                .push((PlannedFault::new(at, d.rank), d.mid_exchange));
+        }
+        for d in schedule.drops.iter().filter(|d| d.gate_step == gate_idx) {
+            faults.drops.push(PlannedFault::new(at, d.rank));
+        }
+        for d in schedule.delays.iter().filter(|d| d.gate_step == gate_idx) {
+            faults
+                .delays
+                .push((PlannedFault::new(at, d.rank), d.delay_ms));
+        }
+        let step = gate_step(gate, params, n_local)?;
+        if matches!(step, Step::Local1(..) | Step::Local2(..)) {
             local_gates += 1;
-            if fuse_local {
-                local_run.push(gate.clone());
-            } else {
-                steps.push(step);
-            }
+        } else {
+            global_gates += 1;
         }
-        if is_global {
-            if let Some(inj) = injector.as_deref_mut() {
-                if inj.should_corrupt_message() {
-                    let rank = inj.pick_index(n_ranks);
-                    let index = inj.pick_index(part_len);
-                    steps.push(Step::Corrupt { rank, index });
-                }
-                if inj.should_drift_norm() {
-                    let rank = inj.pick_index(n_ranks);
-                    steps.push(Step::Drift { rank });
-                }
-            }
-        }
+        steps.push(step);
     }
-    flush_local_run(
-        &mut local_run,
-        &mut steps,
-        params,
+    let mut comm: Vec<StepComm> = steps.iter().map(classify_step).collect();
+    compute_fusion(&steps, &mut comm);
+    Ok(Tape {
         n_local,
-        circuit.n_params(),
-    )?;
-    let comm = Arc::new(analyze_comm(&steps));
-    Ok(Compiled {
-        steps: Arc::new(steps),
+        steps,
         comm,
+        faults,
+        snapshots_planned,
         local_gates,
         global_gates,
     })
 }
 
-/// Accumulates one classified step into planner totals — the single
-/// source of truth both [`crate::comm::plan_communication`] and the
-/// summed per-rank worker counters reduce to. `n` is the rank count and
-/// `pb` the full-shard payload size in bytes.
+/// Accumulates one classified step into planner totals — what `n` ranks
+/// running that step's class function send, elide and save, so the
+/// planner and the summed per-rank worker counters reduce to the same
+/// numbers. `pb` is the full-shard payload size in bytes.
 fn accumulate_step(stats: &mut CommStats, sc: &StepComm, n: u64, pb: u64) {
     match sc.class {
         CommClass::Local => {}
@@ -518,12 +485,11 @@ fn accumulate_step(stats: &mut CommStats, sc: &StepComm, n: u64, pb: u64) {
     }
 }
 
-/// θ-aware communication plan: resolves every gate against the PGAS
-/// layout exactly like [`compile_steps`] (same classification, same
-/// fusion-window pass) and sums what the lean executor will send. Backs
+/// θ-aware communication plan: compiles the very tape the executor would
+/// run ([`compile_tape`] — same classification, same fusion-window pass)
+/// and sums what its workers will send. Backs
 /// [`crate::comm::plan_communication_with`].
 pub(crate) fn plan_lean(circuit: &Circuit, params: &[f64], n_ranks: usize) -> Result<CommStats> {
-    let n_local = validate_ranks(circuit.n_qubits(), n_ranks)?;
     // Symbolic circuits plan against a representative generic binding:
     // every standard gate's *shape* is angle-independent away from
     // measure-zero special angles (RZ/CZ/CP/RZZ diagonal for all θ, CX
@@ -536,21 +502,14 @@ pub(crate) fn plan_lean(circuit: &Circuit, params: &[f64], n_ranks: usize) -> Re
     } else {
         params
     };
-    let mut steps = Vec::with_capacity(circuit.len());
-    for gate in circuit.gates() {
-        steps.push(gate_step(gate, params, n_local)?.0);
-    }
-    let comm = analyze_comm(&steps);
-    let n = n_ranks as u64;
-    let pb = 16u64 << n_local;
-    let mut stats = CommStats::default();
-    for sc in &comm {
-        if sc.class == CommClass::Local {
-            stats.local_gates += 1;
-        } else {
-            stats.global_gates += 1;
-            accumulate_step(&mut stats, sc, n, pb);
-        }
+    let tape = compile_tape(circuit, params, n_ranks, 0, &FaultSchedule::none())?;
+    let mut stats = CommStats {
+        local_gates: tape.local_gates,
+        global_gates: tape.global_gates,
+        ..CommStats::default()
+    };
+    for sc in &tape.comm {
+        accumulate_step(&mut stats, sc, n_ranks as u64, 16u64 << tape.n_local);
     }
     Ok(stats)
 }
@@ -565,10 +524,10 @@ struct WorkerReport {
     shard: Vec<C64>,
     messages: u64,
     bytes: u64,
-    /// Messages the naive pattern would have sent but the lean structure
+    /// Messages the naive pattern would have sent but the step's structure
     /// (diagonal elision, block-local application) did not.
     elided: u64,
-    /// Lean-pattern messages avoided by exchange fusion.
+    /// Pair exchanges avoided by exchange fusion.
     fused: u64,
     /// Naive payload bytes minus actually-sent bytes.
     saved: u64,
@@ -578,6 +537,13 @@ struct WorkerReport {
 fn lost(rank: usize, partner: usize) -> Error {
     Error::Backend(format!(
         "rank {rank}: exchange with rank {partner} failed (shard lost)"
+    ))
+}
+
+fn killed(rank: usize, step: usize, mid_exchange: bool) -> Error {
+    let phase = if mid_exchange { " mid-exchange" } else { "" };
+    Error::Backend(format!(
+        "rank {rank} killed by fault injection{phase} at step {step}"
     ))
 }
 
@@ -647,10 +613,9 @@ impl Mesh {
 
 /// Reusable exchange-payload buffers. Sends draw their backing storage
 /// here and receives return theirs, so a steady-state exchange loop
-/// allocates nothing after warm-up — the pre-pool path cloned the full
-/// shard on every send. Two slots cover the worst case (a quad step
-/// returns three payloads but the pool only needs enough for the next
-/// step's sends; pair steps cycle one buffer).
+/// allocates nothing after warm-up. Two slots cover the worst case (a
+/// quad step returns three payloads but the pool only needs enough for
+/// the next step's sends; pair steps cycle one buffer).
 #[derive(Default)]
 struct BufPool(Vec<Vec<C64>>);
 
@@ -667,120 +632,22 @@ impl BufPool {
     }
 }
 
-/// A live fusion window: the partner's payload from the window's anchor
-/// exchange, advanced step by step to the partner's current values.
-/// `class` is the window's exchange class (a fused step must match it;
-/// a mismatch means the compile-time window pass and the executor
-/// disagree, which would be a bug).
-struct Mirror {
-    class: CommClass,
-    buf: Vec<C64>,
-}
-
-/// One planned, fire-once fault in *tape* coordinates. The armed flag is
-/// shared across recovery generations, so a fault fires in the generation
-/// that first reaches its step and never re-fires during replay.
-struct PlannedFault {
-    step: usize,
-    rank: usize,
-    armed: AtomicBool,
-}
-
-impl PlannedFault {
-    fn new(step: usize, rank: usize) -> Self {
-        PlannedFault {
-            step,
-            rank,
-            armed: AtomicBool::new(true),
-        }
-    }
-
-    /// Disarms and fires iff this entry targets (`step`, `rank`) and is
-    /// still armed.
-    fn fire(&self, step: usize, rank: usize) -> bool {
-        self.step == step && self.rank == rank && self.armed.swap(false, Ordering::SeqCst)
-    }
-}
-
-/// The compiled fault schedule, translated from gate to tape coordinates
-/// and shared (behind `Arc`) by every generation's workers.
-#[derive(Default)]
-struct FaultPlan {
-    /// `(fault, mid_exchange)` — mid-exchange deaths complete the step's
-    /// sends and die before its receives.
-    deaths: Vec<(PlannedFault, bool)>,
-    drops: Vec<PlannedFault>,
-    /// `(fault, delay_ms)`.
-    delays: Vec<(PlannedFault, u64)>,
-}
-
-impl FaultPlan {
-    fn death_at(&self, step: usize, rank: usize) -> Option<bool> {
-        self.deaths
-            .iter()
-            .find(|(f, _)| f.fire(step, rank))
-            .map(|&(_, mid)| mid)
-    }
-
-    fn drop_at(&self, step: usize, rank: usize) -> bool {
-        self.drops.iter().any(|f| f.fire(step, rank))
-    }
-
-    fn delay_at(&self, step: usize, rank: usize) -> Option<u64> {
-        self.delays
-            .iter()
-            .find(|(f, _)| f.fire(step, rank))
-            .map(|&(_, ms)| ms)
-    }
-}
-
-fn killed(rank: usize, step: usize, mid_exchange: bool) -> Error {
-    let phase = if mid_exchange { " mid-exchange" } else { "" };
-    Error::Backend(format!(
-        "rank {rank} killed by fault injection{phase} at step {step}"
-    ))
-}
-
-/// Applies a compiled local plan to a shard, mirroring
-/// `Executor::run_plan_on`'s op loop.
-fn apply_plan(shard: &mut [C64], plan: &ExecPlan) {
-    for op in plan.ops() {
-        match op {
-            PlanOp::One(q, m) => kernels::apply_mat2(shard, *q, m),
-            PlanOp::Two(hi, lo, m) => kernels::apply_mat4_prenorm(shard, *hi, *lo, m),
-            PlanOp::DiagSweep { start, len, .. } => {
-                kernels::apply_diag_sweep(shard, &plan.factors()[*start..*start + *len]);
-            }
-        }
-    }
-}
-
-/// Everything one worker thread needs beyond the tape and the mesh.
-/// Recovery generations differ only in `start_step` + the initial shard.
-struct WorkerCtx {
-    rank: usize,
-    n_local: usize,
-    /// Absolute tape index this generation starts from (0 for a fresh run,
-    /// the restored cut's resume step after a recovery).
-    start_step: usize,
-    /// Lean exchange ([`ShardOptions::lean_exchange`]): elide, halve, and
-    /// fuse exchanges per the compiled [`StepComm`] plan. Off = the naive
-    /// full-payload pattern (with shape-aware arithmetic either way).
-    lean: bool,
-    deadline: ExchangeDeadline,
-    faults: Option<Arc<FaultPlan>>,
-    snapshots: Option<Arc<SnapshotStore>>,
-}
-
-/// Per-worker exchange I/O: the mesh, the reusable payload-buffer pool,
-/// and the measured/avoided traffic counters. Sends copy into a pooled
-/// buffer (never `shard.clone()`); receives validate the class's expected
-/// payload length.
+/// Per-worker exchange endpoint: the mesh, the reusable payload-buffer
+/// pool, the faults armed for the step in flight, and the measured /
+/// avoided traffic counters.
 struct ExchangeIo<'a> {
     mesh: &'a Mesh,
     rank: usize,
     deadline: ExchangeDeadline,
     pool: BufPool,
+    /// Full-shard payload size in bytes.
+    part_bytes: u64,
+    /// A message-drop fault is armed for this step: sends are skipped
+    /// silently, so partners hit their receive deadline.
+    skip_sends: bool,
+    /// A mid-exchange death is armed for this step: the rank dies after
+    /// the step's sends (if it has any) and before its receives.
+    die_mid_exchange: bool,
     messages: u64,
     bytes: u64,
     elided: u64,
@@ -789,96 +656,81 @@ struct ExchangeIo<'a> {
 }
 
 impl ExchangeIo<'_> {
-    /// Sends the full shard to `to` (dropped silently under a message-drop
-    /// fault, exactly like the pre-pool path).
-    fn send_full(&mut self, to: usize, step: usize, shard: &[C64], skip: bool) -> Result<()> {
-        if skip {
-            return Ok(());
+    /// Fires the faults `plan` holds for (`step`, this rank), in schedule
+    /// order: a straggler stall, then a death — clean deaths (and
+    /// "mid-exchange" ones on a step that is not a global gate) return
+    /// the kill error right here — then a message drop. Planned faults
+    /// fire exactly once across all generations; `step` is absolute, so
+    /// replay walks the same schedule.
+    fn arm_faults(&mut self, plan: &FaultPlan, step: usize, global_gate: bool) -> Result<()> {
+        if let Some(ms) = plan.delay_at(step, self.rank) {
+            std::thread::sleep(Duration::from_millis(ms));
         }
-        let mut buf = self.pool.take();
-        debug_assert!(buf.is_empty());
-        buf.extend_from_slice(shard);
-        self.mesh.send(self.rank, to, step, buf)?;
-        self.messages += 1;
-        self.bytes += (shard.len() * 16) as u64;
+        self.die_mid_exchange = match plan.death_at(step, self.rank) {
+            Some(mid) if mid && global_gate => true,
+            Some(_) => return Err(killed(self.rank, step, false)),
+            None => false,
+        };
+        self.skip_sends = plan.drop_at(step, self.rank);
         Ok(())
     }
 
-    /// Packs and sends the `lo`-bit == `v` half of the shard.
-    fn send_half(
-        &mut self,
-        to: usize,
-        step: usize,
-        shard: &[C64],
-        lo: usize,
-        v: usize,
-        skip: bool,
-    ) -> Result<()> {
-        if skip {
-            return Ok(());
-        }
-        let mut buf = self.pool.take();
-        kernels::pack_lo_half(shard, lo, v, &mut buf);
-        let len = buf.len();
-        self.mesh.send(self.rank, to, step, buf)?;
-        self.messages += 1;
-        self.bytes += (len * 16) as u64;
-        Ok(())
+    /// Books `sends` naive messages this rank did not have to send.
+    fn elide(&mut self, sends: u64) {
+        self.elided += sends;
+        self.saved += sends * self.part_bytes;
     }
 
-    fn recv(&mut self, from: usize, step: usize, expect: usize) -> Result<Vec<C64>> {
-        self.mesh.recv(self.rank, from, step, expect, self.deadline)
-    }
-
-    /// Obtains the partner payload for a pair-class step. A fused step
-    /// consumes the live fusion mirror — zero messages; a recovery
-    /// generation resuming mid-window finds no mirror and falls back to a
-    /// fresh exchange, which stays symmetric because every rank restarted
-    /// from the same cut and misses the same mirror. Fresh exchanges send
-    /// the full shard, or the packed `lo == v` half for a lean
-    /// [`CommClass::PairHalf`] step. Fault hooks keep the legacy order:
-    /// sends complete, then a mid-exchange death fires before receives.
-    #[allow(clippy::too_many_arguments)]
-    fn pair_payload(
+    /// One symmetric exchange with `mates`: sends the shard — or, with
+    /// `half = Some((lo, v))`, its packed `lo`-bit == `v` half — to each
+    /// mate, then receives the same-shaped payload from each, in `mates`
+    /// order. Sends copy into pooled buffers; receives validate the step
+    /// tag and payload length. An armed mid-exchange death fires between
+    /// the two halves, so partners see the payload arrive and then the
+    /// channel close.
+    fn exchange<const N: usize>(
         &mut self,
-        mirror: &mut Option<Mirror>,
-        sc: &StepComm,
-        lean: bool,
-        shard: &[C64],
-        partner: usize,
         step: usize,
-        skip_sends: bool,
-        die_mid_exchange: bool,
-    ) -> Result<Vec<C64>> {
-        let part_bytes = (shard.len() * 16) as u64;
-        if lean && sc.fused {
-            if let Some(mir) = mirror.take() {
-                debug_assert_eq!(mir.class, sc.class);
-                self.fused += 1;
-                self.saved += part_bytes;
-                if die_mid_exchange {
-                    return Err(killed(self.rank, step, true));
-                }
-                return Ok(mir.buf);
-            }
-            // Mirror lost across a recovery boundary: fresh exchange.
-        }
-        debug_assert!(mirror.is_none());
-        if let (true, CommClass::PairHalf { lo, v, .. }) = (lean, sc.class) {
-            self.send_half(partner, step, shard, lo, v, skip_sends)?;
-            self.saved += part_bytes / 2;
-            if die_mid_exchange {
-                return Err(killed(self.rank, step, true));
-            }
-            self.recv(partner, step, shard.len() / 2)
+        mates: [usize; N],
+        shard: &[C64],
+        half: Option<(usize, usize)>,
+    ) -> Result<[Vec<C64>; N]> {
+        let len = if half.is_some() {
+            shard.len() / 2
         } else {
-            self.send_full(partner, step, shard, skip_sends)?;
-            if die_mid_exchange {
-                return Err(killed(self.rank, step, true));
+            shard.len()
+        };
+        if !self.skip_sends {
+            for &to in &mates {
+                let mut buf = self.pool.take();
+                match half {
+                    Some((lo, v)) => kernels::pack_lo_half(shard, lo, v, &mut buf),
+                    None => buf.extend_from_slice(shard),
+                }
+                self.mesh.send(self.rank, to, step, buf)?;
+                self.messages += 1;
+                self.bytes += (len * 16) as u64;
             }
-            self.recv(partner, step, shard.len())
         }
+        if self.die_mid_exchange {
+            return Err(killed(self.rank, step, true));
+        }
+        let mut payloads: [Vec<C64>; N] = std::array::from_fn(|_| Vec::new());
+        for (slot, &from) in payloads.iter_mut().zip(&mates) {
+            *slot = self.mesh.recv(self.rank, from, step, len, self.deadline)?;
+        }
+        Ok(payloads)
     }
+}
+
+/// A live fusion window: the partner's payload from the window's anchor
+/// exchange, advanced step by step to the partner's current values.
+/// `class` is the window's exchange class (a fused step must match it;
+/// a mismatch means the compile-time window pass and the executor
+/// disagree, which would be a bug).
+struct Mirror {
+    class: CommClass,
+    buf: Vec<C64>,
 }
 
 /// Advances a live fusion mirror past an elided diagonal (`Phase`) step.
@@ -894,12 +746,8 @@ fn phase_on_mirror(mirror: &mut Mirror, rank: usize, step: &Step) {
     let partner = rank ^ (1 << wgbit);
     match step {
         Step::Global1 { gbit, m } => {
-            let d = if (partner >> gbit) & 1 == 1 {
-                m.0[1][1]
-            } else {
-                m.0[0][0]
-            };
-            kernels::scale_amps(&mut mirror.buf, d);
+            let ph = (partner >> gbit) & 1;
+            kernels::scale_amps(&mut mirror.buf, m.0[ph][ph]);
         }
         Step::GlobalLocal { gbit, lo, m } => {
             let ph = (partner >> gbit) & 1;
@@ -921,491 +769,336 @@ fn phase_on_mirror(mirror: &mut Mirror, rank: usize, step: &Step) {
     }
 }
 
-/// The body of one rank's worker thread: replay the step list against the
-/// owned shard, exchanging through the channel mesh on global steps per
-/// the compiled per-step communication plan (`comm` is tape-aligned with
-/// `steps`). Every channel failure and every exhausted exchange deadline
-/// maps to [`Error::Backend`] — a dead or wedged partner aborts this rank
-/// cleanly instead of deadlocking or panicking.
-fn worker(
-    ctx: WorkerCtx,
-    steps: &[Step],
-    comm: &[StepComm],
-    mesh: Mesh,
-    init: Option<Vec<C64>>,
-) -> Result<WorkerReport> {
-    use kernels::{Mat4Shape, SubKind};
-    debug_assert_eq!(steps.len(), comm.len());
-    let started = Instant::now();
-    let rank = ctx.rank;
-    let lean = ctx.lean;
-    let part_len = 1usize << ctx.n_local;
-    let part_bytes = (part_len * 16) as u64;
-    let mut shard = match init {
-        Some(restored) => {
-            debug_assert_eq!(restored.len(), part_len);
-            restored
-        }
-        None => {
-            let mut zero = vec![C_ZERO; part_len];
-            if rank == 0 {
-                zero[0] = C_ONE;
-            }
-            zero
-        }
-    };
-    let mut io = ExchangeIo {
-        mesh: &mesh,
-        rank,
-        deadline: ctx.deadline,
-        pool: BufPool::default(),
-        messages: 0,
-        bytes: 0,
-        elided: 0,
-        fused: 0,
-        saved: 0,
-    };
-    // At most one fusion window is open at any tape point (compile-time
-    // invariant of `compute_fusion`), so a single mirror slot suffices.
-    let mut mirror: Option<Mirror> = None;
-    for (i, step) in steps[ctx.start_step..].iter().enumerate() {
-        let s = ctx.start_step + i;
-        let sc = &comm[s];
-        // Planned faults fire exactly once across all generations; the
-        // step tag `s` is absolute, so replay walks the same schedule.
-        let mut skip_sends = false;
-        let mut die_mid_exchange = false;
-        if let Some(plan) = &ctx.faults {
-            if let Some(ms) = plan.delay_at(s, rank) {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            if let Some(mid) = plan.death_at(s, rank) {
-                let global = matches!(
-                    step,
-                    Step::Global1 { .. } | Step::GlobalLocal { .. } | Step::GlobalGlobal { .. }
-                );
-                if mid && global {
-                    die_mid_exchange = true;
-                } else {
-                    return Err(killed(rank, s, false));
-                }
-            }
-            skip_sends = plan.drop_at(s, rank);
-        }
-        // Lean zero-message classes first: diagonal elision and block-
-        // local application replace the exchange entirely. Both use the
-        // exact per-amplitude expressions the single-node fast paths use,
-        // so elision is invisible bitwise.
-        if lean && sc.class == CommClass::Phase {
-            match step {
-                Step::Global1 { gbit, m } => {
-                    kernels::apply_global_phase1(&mut shard, (rank >> gbit) & 1, m);
-                }
-                Step::GlobalLocal { gbit, lo, m } => {
-                    kernels::apply_global_local_phase(&mut shard, (rank >> gbit) & 1, *lo, m);
-                }
-                Step::GlobalGlobal { bhi, blo, m } => {
-                    let pos = (((rank >> bhi) & 1) << 1) | ((rank >> blo) & 1);
-                    kernels::apply_global_global_phase(&mut shard, pos, m);
-                }
-                _ => unreachable!("Phase classifies global steps only"),
-            }
-            if let Some(mir) = mirror.as_mut() {
-                phase_on_mirror(mir, rank, step);
-            }
-            io.elided += sc.naive_sends as u64;
-            io.saved += sc.naive_sends as u64 * part_bytes;
-            if die_mid_exchange {
-                return Err(killed(rank, s, true));
-            }
-            continue;
-        }
-        if lean && sc.class == CommClass::LocalApply {
-            let Step::GlobalLocal { gbit, lo, .. } = step else {
-                unreachable!("LocalApply is a global-local class");
-            };
-            let Mat4Shape::BlockHi { a, ka, b, kb } = sc.shape else {
-                unreachable!("LocalApply comes from a BlockHi shape");
-            };
-            let (k, km) = if (rank >> gbit) & 1 == 1 {
-                (kb, b)
-            } else {
-                (ka, a)
-            };
-            if k != SubKind::Identity {
-                kernels::apply_mat2(&mut shard, *lo, &km);
-            }
-            io.elided += 1;
-            io.saved += part_bytes;
-            if die_mid_exchange {
-                return Err(killed(rank, s, true));
-            }
-            continue;
-        }
+/// One rank's live state: its shard, its exchange endpoint, and the open
+/// fusion window's partner mirror (at most one window is open at any tape
+/// point — compile-time invariant of [`compute_fusion`] — so a single
+/// slot suffices). One method per [`CommClass`]; every method uses the
+/// exact per-amplitude expressions of the single-node kernels, so the
+/// exchange pattern is invisible bitwise.
+struct Rank<'a> {
+    shard: Vec<C64>,
+    io: ExchangeIo<'a>,
+    mirror: Option<Mirror>,
+}
+
+impl Rank<'_> {
+    /// This rank's value of global (rank-id) bit `b`.
+    fn bit(&self, b: usize) -> usize {
+        (self.io.rank >> b) & 1
+    }
+
+    /// [`CommClass::Local`]: a rank-local gate or a snapshot deposit.
+    fn local(&mut self, step: &Step, s: usize, snapshots: &SnapshotStore) -> Result<()> {
         match step {
-            Step::Local1(q, m) => {
-                debug_assert!(mirror.is_none(), "local step inside a fusion window");
-                kernels::apply_mat2(&mut shard, *q, m);
+            Step::Local1(q, m) => kernels::apply_mat2(&mut self.shard, *q, m),
+            Step::Local2(a, b, m) => kernels::apply_mat4(&mut self.shard, *a, *b, m),
+            Step::Snapshot { version } => {
+                return snapshots.deposit(*version, s, self.io.rank, &self.shard)
             }
-            Step::Local2(a, b, m) => {
-                debug_assert!(mirror.is_none(), "local step inside a fusion window");
-                kernels::apply_mat4(&mut shard, *a, *b, m);
-            }
-            Step::LocalFused(plan) => {
-                debug_assert!(mirror.is_none(), "local step inside a fusion window");
-                apply_plan(&mut shard, plan);
-            }
+            _ => unreachable!("Local classifies rank-local steps only"),
+        }
+        debug_assert!(self.mirror.is_none(), "local gate inside a fusion window");
+        Ok(())
+    }
+
+    /// [`CommClass::Phase`]: a diagonal global gate is a local phase sweep
+    /// (this rank's bits pick the diagonal entries), mirrored onto an open
+    /// fusion window's partner copy.
+    fn phase(&mut self, step: &Step, sc: &StepComm) {
+        match step {
             Step::Global1 { gbit, m } => {
-                let partner = rank ^ (1 << gbit);
-                let own_bit = (rank >> gbit) & 1;
-                let mut payload = io.pair_payload(
-                    &mut mirror,
-                    sc,
-                    lean,
-                    &shard,
-                    partner,
-                    s,
-                    skip_sends,
-                    die_mid_exchange,
-                )?;
-                if lean && sc.track {
-                    kernels::exchange_mirror_mat2(&mut shard, &mut payload, own_bit, m);
-                    mirror = Some(Mirror {
-                        class: sc.class,
-                        buf: payload,
-                    });
-                } else {
-                    kernels::apply_exchanged_mat2(&mut shard, &payload, own_bit, m);
-                    io.pool.put(payload);
-                }
+                let own = self.bit(*gbit);
+                kernels::apply_global_phase1(&mut self.shard, own, m);
             }
             Step::GlobalLocal { gbit, lo, m } => {
-                let partner = rank ^ (1 << gbit);
-                let own_hi = (rank >> gbit) & 1;
-                if let (true, CommClass::PairHalf { v, .. }) = (lean, sc.class) {
-                    // The non-exchanged `lo == 1-v` stripe applies its own
-                    // identity/diagonal sub-block locally; the stripes are
-                    // disjoint, so ordering against the pack is free.
-                    let Mat4Shape::BlockLo { a, ka, b, kb } = sc.shape else {
-                        unreachable!("PairHalf comes from a BlockLo shape");
-                    };
-                    let (dense_m, other_k, other_m) = if v == 0 { (a, kb, b) } else { (b, ka, a) };
-                    if other_k != SubKind::Identity {
-                        let d = if own_hi == 1 {
-                            other_m.0[1][1]
-                        } else {
-                            other_m.0[0][0]
-                        };
-                        kernels::scale_lo_half(&mut shard, *lo, 1 - v, d);
-                    }
-                    let mut payload = io.pair_payload(
-                        &mut mirror,
-                        sc,
-                        lean,
-                        &shard,
-                        partner,
-                        s,
-                        skip_sends,
-                        die_mid_exchange,
-                    )?;
-                    if sc.track {
-                        kernels::exchange_mirror_half(
-                            &mut shard,
-                            &mut payload,
-                            own_hi,
-                            *lo,
-                            v,
-                            &dense_m,
-                        );
-                        mirror = Some(Mirror {
-                            class: sc.class,
-                            buf: payload,
-                        });
-                    } else {
-                        kernels::apply_exchanged_half(
-                            &mut shard, &payload, own_hi, *lo, v, &dense_m,
-                        );
-                        io.pool.put(payload);
-                    }
-                } else {
-                    let mut payload = io.pair_payload(
-                        &mut mirror,
-                        sc,
-                        lean,
-                        &shard,
-                        partner,
-                        s,
-                        skip_sends,
-                        die_mid_exchange,
-                    )?;
-                    if lean && sc.track {
-                        // Lean PairFull window (dense or both-dense-block
-                        // matrix): establish/advance the full mirror.
-                        match sc.shape {
-                            Mat4Shape::BlockLo { .. } => kernels::exchange_mirror_blocklo(
-                                &mut shard,
-                                &mut payload,
-                                own_hi,
-                                *lo,
-                                &sc.shape,
-                            ),
-                            _ => kernels::exchange_mirror_global_local(
-                                &mut shard,
-                                &mut payload,
-                                own_hi,
-                                *lo,
-                                m,
-                            ),
-                        }
-                        mirror = Some(Mirror {
-                            class: sc.class,
-                            buf: payload,
-                        });
-                    } else {
-                        match sc.shape {
-                            Mat4Shape::BlockHi { a, ka, b, kb } => {
-                                // Full mode only (lean classifies BlockHi
-                                // as LocalApply): the payload is protocol
-                                // ballast; the arithmetic is rank-local.
-                                let (k, km) = if own_hi == 1 { (kb, b) } else { (ka, a) };
-                                if k != SubKind::Identity {
-                                    kernels::apply_mat2(&mut shard, *lo, &km);
-                                }
-                            }
-                            Mat4Shape::BlockLo { .. } => kernels::apply_exchanged_blocklo(
-                                &mut shard, &payload, own_hi, *lo, &sc.shape,
-                            ),
-                            _ => kernels::apply_exchanged_mat4_global_local(
-                                &mut shard, &payload, own_hi, *lo, m,
-                            ),
-                        }
-                        io.pool.put(payload);
-                    }
-                }
+                let own = self.bit(*gbit);
+                kernels::apply_global_local_phase(&mut self.shard, own, *lo, m);
             }
             Step::GlobalGlobal { bhi, blo, m } => {
-                // No global-global class joins a fusion window; compile
-                // closed any open window at this step.
-                debug_assert!(
-                    mirror.is_none(),
-                    "global-global step inside a fusion window"
-                );
-                if let (true, CommClass::GlobalBlock { sel, xbit, .. }) = (lean, sc.class) {
-                    let (Mat4Shape::BlockHi { a, ka, b, kb } | Mat4Shape::BlockLo { a, ka, b, kb }) =
-                        sc.shape
-                    else {
-                        unreachable!("GlobalBlock comes from a block shape");
-                    };
-                    let (k, km) = if (rank >> sel) & 1 == 1 {
-                        (kb, b)
-                    } else {
-                        (ka, a)
-                    };
-                    match k {
-                        SubKind::Identity => {
-                            io.elided += 3;
-                            io.saved += 3 * part_bytes;
-                            if die_mid_exchange {
-                                return Err(killed(rank, s, true));
-                            }
-                        }
-                        SubKind::Diag => {
-                            let xv = (rank >> xbit) & 1;
-                            kernels::scale_amps(
-                                &mut shard,
-                                if xv == 1 { km.0[1][1] } else { km.0[0][0] },
-                            );
-                            io.elided += 3;
-                            io.saved += 3 * part_bytes;
-                            if die_mid_exchange {
-                                return Err(killed(rank, s, true));
-                            }
-                        }
-                        SubKind::Dense => {
-                            // The partner shares this rank's `sel` bit, so
-                            // it takes this same arm: symmetric exchange.
-                            let partner = rank ^ (1 << xbit);
-                            io.send_full(partner, s, &shard, skip_sends)?;
-                            if die_mid_exchange {
-                                return Err(killed(rank, s, true));
-                            }
-                            let payload = io.recv(partner, s, part_len)?;
-                            kernels::apply_exchanged_mat2(
-                                &mut shard,
-                                &payload,
-                                (rank >> xbit) & 1,
-                                &km,
-                            );
-                            io.pool.put(payload);
-                            io.elided += 2;
-                            io.saved += 2 * part_bytes;
-                        }
-                    }
-                } else {
-                    let pos = (((rank >> bhi) & 1) << 1) | ((rank >> blo) & 1);
-                    // Quad mates in ascending bit-position order.
-                    let mates: Vec<usize> = (0..4)
-                        .filter(|&p| p != pos)
-                        .map(|p| {
-                            let mut mate = rank & !(1 << bhi) & !(1 << blo);
-                            mate |= ((p >> 1) & 1) << bhi;
-                            mate |= (p & 1) << blo;
-                            mate
-                        })
-                        .collect();
-                    for &mate in &mates {
-                        io.send_full(mate, s, &shard, skip_sends)?;
-                    }
-                    if die_mid_exchange {
-                        return Err(killed(rank, s, true));
-                    }
-                    let mut others = Vec::with_capacity(3);
-                    for &mate in &mates {
-                        others.push(io.recv(mate, s, part_len)?);
-                    }
-                    if let CommClass::GlobalBlock { sel, xbit, .. } = sc.class {
-                        // Full mode on a block gate: naive traffic, but
-                        // the arithmetic must match the single-node block
-                        // fast path bitwise — only the `xbit` mate's
-                        // payload is read.
-                        let (Mat4Shape::BlockHi { a, ka, b, kb }
-                        | Mat4Shape::BlockLo { a, ka, b, kb }) = sc.shape
-                        else {
-                            unreachable!("GlobalBlock comes from a block shape");
-                        };
-                        let (k, km) = if (rank >> sel) & 1 == 1 {
-                            (kb, b)
-                        } else {
-                            (ka, a)
-                        };
-                        match k {
-                            SubKind::Identity => {}
-                            SubKind::Diag => {
-                                let xv = (rank >> xbit) & 1;
-                                kernels::scale_amps(
-                                    &mut shard,
-                                    if xv == 1 { km.0[1][1] } else { km.0[0][0] },
-                                );
-                            }
-                            SubKind::Dense => {
-                                let mate_pos = pos ^ if xbit == *bhi { 2 } else { 1 };
-                                let idx = if mate_pos < pos {
-                                    mate_pos
-                                } else {
-                                    mate_pos - 1
-                                };
-                                kernels::apply_exchanged_mat2(
-                                    &mut shard,
-                                    &others[idx],
-                                    (rank >> xbit) & 1,
-                                    &km,
-                                );
-                            }
-                        }
-                    } else {
-                        kernels::apply_exchanged_mat4_global_global(
-                            &mut shard,
-                            [&others[0], &others[1], &others[2]],
-                            pos,
-                            m,
-                        );
-                    }
-                    for o in others {
-                        io.pool.put(o);
-                    }
-                }
+                let pos = (self.bit(*bhi) << 1) | self.bit(*blo);
+                kernels::apply_global_global_phase(&mut self.shard, pos, m);
             }
-            Step::Corrupt { rank: r, index } => {
-                if *r == rank {
-                    shard[*index] = C64::new(f64::NAN, f64::NAN);
-                }
+            _ => unreachable!("Phase classifies global steps only"),
+        }
+        if let Some(mir) = self.mirror.as_mut() {
+            phase_on_mirror(mir, self.io.rank, step);
+        }
+        self.io.elide(sc.naive_sends as u64);
+    }
+
+    /// [`CommClass::LocalApply`]: a gate block-split on its global bit —
+    /// this rank applies its own 2×2 sub-block to the local qubit.
+    fn local_apply(&mut self, step: &Step, sc: &StepComm) {
+        let Step::GlobalLocal { gbit, lo, .. } = step else {
+            unreachable!("LocalApply is a global-local class");
+        };
+        let Mat4Shape::BlockHi { a, ka, b, kb } = sc.shape else {
+            unreachable!("LocalApply comes from a BlockHi shape");
+        };
+        let (k, km) = if self.bit(*gbit) == 1 {
+            (kb, b)
+        } else {
+            (ka, a)
+        };
+        if k != SubKind::Identity {
+            kernels::apply_mat2(&mut self.shard, *lo, &km);
+        }
+        self.io.elide(1);
+    }
+
+    /// Obtains the partner payload for a pair-class step. A fused step
+    /// consumes the live fusion mirror — zero messages; a recovery
+    /// generation resuming mid-window finds no mirror and falls back to a
+    /// fresh exchange, which stays symmetric because every rank restarted
+    /// from the same cut and misses the same mirror.
+    fn partner_payload(
+        &mut self,
+        sc: &StepComm,
+        s: usize,
+        gbit: usize,
+        half: Option<(usize, usize)>,
+    ) -> Result<Vec<C64>> {
+        if sc.fused {
+            if let Some(mir) = self.mirror.take() {
+                debug_assert_eq!(mir.class, sc.class);
+                self.io.fused += 1;
+                self.io.saved += self.io.part_bytes;
+                return Ok(mir.buf);
             }
-            Step::Drift { rank: r } => {
-                if *r == rank {
-                    for a in shard.iter_mut() {
-                        *a = *a * 1.001;
-                    }
-                }
+        }
+        debug_assert!(self.mirror.is_none());
+        let [payload] = self
+            .io
+            .exchange(s, [self.io.rank ^ (1 << gbit)], &self.shard, half)?;
+        if half.is_some() {
+            self.io.saved += self.io.part_bytes / 2;
+        }
+        Ok(payload)
+    }
+
+    /// Closes a pair step: a tracked payload (advanced by the step's
+    /// `exchange_mirror_*` kernel to the partner's post-gate values)
+    /// becomes the window's mirror; an untracked one returns to the pool.
+    fn settle(&mut self, sc: &StepComm, payload: Vec<C64>) {
+        if sc.track {
+            self.mirror = Some(Mirror {
+                class: sc.class,
+                buf: payload,
+            });
+        } else {
+            self.io.pool.put(payload);
+        }
+    }
+
+    /// [`CommClass::PairFull`]: dense single-qubit gate on a global bit,
+    /// or a two-qubit gate that reads both `lo` halves of the partner.
+    fn pair_full(&mut self, step: &Step, sc: &StepComm, s: usize, gbit: usize) -> Result<()> {
+        let own = self.bit(gbit);
+        let mut theirs = self.partner_payload(sc, s, gbit, None)?;
+        let mine = &mut self.shard;
+        match (step, sc.shape, sc.track) {
+            (Step::Global1 { m, .. }, _, true) => {
+                kernels::exchange_mirror_mat2(mine, &mut theirs, own, m)
             }
-            Step::Lose { rank: r } => {
-                if *r == rank {
-                    return Err(Error::Backend(format!(
-                        "rank {r} lost during distributed execution"
-                    )));
-                }
+            (Step::Global1 { m, .. }, _, false) => {
+                kernels::apply_exchanged_mat2(mine, &theirs, own, m)
             }
-            Step::Snapshot { version } => {
-                if let Some(store) = &ctx.snapshots {
-                    store.deposit(*version, s, rank, &shard)?;
-                }
+            (Step::GlobalLocal { lo, .. }, Mat4Shape::BlockLo { .. }, true) => {
+                kernels::exchange_mirror_blocklo(mine, &mut theirs, own, *lo, &sc.shape)
             }
+            (Step::GlobalLocal { lo, .. }, Mat4Shape::BlockLo { .. }, false) => {
+                kernels::apply_exchanged_blocklo(mine, &theirs, own, *lo, &sc.shape)
+            }
+            (Step::GlobalLocal { lo, m, .. }, _, true) => {
+                kernels::exchange_mirror_global_local(mine, &mut theirs, own, *lo, m)
+            }
+            (Step::GlobalLocal { lo, m, .. }, _, false) => {
+                kernels::apply_exchanged_mat4_global_local(mine, &theirs, own, *lo, m)
+            }
+            _ => unreachable!("PairFull classifies Global1 and GlobalLocal steps only"),
+        }
+        self.settle(sc, theirs);
+        Ok(())
+    }
+
+    /// [`CommClass::PairHalf`]: a gate block-split on its local qubit with
+    /// one dense sub-block — only the `lo == v` half crosses the wire.
+    fn pair_half(
+        &mut self,
+        sc: &StepComm,
+        s: usize,
+        gbit: usize,
+        lo: usize,
+        v: usize,
+    ) -> Result<()> {
+        let Mat4Shape::BlockLo { a, ka, b, kb } = sc.shape else {
+            unreachable!("PairHalf comes from a BlockLo shape");
+        };
+        let own = self.bit(gbit);
+        let (dense_m, other_k, other_m) = if v == 0 { (a, kb, b) } else { (b, ka, a) };
+        // The non-exchanged `lo == 1-v` stripe applies its own
+        // identity/diagonal sub-block locally; the stripes are disjoint,
+        // so ordering against the pack is free.
+        if other_k != SubKind::Identity {
+            kernels::scale_lo_half(&mut self.shard, lo, 1 - v, other_m.0[own][own]);
+        }
+        let mut theirs = self.partner_payload(sc, s, gbit, Some((lo, v)))?;
+        if sc.track {
+            kernels::exchange_mirror_half(&mut self.shard, &mut theirs, own, lo, v, &dense_m);
+        } else {
+            kernels::apply_exchanged_half(&mut self.shard, &theirs, own, lo, v, &dense_m);
+        }
+        self.settle(sc, theirs);
+        Ok(())
+    }
+
+    /// [`CommClass::GlobalBlock`]: this rank's `sel` bit picks a 2×2
+    /// sub-block acting across global bit `xbit`; only a dense sub-block
+    /// exchanges, and its partner shares the `sel` bit, so it takes the
+    /// same arm and the exchange stays symmetric.
+    fn global_block(&mut self, sc: &StepComm, s: usize, sel: usize, xbit: usize) -> Result<()> {
+        debug_assert!(
+            self.mirror.is_none(),
+            "global-global step in a fusion window"
+        );
+        let (Mat4Shape::BlockHi { a, ka, b, kb } | Mat4Shape::BlockLo { a, ka, b, kb }) = sc.shape
+        else {
+            unreachable!("GlobalBlock comes from a block shape");
+        };
+        let (k, km) = if self.bit(sel) == 1 { (kb, b) } else { (ka, a) };
+        let xv = self.bit(xbit);
+        match k {
+            SubKind::Identity => self.io.elide(3),
+            SubKind::Diag => {
+                kernels::scale_amps(&mut self.shard, km.0[xv][xv]);
+                self.io.elide(3);
+            }
+            SubKind::Dense => {
+                let [theirs] =
+                    self.io
+                        .exchange(s, [self.io.rank ^ (1 << xbit)], &self.shard, None)?;
+                kernels::apply_exchanged_mat2(&mut self.shard, &theirs, xv, &km);
+                self.io.pool.put(theirs);
+                self.io.elide(2);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`CommClass::Quad`]: dense gate on two global bits — all-to-all
+    /// within the quad of ranks that differ in those bits.
+    fn quad(&mut self, step: &Step, s: usize) -> Result<()> {
+        debug_assert!(
+            self.mirror.is_none(),
+            "global-global step in a fusion window"
+        );
+        let Step::GlobalGlobal { bhi, blo, m } = step else {
+            unreachable!("Quad is a global-global class");
+        };
+        let pos = (self.bit(*bhi) << 1) | self.bit(*blo);
+        // Quad mates in ascending bit-position order, the payload order
+        // the kernel expects.
+        let base = self.io.rank & !(1 << bhi) & !(1 << blo);
+        let mut mates = [0usize; 3];
+        for (mate, p) in mates.iter_mut().zip((0..4).filter(|&p| p != pos)) {
+            *mate = base | ((p >> 1) << bhi) | ((p & 1) << blo);
+        }
+        let theirs = self.io.exchange(s, mates, &self.shard, None)?;
+        kernels::apply_exchanged_mat4_global_global(
+            &mut self.shard,
+            [&theirs[0], &theirs[1], &theirs[2]],
+            pos,
+            m,
+        );
+        for payload in theirs {
+            self.io.pool.put(payload);
+        }
+        Ok(())
+    }
+}
+
+/// The body of one rank's worker thread: replay the tape from
+/// `start_step` (0 for a fresh run, the restored cut's resume step after
+/// a recovery) against the owned shard — arm the step's faults, dispatch
+/// on its communication class, die if a mid-exchange death was armed and
+/// the class had no exchange to die in. Every channel failure and every
+/// exhausted exchange deadline maps to [`Error::Backend`] — a dead or
+/// wedged partner aborts this rank cleanly instead of deadlocking or
+/// panicking.
+fn worker(
+    rank: usize,
+    tape: &Tape,
+    start_step: usize,
+    init: Option<Vec<C64>>,
+    mesh: Mesh,
+    deadline: ExchangeDeadline,
+    snapshots: &SnapshotStore,
+) -> Result<WorkerReport> {
+    let started = Instant::now();
+    let part_len = 1usize << tape.n_local;
+    let shard = init.unwrap_or_else(|| {
+        let mut zero = vec![C_ZERO; part_len];
+        if rank == 0 {
+            zero[0] = C_ONE;
+        }
+        zero
+    });
+    debug_assert_eq!(shard.len(), part_len);
+    let mut w = Rank {
+        shard,
+        io: ExchangeIo {
+            mesh: &mesh,
+            rank,
+            deadline,
+            pool: BufPool::default(),
+            part_bytes: (part_len * 16) as u64,
+            skip_sends: false,
+            die_mid_exchange: false,
+            messages: 0,
+            bytes: 0,
+            elided: 0,
+            fused: 0,
+            saved: 0,
+        },
+        mirror: None,
+    };
+    for s in start_step..tape.steps.len() {
+        let (step, sc) = (&tape.steps[s], &tape.comm[s]);
+        w.io.arm_faults(&tape.faults, s, sc.class != CommClass::Local)?;
+        match sc.class {
+            CommClass::Local => w.local(step, s, snapshots)?,
+            CommClass::Phase => w.phase(step, sc),
+            CommClass::LocalApply => w.local_apply(step, sc),
+            CommClass::PairFull { gbit } => w.pair_full(step, sc, s, gbit)?,
+            CommClass::PairHalf { gbit, lo, v } => w.pair_half(sc, s, gbit, lo, v)?,
+            CommClass::GlobalBlock { sel, xbit, .. } => w.global_block(sc, s, sel, xbit)?,
+            CommClass::Quad => w.quad(step, s)?,
+        }
+        if w.io.die_mid_exchange {
+            return Err(killed(rank, s, true));
         }
     }
     Ok(WorkerReport {
-        shard,
-        messages: io.messages,
-        bytes: io.bytes,
-        elided: io.elided,
-        fused: io.fused,
-        saved: io.saved,
+        shard: w.shard,
+        messages: w.io.messages,
+        bytes: w.io.bytes,
+        elided: w.io.elided,
+        fused: w.io.fused,
+        saved: w.io.saved,
         seconds: started.elapsed().as_secs_f64(),
     })
-}
-
-/// Runs `circuit` on `n_ranks` real shards, one OS thread per rank, and
-/// reassembles the distributed state. Unfused execution (the default) is
-/// bitwise identical to [`nwq_statevec::simulate`].
-pub fn run_sharded(
-    circuit: &Circuit,
-    params: &[f64],
-    n_ranks: usize,
-    opts: &ShardOptions,
-) -> Result<DistStateVector> {
-    let compiled = compile_steps(circuit, params, n_ranks, opts.fuse_local, None)?;
-    run_compiled(
-        circuit.n_qubits(),
-        n_ranks,
-        compiled,
-        opts.into(),
-        opts.lean_exchange,
-    )
-}
-
-/// [`run_sharded`] with faults drawn from `injector` at compile time (in
-/// the legacy per-gate order, so seeded schedules reproduce) and replayed
-/// by the owning workers. Always unfused.
-pub fn run_sharded_faulty(
-    circuit: &Circuit,
-    params: &[f64],
-    n_ranks: usize,
-    injector: &mut FaultInjector,
-) -> Result<DistStateVector> {
-    let compiled = compile_steps(circuit, params, n_ranks, false, Some(injector))?;
-    let opts = ShardOptions::default();
-    run_compiled(
-        circuit.n_qubits(),
-        n_ranks,
-        compiled,
-        (&opts).into(),
-        opts.lean_exchange,
-    )
 }
 
 /// Spawns one generation of worker threads over a fresh channel mesh and
 /// joins them. A fresh mesh per generation means no stale message from a
 /// torn-down generation can leak into the replay.
-#[allow(clippy::too_many_arguments)]
 fn run_generation(
     n_ranks: usize,
-    n_local: usize,
-    steps: &Arc<Vec<Step>>,
-    comm: &Arc<Vec<StepComm>>,
-    lean: bool,
+    tape: &Tape,
     start_step: usize,
     init: Option<Vec<Vec<C64>>>,
     deadline: ExchangeDeadline,
-    faults: Option<&Arc<FaultPlan>>,
-    snapshots: Option<&Arc<SnapshotStore>>,
+    snapshots: &SnapshotStore,
 ) -> Result<Vec<WorkerReport>> {
     // Build the (from, to) channel mesh and hand each worker its row.
     let mut senders: Vec<Vec<Option<Sender<Msg>>>> = (0..n_ranks)
@@ -1427,43 +1120,36 @@ fn run_generation(
         Some(shards) => shards.into_iter().map(Some).collect(),
         None => (0..n_ranks).map(|_| None).collect(),
     };
-    let mut handles = Vec::with_capacity(n_ranks);
-    for (rank, (sends, recvs)) in senders.drain(..).zip(receivers.drain(..)).enumerate() {
-        let steps = Arc::clone(steps);
-        let comm = Arc::clone(comm);
-        let mesh = Mesh {
-            senders: sends,
-            receivers: recvs,
-        };
-        let ctx = WorkerCtx {
-            rank,
-            n_local,
-            start_step,
-            lean,
-            deadline,
-            faults: faults.map(Arc::clone),
-            snapshots: snapshots.map(Arc::clone),
-        };
-        let init_shard = init_shards[rank].take();
-        let handle = std::thread::Builder::new()
-            .name(format!("nwq-dist-rank{rank}"))
-            .spawn(move || worker(ctx, &steps, &comm, mesh, init_shard))
-            .map_err(|e| Error::Backend(format!("failed to spawn rank {rank} worker: {e}")))?;
-        handles.push(handle);
-    }
+    let joined = std::thread::scope(|scope| -> Result<Vec<_>> {
+        let mut handles = Vec::with_capacity(n_ranks);
+        for (rank, (sends, recvs)) in senders.drain(..).zip(receivers.drain(..)).enumerate() {
+            let mesh = Mesh {
+                senders: sends,
+                receivers: recvs,
+            };
+            let init_shard = init_shards[rank].take();
+            let handle = std::thread::Builder::new()
+                .name(format!("nwq-dist-rank{rank}"))
+                .spawn_scoped(scope, move || {
+                    worker(
+                        rank, tape, start_step, init_shard, mesh, deadline, snapshots,
+                    )
+                })
+                .map_err(|e| Error::Backend(format!("failed to spawn rank {rank} worker: {e}")))?;
+            handles.push(handle);
+        }
+        Ok(handles.into_iter().map(|h| h.join()).collect())
+    })?;
     let mut reports = Vec::with_capacity(n_ranks);
     let mut first_error: Option<Error> = None;
     let mut root_error: Option<Error> = None;
-    for (rank, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
+    for (rank, outcome) in joined.into_iter().enumerate() {
+        match outcome {
             Ok(Ok(report)) => reports.push(report),
             Ok(Err(e)) => {
-                // A deliberate rank loss/death is the root cause;
-                // partner-side exchange failures are its fallout.
-                let msg = e.to_string();
-                if (msg.contains("lost during distributed") || msg.contains("killed by fault"))
-                    && root_error.is_none()
-                {
+                // A scheduled death is the root cause; partner-side
+                // exchange failures are its fallout.
+                if e.to_string().contains("killed by fault") && root_error.is_none() {
                     root_error = Some(e);
                 } else if first_error.is_none() {
                     first_error = Some(e);
@@ -1485,19 +1171,16 @@ fn run_generation(
 }
 
 /// Folds one generation's worker reports into the assembled distributed
-/// state, with the usual `dist.*` telemetry.
-fn assemble(
-    n_qubits: usize,
-    n_local: usize,
-    compiled: &Compiled,
-    reports: Vec<WorkerReport>,
-) -> DistStateVector {
+/// state, with the usual `dist.*` telemetry (measured counters plus the
+/// α–β model's prediction for them).
+fn assemble(n_qubits: usize, tape: &Tape, reports: Vec<WorkerReport>) -> DistStateVector {
+    let n_ranks = reports.len();
     let mut stats = CommStats {
-        global_gates: compiled.global_gates,
-        local_gates: compiled.local_gates,
+        global_gates: tape.global_gates,
+        local_gates: tape.local_gates,
         ..CommStats::default()
     };
-    let mut partitions = Vec::with_capacity(reports.len());
+    let mut partitions = Vec::with_capacity(n_ranks);
     for report in reports {
         stats.messages += report.messages;
         stats.bytes += report.bytes;
@@ -1515,30 +1198,14 @@ fn assemble(
     nwq_telemetry::counter_add("dist.exchanges_elided", stats.exchanges_elided);
     nwq_telemetry::counter_add("dist.exchange_fused", stats.exchanges_fused);
     nwq_telemetry::counter_add("dist.bytes_saved", stats.bytes_saved);
-    DistStateVector::from_parts(n_qubits, n_local, partitions, stats)
-}
-
-fn run_compiled(
-    n_qubits: usize,
-    n_ranks: usize,
-    compiled: Compiled,
-    deadline: ExchangeDeadline,
-    lean: bool,
-) -> Result<DistStateVector> {
-    let n_local = n_qubits - n_ranks.trailing_zeros() as usize;
-    let reports = run_generation(
-        n_ranks,
-        n_local,
-        &compiled.steps,
-        &compiled.comm,
-        lean,
-        0,
-        None,
-        deadline,
-        None,
-        None,
-    )?;
-    Ok(assemble(n_qubits, n_local, &compiled, reports))
+    let model = crate::costmodel::CostModel::perlmutter_like();
+    let total_gates = stats.global_gates + stats.local_gates;
+    nwq_telemetry::value_add("dist.modeled_comm_s", model.comm_time_s(&stats, n_ranks));
+    nwq_telemetry::value_add(
+        "dist.modeled_total_s",
+        model.total_time_s(&stats, total_gates, n_qubits, n_ranks),
+    );
+    DistStateVector::from_parts(n_qubits, tape.n_local, partitions, stats)
 }
 
 /// Knobs for [`run_sharded_resilient`].
@@ -1583,59 +1250,32 @@ pub struct RecoveryReport {
     pub recovery_ms: Vec<f64>,
 }
 
-/// Resolves the circuit into a resilient tape: per-gate steps (never
-/// fused — replay must be bitwise) with snapshot barriers every
-/// `snapshot_every` gates, plus the fault schedule translated from gate
-/// to tape coordinates and armed fire-once.
-fn compile_resilient(
+/// Runs `circuit` on `n_ranks` real shards, one OS thread per rank, and
+/// reassembles the distributed state — bitwise identical to
+/// [`nwq_statevec::simulate`]. This is [`run_sharded_resilient`] with
+/// nothing to survive: no snapshot barriers, no scheduled faults, and no
+/// recovery budget, so a real worker failure ends the run with
+/// [`Error::Backend`].
+pub fn run_sharded(
     circuit: &Circuit,
     params: &[f64],
     n_ranks: usize,
-    snapshot_every: usize,
-    schedule: &FaultSchedule,
-) -> Result<(Compiled, Arc<FaultPlan>, usize)> {
-    let n_local = validate_ranks(circuit.n_qubits(), n_ranks)?;
-    let mut steps = Vec::with_capacity(circuit.len() + 1);
-    let mut plan = FaultPlan::default();
-    let mut local_gates = 0u64;
-    let mut global_gates = 0u64;
-    let mut versions = 0usize;
-    for (gate_idx, gate) in circuit.gates().iter().enumerate() {
-        if snapshot_every > 0 && gate_idx > 0 && gate_idx % snapshot_every == 0 {
-            steps.push(Step::Snapshot { version: versions });
-            versions += 1;
-        }
-        let tape_idx = steps.len();
-        for d in schedule.deaths.iter().filter(|d| d.gate_step == gate_idx) {
-            plan.deaths
-                .push((PlannedFault::new(tape_idx, d.rank), d.mid_exchange));
-        }
-        for d in schedule.drops.iter().filter(|d| d.gate_step == gate_idx) {
-            plan.drops.push(PlannedFault::new(tape_idx, d.rank));
-        }
-        for d in schedule.delays.iter().filter(|d| d.gate_step == gate_idx) {
-            plan.delays
-                .push((PlannedFault::new(tape_idx, d.rank), d.delay_ms));
-        }
-        let (step, is_global) = gate_step(gate, params, n_local)?;
-        if is_global {
-            global_gates += 1;
-        } else {
-            local_gates += 1;
-        }
-        steps.push(step);
-    }
-    let comm = Arc::new(analyze_comm(&steps));
-    Ok((
-        Compiled {
-            steps: Arc::new(steps),
-            comm,
-            local_gates,
-            global_gates,
-        },
-        Arc::new(plan),
-        versions,
-    ))
+    opts: &ShardOptions,
+) -> Result<DistStateVector> {
+    let plain = RecoveryOptions {
+        snapshot_every: 0,
+        max_recoveries: 0,
+        ..RecoveryOptions::default()
+    };
+    let (state, _) = run_sharded_resilient(
+        circuit,
+        params,
+        n_ranks,
+        opts,
+        &plain,
+        &FaultSchedule::none(),
+    )?;
+    Ok(state)
 }
 
 /// Runs `circuit` on `n_ranks` shards *survivably*: snapshot barriers
@@ -1646,11 +1286,14 @@ fn compile_resilient(
 /// replaying the tape from that step. Because the tape is deterministic
 /// and the cut is bitwise, the recovered run is **bitwise identical** to
 /// a fault-free run; ranks that were ahead of the cut simply roll back.
+/// With [`RecoveryOptions::max_recoveries`] = 0 the first failure is
+/// terminal, which is how a lost rank is modelled.
 ///
 /// The returned state's [`CommStats`] carry the compiled gate split and
 /// the *final generation's* measured exchange traffic: on a fault-free
 /// run (0 recoveries) that equals [`crate::comm::plan_communication`];
-/// after a recovery it covers only the replayed suffix.
+/// after a recovery it covers only the replayed suffix. Telemetry records
+/// the recovery count and latency under `resilience.shard_*`.
 pub fn run_sharded_resilient(
     circuit: &Circuit,
     params: &[f64],
@@ -1659,46 +1302,24 @@ pub fn run_sharded_resilient(
     recovery: &RecoveryOptions,
     schedule: &FaultSchedule,
 ) -> Result<(DistStateVector, RecoveryReport)> {
-    if opts.fuse_local {
-        return Err(Error::Invalid(
-            "resilient sharded execution replays per-gate for bitwise recovery; \
-             disable fuse_local"
-                .into(),
-        ));
-    }
-    let n_qubits = circuit.n_qubits();
-    let n_local = validate_ranks(n_qubits, n_ranks)?;
-    let (compiled, faults, snapshots_planned) =
-        compile_resilient(circuit, params, n_ranks, recovery.snapshot_every, schedule)?;
-    let store = Arc::new(SnapshotStore::new(
+    let _span = nwq_telemetry::span!("dist.run");
+    let tape = compile_tape(circuit, params, n_ranks, recovery.snapshot_every, schedule)?;
+    let store = SnapshotStore::new(
         n_ranks,
         recovery.keep_versions,
         recovery.snapshot_dir.clone(),
-    ));
+    );
     let deadline = ExchangeDeadline::from(opts);
     let mut report = RecoveryReport {
-        snapshots_planned,
+        snapshots_planned: tape.snapshots_planned,
         ..RecoveryReport::default()
     };
     let mut start_step = 0usize;
     let mut init: Option<Vec<Vec<C64>>> = None;
     loop {
         report.generations += 1;
-        match run_generation(
-            n_ranks,
-            n_local,
-            &compiled.steps,
-            &compiled.comm,
-            opts.lean_exchange,
-            start_step,
-            init.take(),
-            deadline,
-            Some(&faults),
-            Some(&store),
-        ) {
-            Ok(reports) => {
-                return Ok((assemble(n_qubits, n_local, &compiled, reports), report));
-            }
+        match run_generation(n_ranks, &tape, start_step, init.take(), deadline, &store) {
+            Ok(reports) => return Ok((assemble(circuit.n_qubits(), &tape, reports), report)),
             Err(e) => {
                 report.recoveries += 1;
                 if report.recoveries > recovery.max_recoveries {
@@ -1724,7 +1345,7 @@ pub fn run_sharded_resilient(
                 nwq_telemetry::counter_add("resilience.shard_recoveries", 1);
                 nwq_telemetry::counter_add(
                     "resilience.shard_replayed_steps",
-                    (compiled.steps.len() - start_step) as u64,
+                    (tape.steps.len() - start_step) as u64,
                 );
                 nwq_telemetry::histogram_record("resilience.shard_recovery_ms", ms);
             }
@@ -1735,7 +1356,7 @@ pub fn run_sharded_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::plan_communication;
+    use crate::comm::{plan_communication, plan_communication_naive};
     use nwq_circuit::Circuit;
 
     fn sample_circuit(n: usize) -> Circuit {
@@ -1781,6 +1402,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn ghz_across_ranks() {
+        let mut c = Circuit::new(5);
+        c.h(0);
+        for q in 1..5 {
+            c.cx(0, q);
+        }
+        let d = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
+        let s = d.gather();
+        assert!((s.probability(0) - 0.5).abs() < 1e-10);
+        assert!((s.probability(0b11111) - 0.5).abs() < 1e-10);
+        assert!(d.comm_stats().global_gates >= 2); // CX onto qubits 3 and 4
+    }
+
+    #[test]
+    fn parameterized_sharded_run() {
+        let mut c = Circuit::new(4);
+        c.ry(3, nwq_circuit::ParamExpr::var(0)).cx(3, 0);
+        let single = nwq_statevec::simulate(&c, &[1.1]).unwrap();
+        let d = run_sharded(&c, &[1.1], 2, &ShardOptions::default()).unwrap();
+        assert_bitwise(&d, &single, "bound at run time");
+    }
+
     /// H sweep, then a half-exchange fusion window on the top qubit with
     /// every transparent phase kind between the anchor and the fused
     /// member: `Global1` (rz), diagonal `GlobalLocal` (cp), and — at ≥ 4
@@ -1813,31 +1457,9 @@ mod tests {
             // The second cx rides the first one's mirror on every rank.
             assert_eq!(stats.exchanges_fused, n_ranks as u64, "{ctx}");
             // Everything not moved is accounted as saved vs the naive plan.
-            let naive = crate::comm::plan_communication_naive(&c, n_ranks).unwrap();
+            let naive = plan_communication_naive(&c, n_ranks).unwrap();
             assert_eq!(stats.bytes + stats.bytes_saved, naive.bytes, "{ctx}");
             assert!(stats.bytes < naive.bytes, "{ctx}");
-        }
-    }
-
-    #[test]
-    fn full_exchange_mode_is_bitwise_and_matches_naive_plan() {
-        let full = ShardOptions {
-            lean_exchange: false,
-            ..ShardOptions::default()
-        };
-        for c in [sample_circuit(6), apex_circuit(6)] {
-            let single = nwq_statevec::simulate(&c, &[]).unwrap();
-            for n_ranks in [1usize, 2, 4, 8] {
-                let d = run_sharded(&c, &[], n_ranks, &full).unwrap();
-                let ctx = format!("full ranks={n_ranks}");
-                assert_bitwise(&d, &single, &ctx);
-                let stats = d.comm_stats();
-                let naive = crate::comm::plan_communication_naive(&c, n_ranks).unwrap();
-                assert_eq!(stats, naive, "{ctx}");
-                assert_eq!(stats.exchanges_elided, 0, "{ctx}");
-                assert_eq!(stats.exchanges_fused, 0, "{ctx}");
-                assert_eq!(stats.bytes_saved, 0, "{ctx}");
-            }
         }
     }
 
@@ -1878,52 +1500,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_local_run_matches_single_node_approximately() {
-        // Fusion multiplies matrices, so approx (not bitwise) parity.
-        let c = sample_circuit(6);
-        let single = nwq_statevec::simulate(&c, &[]).unwrap();
-        for n_ranks in [2usize, 4] {
-            let opts = ShardOptions {
-                fuse_local: true,
-                ..ShardOptions::default()
-            };
-            let d = run_sharded(&c, &[], n_ranks, &opts).unwrap();
-            let gathered = d.gather();
-            for (a, b) in gathered.amplitudes().iter().zip(single.amplitudes()) {
-                assert!(a.approx_eq(*b, 1e-10), "ranks={n_ranks}");
-            }
-            // Fusion must not change the communication: exchanges happen on
-            // exactly the same global gates.
-            assert_eq!(d.comm_stats(), plan_communication(&c, n_ranks).unwrap());
-        }
-    }
-
-    #[test]
-    fn injected_rank_loss_aborts_with_the_legacy_error() {
-        let c = sample_circuit(5);
-        let mut inj = FaultInjector::new(crate::faults::FaultSpec {
-            rank_loss: 1.0,
-            seed: 5,
-            ..Default::default()
-        });
-        let e = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap_err();
-        assert!(matches!(e, Error::Backend(_)), "{e}");
-        assert!(e.is_transient());
-        assert!(e.to_string().contains("lost during distributed execution"));
-        assert_eq!(inj.stats().rank_losses, 1);
-    }
-
-    #[test]
-    fn zero_rate_injector_is_bitwise_invisible() {
-        let c = sample_circuit(6);
-        let clean = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
-        let mut inj = FaultInjector::new(crate::faults::FaultSpec::default());
-        let faulty = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap();
-        assert_bitwise(&faulty, &clean.gather(), "zero-rate faults");
-        assert_eq!(inj.stats().total(), 0);
-    }
-
-    #[test]
     fn empty_circuit_yields_zero_state() {
         let c = Circuit::new(4);
         let d = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
@@ -1934,10 +1510,8 @@ mod tests {
     /// Short deadlines so fault tests tear down quickly.
     fn test_opts() -> ShardOptions {
         ShardOptions {
-            fuse_local: false,
             exchange_timeout_ms: 100,
             exchange_retries: 2,
-            ..ShardOptions::default()
         }
     }
 
@@ -1972,6 +1546,43 @@ mod tests {
             assert_eq!(report.generations, 1);
             assert!(report.snapshots_planned > 0);
         }
+    }
+
+    #[test]
+    fn zero_rate_injector_is_bitwise_invisible() {
+        // A zero-rate injector consumes its RNG draws but schedules
+        // nothing, and an armed-but-empty fault plan must be bitwise
+        // invisible to the executed state.
+        let c = sample_circuit(6);
+        let clean = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
+        let mut inj = crate::FaultInjector::new(crate::FaultSpec::default());
+        let schedule = FaultSchedule::from_injector(&mut inj, c.len(), 4);
+        assert!(schedule.is_empty());
+        assert_eq!(inj.stats().total(), 0);
+        let (faulty, report) =
+            run_sharded_resilient(&c, &[], 4, &test_opts(), &test_recovery(2), &schedule).unwrap();
+        assert_bitwise(&faulty, &clean.gather(), "zero-rate faults");
+        assert_eq!(report.recoveries, 0);
+    }
+
+    #[test]
+    fn rank_death_without_recovery_budget_is_a_terminal_rank_loss() {
+        let c = sample_circuit(5);
+        let mut recovery = test_recovery(2);
+        recovery.max_recoveries = 0;
+        let e = run_sharded_resilient(
+            &c,
+            &[],
+            4,
+            &test_opts(),
+            &recovery,
+            &FaultSchedule::kill(2, 1),
+        )
+        .unwrap_err();
+        assert!(matches!(e, Error::Backend(_)), "{e}");
+        assert!(e.is_transient());
+        // The scheduled death is reported, not its partners' fallout.
+        assert!(e.to_string().contains("rank 1 killed by fault"), "{e}");
     }
 
     #[test]
@@ -2135,18 +1746,6 @@ mod tests {
         recovery.max_recoveries = 1;
         let e = run_sharded_resilient(&c, &[], 4, &test_opts(), &recovery, &schedule).unwrap_err();
         assert!(e.to_string().contains("gave up after 1 recoveries"), "{e}");
-    }
-
-    #[test]
-    fn resilient_rejects_fused_execution() {
-        let c = sample_circuit(6);
-        let opts = ShardOptions {
-            fuse_local: true,
-            ..ShardOptions::default()
-        };
-        let e = run_sharded_resilient(&c, &[], 4, &opts, &test_recovery(2), &FaultSchedule::none())
-            .unwrap_err();
-        assert!(matches!(e, Error::Invalid(_)), "{e}");
     }
 
     #[test]

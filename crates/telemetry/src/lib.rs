@@ -381,8 +381,20 @@ mod tests {
     use super::*;
 
     // The registry is process-global, so tests share it; each test uses its
-    // own counter/span names and tolerates other tests' records.
+    // own counter/span names and tolerates other tests' records. The
+    // enable flags are process-global too, and a record made while another
+    // test has them flipped the other way is lost (or wrongly kept) — so
+    // every test that touches a flag holds this lock for as long as it
+    // depends on the flag's value.
+    static FLAGS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_flags() -> std::sync::MutexGuard<'static, ()> {
+        // A test that failed while holding the lock must not fail the rest.
+        FLAGS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
+        let _flags = lock_flags();
         set_enabled(true);
         let r = f();
         set_enabled(false);
@@ -391,6 +403,7 @@ mod tests {
 
     #[test]
     fn disabled_records_nothing() {
+        let _flags = lock_flags();
         set_enabled(false);
         counter_add("test.disabled", 5);
         let _g = span("test.disabled.span");
@@ -434,12 +447,12 @@ mod tests {
         with_telemetry(|| {
             gauge_set("test.gauge.rate", 0.25);
             gauge_set("test.gauge.rate", 0.75);
+            set_enabled(false);
+            gauge_set("test.gauge.disabled", 1.0);
         });
         let snap = snapshot();
         assert_eq!(snap.counters["test.gauge.rate"], CounterValue::Float(0.75));
-        set_enabled(false);
-        gauge_set("test.gauge.disabled", 1.0);
-        assert!(!snapshot().counters.contains_key("test.gauge.disabled"));
+        assert!(!snap.counters.contains_key("test.gauge.disabled"));
     }
 
     #[test]
@@ -487,15 +500,15 @@ mod tests {
             for i in 1..=100 {
                 histogram_record("test.hist.latency", i as f64);
             }
+            // Disabled: nothing recorded.
+            set_enabled(false);
+            histogram_record("test.hist.disabled", 1.0);
         });
         let h = histogram_snapshot("test.hist.latency").unwrap();
         assert_eq!(h.count(), 100);
         assert!(h.p99().unwrap() >= h.p50().unwrap());
         let doc = snapshot().to_json();
         assert!(doc.contains("\"test.hist.latency\""), "{doc}");
-        // Disabled: nothing recorded.
-        set_enabled(false);
-        histogram_record("test.hist.disabled", 1.0);
         assert!(histogram_snapshot("test.hist.disabled").is_none());
     }
 

@@ -16,10 +16,8 @@ use proptest::prelude::*;
 /// milliseconds instead of the production default's seconds.
 fn test_opts() -> ShardOptions {
     ShardOptions {
-        fuse_local: false,
         exchange_timeout_ms: 100,
         exchange_retries: 2,
-        ..ShardOptions::default()
     }
 }
 

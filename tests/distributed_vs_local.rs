@@ -1,12 +1,16 @@
-//! Integration: the simulated multi-rank engine is bit-exact against the
+//! Integration: the sharded multi-rank engine is bit-exact against the
 //! single-node engine on chemistry workloads, and its communication
 //! accounting matches the static planner.
 
 use nwq_chem::molecules::h2_sto3g;
 use nwq_chem::uccsd::uccsd_ansatz;
 use nwq_circuit::qft::qft_circuit;
-use nwq_dist::{plan_communication, run_and_gather, CostModel};
+use nwq_dist::{plan_communication, run_sharded, CostModel, DistStateVector, ShardOptions};
 use nwq_statevec::simulate;
+
+fn sharded(circuit: &nwq_circuit::Circuit, n_ranks: usize) -> DistStateVector {
+    run_sharded(circuit, &[], n_ranks, &ShardOptions::default()).expect("distributed")
+}
 
 #[test]
 fn uccsd_ansatz_bit_exact_across_rank_counts() {
@@ -16,7 +20,7 @@ fn uccsd_ansatz_bit_exact_across_rank_counts() {
         .expect("bind");
     let single = simulate(&ansatz, &[]).expect("single-node");
     for n_ranks in [1usize, 2, 4, 8] {
-        let (gathered, _) = run_and_gather(&ansatz, &[], n_ranks).expect("distributed");
+        let gathered = sharded(&ansatz, n_ranks).gather();
         for (a, b) in gathered.amplitudes().iter().zip(single.amplitudes()) {
             assert!(a.approx_eq(*b, 1e-10), "ranks={n_ranks}");
         }
@@ -34,7 +38,7 @@ fn energies_match_across_engines() {
         .expect("run")
         .energy(&h)
         .expect("energy");
-    let (gathered, _) = run_and_gather(&bound, &[], 2).expect("distributed");
+    let gathered = sharded(&bound, 2).gather();
     let e_dist = gathered.energy(&h).expect("energy");
     assert!((e_single - e_dist).abs() < 1e-12);
 }
@@ -45,7 +49,8 @@ fn qft_stresses_global_qubits() {
     // bit-exact.
     let qft = qft_circuit(7).expect("QFT");
     let single = simulate(&qft, &[]).expect("single-node");
-    let (gathered, stats) = run_and_gather(&qft, &[], 8).expect("distributed");
+    let d = sharded(&qft, 8);
+    let (gathered, stats) = (d.gather(), d.comm_stats());
     assert!(stats.global_gates > 0);
     assert!(stats.messages > 0);
     for (a, b) in gathered.amplitudes().iter().zip(single.amplitudes()) {
@@ -60,7 +65,7 @@ fn planner_matches_execution_on_chemistry_circuits() {
         .bind(&[0.1; 8])
         .expect("bind");
     for n_ranks in [2usize, 4] {
-        let (_, executed) = run_and_gather(&ansatz, &[], n_ranks).expect("distributed");
+        let executed = sharded(&ansatz, n_ranks).comm_stats();
         let planned = plan_communication(&ansatz, n_ranks).expect("plan");
         assert_eq!(executed, planned, "ranks={n_ranks}");
     }

@@ -10,7 +10,7 @@ use nwq_core::resilience::{
     run_vqe_with, CheckpointConfig, FaultSpec, FaultyBackend, ResilienceOptions, ResumeState,
 };
 use nwq_core::vqe::{run_vqe, VqeProblem, VqeResult};
-use nwq_dist::{run_distributed_faulty, FaultInjector};
+use nwq_dist::{run_sharded, run_sharded_resilient, FaultSchedule, RecoveryOptions, ShardOptions};
 use nwq_opt::{NelderMead, Optimizer, Spsa};
 use nwq_pauli::PauliOp;
 use nwq_statevec::NormGuard;
@@ -147,12 +147,21 @@ fn h2_uccsd_vqe_converges_through_ten_percent_faults() {
 fn rank_loss_is_surfaced_as_transient_backend_error() {
     let mut c = Circuit::new(4);
     c.h(0).cx(0, 1).cx(1, 2).cx(2, 3);
-    let mut inj = FaultInjector::new(nwq_dist::FaultSpec {
-        rank_loss: 1.0,
-        seed: 1,
-        ..Default::default()
-    });
-    let e = run_distributed_faulty(&c, &[], 4, &mut inj).unwrap_err();
+    // A rank death with no recovery budget is a lost rank: the run aborts.
+    let no_recovery = RecoveryOptions {
+        max_recoveries: 0,
+        ..RecoveryOptions::default()
+    };
+    let e = run_sharded_resilient(
+        &c,
+        &[],
+        4,
+        &ShardOptions::default(),
+        &no_recovery,
+        &FaultSchedule::kill(1, 2),
+    )
+    .unwrap_err();
+    assert!(matches!(e, Error::Backend(_)), "{e}");
     assert!(e.is_transient(), "{e}");
 }
 
@@ -160,15 +169,11 @@ fn rank_loss_is_surfaced_as_transient_backend_error() {
 fn corrupted_exchange_is_caught_by_the_norm_guard() {
     let mut c = Circuit::new(4);
     c.h(3).cx(3, 0).cx(0, 2); // gates on global qubits at 4 ranks
-    let mut inj = FaultInjector::new(nwq_dist::FaultSpec {
-        message_corruption: 1.0,
-        seed: 2,
-        ..Default::default()
-    });
-    let corrupted = run_distributed_faulty(&c, &[], 4, &mut inj)
-        .unwrap()
-        .gather();
-    assert!(inj.stats().message_corruptions > 0);
+    let mut sharded = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
+    sharded
+        .corrupt_amplitude(2, 1, nwq_common::C64::new(f64::NAN, f64::NAN))
+        .unwrap();
+    let corrupted = sharded.gather();
     // Feed the corrupted state through a strictly guarded executor sweep:
     // the non-finite amplitudes must be rejected as a numerical error.
     let mut ex = nwq_statevec::Executor::with_guard(NormGuard::strict());
@@ -182,15 +187,9 @@ fn corrupted_exchange_is_caught_by_the_norm_guard() {
 fn norm_drift_is_repaired_by_the_norm_guard() {
     let mut c = Circuit::new(4);
     c.h(3).cx(3, 0).cx(0, 2);
-    let mut inj = FaultInjector::new(nwq_dist::FaultSpec {
-        norm_drift: 1.0,
-        seed: 3,
-        ..Default::default()
-    });
-    let drifted = run_distributed_faulty(&c, &[], 4, &mut inj)
-        .unwrap()
-        .gather();
-    assert!(inj.stats().norm_drifts > 0);
+    let mut sharded = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
+    sharded.scale_partition(0, 1.001).unwrap();
+    let drifted = sharded.gather();
     assert!((drifted.norm_sqr() - 1.0).abs() > 1e-9);
     let mut ex = nwq_statevec::Executor::with_guard(NormGuard::strict());
     let mut state = drifted;
