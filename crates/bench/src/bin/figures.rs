@@ -794,10 +794,15 @@ fn bench() {
             );
         }
     }
+    // The walker sweep used to win ≥3x here by sharing the phase fill
+    // across walkers; independent evaluations now read the same prepared
+    // tables, so what is left is the shared amplitude traffic of the
+    // evolution (1.0–1.2x on the reference host, inside its clock noise).
+    // The gate only catches the walker path becoming a real loss.
     assert!(
-        walker_speedup >= 3.0,
-        "walker-batched sweep ({n_walkers} walkers) must beat independent \
-         evaluation by ≥3x, measured {walker_speedup:.2}x"
+        walker_speedup >= 0.75,
+        "walker-batched sweep ({n_walkers} walkers) is {walker_speedup:.2}x \
+         independent evaluation: it must not lose by more than the host's noise"
     );
     println!(
         "  calibration: dispatch/serial mat2 {mat2_ratio:.3}, mat4 {mat4_ratio:.3}; \

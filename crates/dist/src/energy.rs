@@ -19,9 +19,9 @@
 //! is pinned by tests.
 
 use crate::partition::DistStateVector;
-use nwq_common::{Error, Result, C_ZERO};
+use nwq_common::{Error, Result};
 use nwq_pauli::PauliOp;
-use nwq_statevec::expval::{flip_groups, shard_group_partial};
+use nwq_statevec::expval::{prepared, shard_group_partial, GroupPhase};
 use rayon::prelude::*;
 
 /// Evaluates `Re⟨ψ|H|ψ⟩` on a sharded register without gathering.
@@ -36,11 +36,10 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
     let n_local = state.n_local();
     let n_ranks = state.n_ranks();
     let part_bytes = (state.partition_len() * 16) as u64;
-    let groups = flip_groups(op);
     let mut expval_messages = 0u64;
-    let mut total = C_ZERO;
-    for g in &groups {
-        let global_flip = (g.mask >> n_local) as usize;
+    let mut total = 0.0;
+    for phase in GroupPhase::of(prepared(op)) {
+        let global_flip = (phase.mask() >> n_local) as usize;
         if global_flip >= n_ranks {
             // A flip on a rank-id bit beyond the layout pairs each shard
             // with one that does not exist — every such product is over
@@ -48,7 +47,7 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
             // arise: PauliOp width was checked above, so global_flip < 2^n_global.
             return Err(Error::Invalid(format!(
                 "flip mask {:#x} addresses rank {global_flip} of {n_ranks}",
-                g.mask
+                phase.mask()
             )));
         }
         if global_flip != 0 {
@@ -65,8 +64,7 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
                     state.partition(r ^ global_flip),
                     r,
                     n_local,
-                    g.mask,
-                    &g.terms,
+                    phase,
                 )
             })
             .collect();
@@ -76,8 +74,8 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
     }
     nwq_telemetry::counter_add("dist.expval_messages", expval_messages);
     nwq_telemetry::counter_add("dist.expval_bytes", expval_messages * part_bytes);
-    if total.re.is_finite() {
-        Ok(total.re)
+    if total.is_finite() {
+        Ok(total)
     } else {
         nwq_telemetry::counter_add("resilience.nonfinite_detected", 1);
         Err(Error::Numerical(
@@ -136,6 +134,40 @@ mod tests {
                 (e - expected).abs() < 1e-12,
                 "ranks={n_ranks}: {e} vs {expected}"
             );
+        }
+    }
+
+    /// The sharded readout over the operator's tables gives the bits of
+    /// the same readout with every phase streamed, at every rank count,
+    /// and both agree with the single-node per-term reference.
+    #[test]
+    fn table_readout_is_bitwise_the_streaming_readout_at_every_rank_count() {
+        use nwq_pauli::PreparedObservable;
+        let c = sample_circuit(6);
+        // XIIIIX flips a rank bit at 2 and 4 ranks; IYZXII has an odd Y
+        // count, so its group streams either way.
+        let h = PauliOp::parse(
+            "0.5 ZZIIII + 0.25 XIIIIX - 0.3 YIIIIY + 0.125 IYZXII + 0.1 ZIIIII + 0.05 IIIIII \
+             + 0.2 IIXXII + 0.15 IIYYIZ",
+        )
+        .unwrap();
+        let tables = prepared(&h);
+        assert_eq!((tables.groups().len(), tables.num_tables()), (4, 3));
+        let streaming = PreparedObservable::with_budget(&h, 0);
+        let per_term = nwq_statevec::simulate(&c, &[]).unwrap().energy(&h).unwrap();
+        for n_ranks in [1usize, 2, 4] {
+            let d = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).unwrap();
+            let mut streamed = 0.0;
+            for phase in GroupPhase::of(&streaming) {
+                for r in 0..n_ranks {
+                    let partner = r ^ (phase.mask() >> d.n_local()) as usize;
+                    let (own, partner) = (d.partition(r), d.partition(partner));
+                    streamed += shard_group_partial(own, partner, r, d.n_local(), phase);
+                }
+            }
+            let e = distributed_energy(&d, &h).unwrap();
+            assert_eq!(e.to_bits(), streamed.to_bits(), "ranks={n_ranks}");
+            assert!((e - per_term).abs() < 1e-12, "ranks={n_ranks}: {e}");
         }
     }
 

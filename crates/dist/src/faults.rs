@@ -356,25 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_injected_faults() {
-        nwq_telemetry::reset();
-        nwq_telemetry::set_enabled(true);
-        let before = nwq_telemetry::counter_value("resilience.faults_injected");
-        let mut inj = FaultInjector::new(FaultSpec {
-            nan_amplitude: 1.0,
-            seed: 1,
-            ..FaultSpec::default()
-        });
-        assert!(inj.should_inject_nan());
-        assert!(inj.should_inject_nan());
-        let injected = nwq_telemetry::counter_value("resilience.faults_injected") - before;
-        let by_class = nwq_telemetry::counter_value("resilience.faults.nan_amplitude");
-        nwq_telemetry::set_enabled(false);
-        assert_eq!(injected, 2);
-        assert_eq!(by_class, 2);
-    }
-
-    #[test]
     fn schedule_from_injector_is_deterministic_and_in_range() {
         let spec = FaultSpec {
             rank_death: 0.2,

@@ -13,7 +13,9 @@
 //!   and the *direct expectation value* method of paper §4.2;
 //! - [`grouping`] — qubit-wise-commuting measurement grouping, which turns
 //!   the post-ansatz state cache of §4.1 into per-group basis changes;
-//! - [`matrix`] — dense realizations for small-register reference tests.
+//! - [`matrix`] — dense realizations for small-register reference tests;
+//! - [`prepared`] — the θ-independent part of the §4.2 readout (flip-mask
+//!   grouping and per-group phase tables), built once per operator.
 
 #![warn(missing_docs)]
 
@@ -22,11 +24,13 @@ pub mod grouping;
 pub mod matrix;
 pub mod op;
 pub mod pauli;
+pub mod prepared;
 pub mod string;
 pub mod taper;
 
 pub use op::PauliOp;
 pub use pauli::{Pauli, Phase};
+pub use prepared::{FlipGroup, PreparedObservable};
 pub use string::PauliString;
 
 #[cfg(test)]

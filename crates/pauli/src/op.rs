@@ -6,22 +6,34 @@
 //! counts are meaningful and algebra (sums, products, commutators) stays
 //! bounded.
 
+use crate::prepared::{PreparedObservable, TABLE_BUDGET_BYTES};
 use crate::string::PauliString;
 use nwq_common::{Error, Result, C64, C_ZERO};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
+use std::sync::{Arc, OnceLock};
 
 /// Default magnitude below which terms are dropped during simplification.
 pub const DEFAULT_TRUNCATION: f64 = 1e-12;
 
 /// A weighted sum of Pauli strings over a fixed register width.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct PauliOp {
     n_qubits: usize,
     /// Terms sorted by string, with unique strings and no negligible
     /// coefficients (invariant maintained by `simplify`).
     terms: Vec<(C64, PauliString)>,
+    /// Memo of [`PauliOp::prepared`]: a pure function of `terms`, so every
+    /// method that changes `terms` empties it. Clones share a filled memo.
+    prepared: OnceLock<Arc<PreparedObservable>>,
+}
+
+/// Equality of operators; the memo is derived data and does not take part.
+impl PartialEq for PauliOp {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_qubits == other.n_qubits && self.terms == other.terms
+    }
 }
 
 impl PauliOp {
@@ -30,6 +42,7 @@ impl PauliOp {
         PauliOp {
             n_qubits,
             terms: Vec::new(),
+            prepared: OnceLock::new(),
         }
     }
 
@@ -46,7 +59,11 @@ impl PauliOp {
     /// Builds an operator from raw terms, combining duplicates and dropping
     /// negligible coefficients.
     pub fn from_terms(n_qubits: usize, terms: Vec<(C64, PauliString)>) -> Self {
-        let mut op = PauliOp { n_qubits, terms };
+        let mut op = PauliOp {
+            n_qubits,
+            terms,
+            prepared: OnceLock::new(),
+        };
         op.simplify(DEFAULT_TRUNCATION);
         op
     }
@@ -140,6 +157,7 @@ impl PauliOp {
         if self.terms.is_empty() {
             return;
         }
+        self.prepared = OnceLock::new();
         self.terms.sort_unstable_by_key(|a| a.1);
         let mut out: Vec<(C64, PauliString)> = Vec::with_capacity(self.terms.len());
         for &(c, s) in &self.terms {
@@ -156,7 +174,21 @@ impl PauliOp {
     pub fn truncate(&mut self, tol: f64) -> usize {
         let before = self.terms.len();
         self.terms.retain(|(c, _)| c.norm() > tol);
+        self.prepared = OnceLock::new();
         before - self.terms.len()
+    }
+
+    /// The operator's [`PreparedObservable`] — flip-mask grouping plus the
+    /// phase tables that fit [`TABLE_BUDGET_BYTES`] — built on the first
+    /// call and kept on the operator: it depends on nothing but the terms,
+    /// so it lives and dies with them, needs no key and no eviction.
+    /// `on_build` runs once, in the call that builds it (telemetry hook).
+    pub fn prepared(&self, on_build: impl FnOnce(&PreparedObservable)) -> &PreparedObservable {
+        self.prepared.get_or_init(|| {
+            let built = PreparedObservable::with_budget(self, TABLE_BUDGET_BYTES);
+            on_build(&built);
+            Arc::new(built)
+        })
     }
 
     /// Scales all coefficients by `k`.
@@ -452,6 +484,28 @@ mod tests {
         assert!((h.max_coeff() - 0.5).abs() < 1e-12);
         assert_eq!(h.truncate(0.3), 1);
         assert_eq!(h.num_terms(), 1);
+    }
+
+    #[test]
+    fn prepared_is_built_once_shared_by_clones_and_dropped_by_edits() {
+        let mut h = op("0.5 ZZ + 0.25 XX + 0.001 YY");
+        let mut builds = 0;
+        let first = h.prepared(|_| builds += 1) as *const _;
+        let second = h.prepared(|_| builds += 1) as *const _;
+        assert_eq!((builds, first), (1, second));
+        // A clone of a prepared operator shares the preparation …
+        let twin = h.clone();
+        assert!(std::ptr::eq(twin.prepared(|_| builds += 1), first));
+        assert_eq!(builds, 1);
+        // … and keeps it when the original's terms change.
+        assert_eq!(h.truncate(0.01), 1);
+        assert_eq!(h.prepared(|_| builds += 1).groups()[1].terms.len(), 1);
+        assert_eq!(twin.prepared(|_| ()).groups()[1].terms.len(), 2);
+        h.simplify(0.3);
+        assert_eq!(h.prepared(|_| builds += 1).groups().len(), 1);
+        assert_eq!(builds, 3);
+        // The memo is derived data: it does not take part in equality.
+        assert_eq!(h, op("0.5 ZZ"));
     }
 
     #[test]

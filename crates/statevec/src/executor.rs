@@ -606,28 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn norm_guard_amortizes_over_interval() {
-        nwq_telemetry::reset();
-        nwq_telemetry::set_enabled(true);
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let guard = NormGuard {
-            enabled: true,
-            tolerance: 1e-6,
-            check_interval: 4,
-        };
-        let mut ex = Executor::with_guard(guard);
-        let before = nwq_telemetry::counter_value("resilience.norm_checks");
-        let mut st = StateVector::zero(1);
-        for _ in 0..8 {
-            ex.run_on(&c, &[], &mut st).unwrap();
-        }
-        let checks = nwq_telemetry::counter_value("resilience.norm_checks") - before;
-        nwq_telemetry::set_enabled(false);
-        assert_eq!(checks, 2, "8 runs at interval 4 → 2 checks");
-    }
-
-    #[test]
     fn disabled_guard_leaves_drift_alone() {
         let mut c = Circuit::new(1);
         c.h(0);

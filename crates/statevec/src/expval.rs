@@ -28,7 +28,9 @@ use nwq_circuit::basis::group_basis_circuit;
 use nwq_circuit::Circuit;
 use nwq_common::{bits::masked_parity, Error, Result, C64, C_ZERO};
 use nwq_pauli::grouping::MeasurementGroup;
-use nwq_pauli::{PauliOp, Phase};
+use nwq_pauli::prepared::PhaseTable;
+pub use nwq_pauli::prepared::{FlipGroup, PreparedObservable};
+use nwq_pauli::PauliOp;
 use rayon::prelude::*;
 
 /// Amplitude count at or above which the reductions here go parallel.
@@ -100,6 +102,93 @@ fn diagonal_group_energy(state: &StateVector, group: &MeasurementGroup) -> f64 {
     per_term.iter().zip(&coeffs).map(|(e, c)| e * c).sum()
 }
 
+/// The operator's prepared observable (flip-mask grouping and phase
+/// tables, see [`nwq_pauli::prepared`]), built on first use and memoised
+/// on `op`. The one build per operator is what `expval.tables_built` and
+/// `expval.table_bytes` count.
+pub fn prepared(op: &PauliOp) -> &PreparedObservable {
+    op.prepared(|built| {
+        if built.num_tables() > 0 {
+            nwq_telemetry::counter_add("expval.tables_built", 1);
+            nwq_telemetry::counter_add("expval.table_bytes", built.table_bytes() as u64);
+        }
+    })
+}
+
+/// The flip-mask groups of `op` (ascending mask order, operator order
+/// within a group) — the grouping every §4.2 reduction here folds over.
+pub fn flip_groups(op: &PauliOp) -> Vec<FlipGroup> {
+    prepared(op).groups().to_vec()
+}
+
+/// Where one flip group's phase
+/// `f(x) = Σ_t c_t·(−1)^{|x ∧ z_t|}` comes from during a fold: the
+/// operator's precomputed table when it has one, else a fresh evaluation
+/// of the term sum. Both give the same bits (a table entry is the real
+/// part of the streamed sum, whose imaginary part is then `+0.0`), so the
+/// fold does not care which it reads.
+#[derive(Clone, Copy, Debug)]
+pub struct GroupPhase<'a> {
+    group: &'a FlipGroup,
+    table: Option<PhaseTable<'a>>,
+}
+
+impl<'a> GroupPhase<'a> {
+    /// The f source of every group of `prepared`, in fold order.
+    pub fn of(prepared: &'a PreparedObservable) -> impl Iterator<Item = GroupPhase<'a>> {
+        prepared
+            .iter()
+            .map(|(group, table)| GroupPhase { group, table })
+    }
+
+    /// The group's X/Y flip-mask.
+    pub fn mask(&self) -> u64 {
+        self.group.mask
+    }
+
+    /// `f(x)` at one (global) amplitude index.
+    #[inline]
+    fn at(&self, x: u64) -> C64 {
+        match self.table {
+            Some(t) => C64::new(t.get(x as usize), 0.0),
+            None => {
+                let mut f = C_ZERO;
+                for &(c, z) in &self.group.terms {
+                    let sign = 1.0 - 2.0 * ((x & z).count_ones() & 1) as f64;
+                    f += c.scale(sign);
+                }
+                f
+            }
+        }
+    }
+
+    /// `out[j] = f(base + j)` for a block of consecutive indices: the
+    /// streamed fold's phase block, and the block all walkers share.
+    pub(crate) fn fill(&self, out: &mut [C64], base: usize) {
+        match self.table {
+            Some(_) => {
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = self.at((base + j) as u64);
+                }
+            }
+            None => crate::simd::group_phase_block(out, base, &self.group.terms),
+        }
+    }
+}
+
+/// Records one evaluation's sweep accounting: `term_sweeps` is what the
+/// per-term path would cost for `n_states` states, `batched_sweeps` the
+/// group passes actually made, `table_folds` how many of those read a
+/// prepared table instead of refilling the phase.
+pub(crate) fn count_sweeps(op: &PauliOp, prepared: &PreparedObservable, n_states: usize) {
+    let term_sweeps = (op.num_terms() * n_states) as u64;
+    let group_sweeps = prepared.groups().len() as u64;
+    nwq_telemetry::counter_add("expval.term_sweeps", term_sweeps);
+    nwq_telemetry::counter_add("expval.batched_sweeps", group_sweeps);
+    nwq_telemetry::counter_add("expval.sweeps_saved", term_sweeps - group_sweeps);
+    nwq_telemetry::counter_add("expval.table_folds", prepared.num_tables() as u64);
+}
+
 /// Batched §4.2 direct expectation: Hamiltonian terms sharing an X/Y
 /// flip-mask `m` read the same amplitude pairs `(ψ[x⊕m], ψ[x])`, so the
 /// per-term reductions collapse to one pass per *mask group*:
@@ -108,19 +197,24 @@ fn diagonal_group_energy(state: &StateVector, group: &MeasurementGroup) -> f64 {
 ///
 /// For molecular Hamiltonians many terms share flip-masks (all-diagonal
 /// terms share `m = 0`), so this does strictly fewer amplitude sweeps than
-/// the per-term `expectation_op` path. Telemetry records both sides:
+/// the per-term `expectation_op` path. The inner sum is the group phase
+/// `f_m(x)`: it depends on neither θ nor ψ, so the grouping and (under a
+/// byte budget) the phase tables are prepared once per operator
+/// ([`prepared`]) and an evaluation only folds `w·f` — `groups × 2ⁿ`
+/// multiply-adds instead of `terms × 2ⁿ`. Telemetry records
 /// `expval.term_sweeps` (what per-term would cost), `expval.batched_sweeps`
-/// (passes actually made) and `expval.sweeps_saved`.
-///
-/// The inner loop is kept at least as lean as the per-term path's: terms
-/// are grouped in a flat sorted vector (no per-amplitude BTreeMap or
-/// nested-Vec indirection), the per-term sign is applied branchlessly
-/// (`f += c · (1 − 2·parity)`, bitwise identical to the `±c` branch since
-/// multiplying by exact ±1.0 is exact), and the `m = 0` group reads one
-/// amplitude per index via `norm_sqr` instead of a conjugate product
-/// (`Re(conj(a)·a)` computes `re·re − im·(−im)`, bitwise `norm_sqr`; the
-/// imaginary part of a Hermitian group sum is discarded anyway).
+/// (passes actually made), `expval.sweeps_saved` and `expval.table_folds`.
 pub fn energy_direct_batched(state: &StateVector, op: &PauliOp) -> Result<f64> {
+    energy_prepared(state, op, prepared(op))
+}
+
+/// [`energy_direct_batched`] over an explicitly supplied preparation of
+/// `op` (the tests pass a zero-budget one to pin table ≡ streaming).
+fn energy_prepared(
+    state: &StateVector,
+    op: &PauliOp,
+    prepared: &PreparedObservable,
+) -> Result<f64> {
     let psi = state.amplitudes();
     if psi.len() != 1usize << op.n_qubits() {
         return Err(Error::DimensionMismatch {
@@ -128,156 +222,107 @@ pub fn energy_direct_batched(state: &StateVector, op: &PauliOp) -> Result<f64> {
             got: psi.len(),
         });
     }
-    // Flatten terms to (flip_mask, eff_coeff, z_mask) and sort by mask; a
-    // stable sort reproduces the BTreeMap grouping this replaced (groups in
-    // ascending mask order, terms in Hamiltonian order within a group), so
-    // accumulation order — and thus the energy bits — is unchanged.
-    let mut terms: Vec<(u64, C64, u64)> = op
-        .terms()
-        .iter()
-        .map(|&(c, ref s)| {
-            let eff = c * Phase::from_power(s.y_count()).to_c64();
-            (s.x_mask(), eff, s.z_mask())
-        })
-        .collect();
-    terms.sort_by_key(|t| t.0);
-    let n_groups = terms.chunk_by(|a, b| a.0 == b.0).count();
-    nwq_telemetry::counter_add("expval.term_sweeps", op.num_terms() as u64);
-    nwq_telemetry::counter_add("expval.batched_sweeps", n_groups as u64);
-    nwq_telemetry::counter_add("expval.sweeps_saved", (op.num_terms() - n_groups) as u64);
+    count_sweeps(op, prepared, 1);
     let _span = nwq_telemetry::span!("expval.batched");
-    // The parallel reduction only pays off when the pool can actually run
-    // pieces concurrently; a single-thread pool takes the blocked SIMD
-    // sweep below (identical accumulation order, so identical bits).
-    let use_par = psi.len() >= PAR_THRESHOLD && crate::kernels::parallel_dispatch_enabled();
-    let mut fbuf = [C_ZERO; EXPVAL_BLOCK];
-    let mut wbuf = [C_ZERO; EXPVAL_BLOCK];
-    let mut total = C_ZERO;
-    for group in terms.chunk_by(|a, b| a.0 == b.0) {
-        let m = group[0].0 as usize;
-        if use_par {
-            let body = |x: usize| -> C64 {
-                // NaN/Inf amplitudes still poison the sum through norm_sqr
-                // and surface via ensure_finite_energy below.
-                let w = if m == 0 {
-                    C64::new(psi[x].norm_sqr(), 0.0)
-                } else {
-                    psi[x ^ m].conj() * psi[x]
-                };
-                let mut f = C_ZERO;
-                for &(_, c, z) in group {
-                    let sign = 1.0 - 2.0 * ((x as u64 & z).count_ones() & 1) as f64;
-                    f += c.scale(sign);
-                }
-                w * f
-            };
-            total += (0..psi.len())
-                .into_par_iter()
-                .map(body)
-                .reduce(|| C_ZERO, |a, b| a + b);
-        } else {
-            // Blocked SIMD shape: fill a block of per-index group phases
-            // f(x) (branch-free sign sweep) and pair weights w(x), then
-            // fold w·f serially in index order. Each f and w is the same
-            // expression the fused loop computed, and the fold adds the
-            // products in the same order, so the energy bits are
-            // unchanged — only the f/w fills vectorize.
-            let mut acc = C_ZERO;
-            for base in (0..psi.len()).step_by(EXPVAL_BLOCK) {
-                let blk = EXPVAL_BLOCK.min(psi.len() - base);
-                crate::simd::group_phase_block(&mut fbuf[..blk], base, group);
-                crate::simd::flip_weights_block(&mut wbuf[..blk], psi, base, m);
-                for j in 0..blk {
-                    acc += wbuf[j] * fbuf[j];
-                }
-            }
-            total += acc;
-        }
+    let mut total = 0.0;
+    for phase in GroupPhase::of(prepared) {
+        total += shard_group_partial(psi, psi, 0, op.n_qubits(), phase);
     }
-    ensure_finite_energy(total.re, "batched direct expectation")
+    ensure_finite_energy(total, "batched direct expectation")
 }
 
-/// One flip-mask group of a Hamiltonian, preprocessed for the batched §4.2
-/// reduction: all terms share the X/Y flip-mask `mask`; each term carries
-/// its effective coefficient (`c · i^{y_count}`) and Z mask.
+/// One shard's contribution to the real part of a flip group's sum — the
+/// one fold every §4.2 reduction runs (a single-node state is the
+/// one-shard case):
 ///
-/// This is the same grouping [`energy_direct_batched`] builds internally,
-/// exposed so shard-parallel evaluators (the distributed backend) can run
-/// the identical reduction without gathering the full state.
-#[derive(Clone, Debug)]
-pub struct FlipGroup {
-    /// X/Y flip-mask shared by every term in the group.
-    pub mask: u64,
-    /// `(effective coefficient, z_mask)` per term, in Hamiltonian order.
-    pub terms: Vec<(C64, u64)>,
-}
-
-/// Groups a Hamiltonian's terms by X/Y flip-mask (ascending mask order,
-/// stable within a group), mirroring [`energy_direct_batched`]'s internal
-/// grouping exactly.
-pub fn flip_groups(op: &PauliOp) -> Vec<FlipGroup> {
-    let mut terms: Vec<(u64, C64, u64)> = op
-        .terms()
-        .iter()
-        .map(|&(c, ref s)| {
-            let eff = c * Phase::from_power(s.y_count()).to_c64();
-            (s.x_mask(), eff, s.z_mask())
-        })
-        .collect();
-    terms.sort_by_key(|t| t.0);
-    terms
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|g| FlipGroup {
-            mask: g[0].0,
-            terms: g.iter().map(|&(_, c, z)| (c, z)).collect(),
-        })
-        .collect()
-}
-
-/// One rank's contribution to a flip-group's sum in a sharded register:
-///
-/// `Σ_{x ∈ shard} conj(ψ[x⊕m]) ψ[x] · Σ_t c_t (−1)^{|x ∧ z_t|}`
+/// `Re Σ_{x ∈ shard} conj(ψ[x⊕m]) ψ[x] · f_m(x)`
 ///
 /// `own` holds the rank's amplitudes (global indices `rank·2^n_local ..`),
 /// `partner` the shard holding the `x⊕m` side (the own shard again when
-/// the mask's global bits are zero). Same arithmetic as
-/// [`energy_direct_batched`]'s inner loop, including the branchless sign
-/// and the `norm_sqr` fast path for the diagonal (`m = 0`) group.
+/// the mask's rank bits are zero).
+///
+/// The products are added in index order, whichever f source `phase`
+/// is. On a multi-thread pool, shards of [`PAR_THRESHOLD`] amplitudes or
+/// more are reduced per element in the pool's contiguous parts. Otherwise
+/// (a single-thread pool runs the same one part, so the same bits) the
+/// sweep is serial: with a table, one fused multiply-add chain per run of
+/// the table; without, fill a block of phases `f` and pair weights `w`
+/// (both vectorize), then fold `w·f`. The diagonal (`m = 0`) group reads
+/// one amplitude per index via `norm_sqr` instead of a conjugate product
+/// (`Re(conj(a)·a)` computes `re·re − im·(−im)`, bitwise `norm_sqr`).
+/// NaN/Inf amplitudes poison the sum through the weights and surface in
+/// the callers' finiteness check.
 pub fn shard_group_partial(
     own: &[C64],
     partner: &[C64],
     rank: usize,
     n_local: usize,
-    mask: u64,
-    terms: &[(C64, u64)],
-) -> C64 {
+    phase: GroupPhase<'_>,
+) -> f64 {
     debug_assert_eq!(own.len(), partner.len());
     debug_assert_eq!(own.len(), 1usize << n_local);
-    let local_mask = (1u64 << n_local) - 1;
-    let local_flip = (mask & local_mask) as usize;
-    let base = (rank as u64) << n_local;
-    let body = |k: usize| -> C64 {
-        let x = base | k as u64;
-        let w = if mask == 0 {
-            C64::new(own[k].norm_sqr(), 0.0)
-        } else {
-            partner[k ^ local_flip].conj() * own[k]
+    let mask = phase.mask();
+    let flip = (mask != 0).then_some((mask & ((1u64 << n_local) - 1)) as usize);
+    let base = rank << n_local;
+    if own.len() >= PAR_THRESHOLD && crate::kernels::parallel_dispatch_enabled() {
+        let body = |k: usize| -> C64 {
+            let w = match flip {
+                None => C64::new(own[k].norm_sqr(), 0.0),
+                Some(m) => partner[k ^ m].conj() * own[k],
+            };
+            w * phase.at((base | k) as u64)
         };
-        let mut f = C_ZERO;
-        for &(c, z) in terms {
-            let sign = 1.0 - 2.0 * ((x & z).count_ones() & 1) as f64;
-            f += c.scale(sign);
-        }
-        w * f
-    };
-    if own.len() >= PAR_THRESHOLD {
-        (0..own.len())
+        return (0..own.len())
             .into_par_iter()
             .map(body)
             .reduce(|| C_ZERO, |a, b| a + b)
-    } else {
-        (0..own.len()).map(body).sum()
+            .re;
     }
+    let Some(table) = phase.table else {
+        let mut fbuf = [C_ZERO; EXPVAL_BLOCK];
+        let mut wbuf = [C_ZERO; EXPVAL_BLOCK];
+        let mut acc = C_ZERO;
+        for k0 in (0..own.len()).step_by(EXPVAL_BLOCK) {
+            let blk = EXPVAL_BLOCK.min(own.len() - k0);
+            phase.fill(&mut fbuf[..blk], base + k0);
+            crate::simd::flip_weights_block(&mut wbuf[..blk], own, partner, k0, flip);
+            for j in 0..blk {
+                acc += wbuf[j] * fbuf[j];
+            }
+        }
+        return acc.re;
+    };
+    // `f` is real here, so only `Re(w)·f` reaches the real part: the
+    // streamed fold adds `w.re·f.re − w.im·(+0.0)`, which differs from
+    // `w.re·f` at most in the sign of a zero, and an accumulator that
+    // starts at `+0.0` never holds `−0.0` — same bits, half the
+    // arithmetic. A run of the table is contiguous up to a fixed xor `c`
+    // (as is the partner side), so nothing is gathered or buffered and the
+    // add chain is the only serial dependency; `j ^ c < run` because both
+    // are below the power of two `run`, the `&` only tells the compiler.
+    let run = own.len().min(table.max_run());
+    let mut acc = 0.0;
+    for k0 in (0..own.len()).step_by(run) {
+        let (f, cf) = table.run(base + k0, run);
+        let own = &own[k0..k0 + run];
+        match flip {
+            None => {
+                for (j, a) in own.iter().enumerate() {
+                    acc += a.norm_sqr() * f[(j ^ cf) & (run - 1)];
+                }
+            }
+            Some(m) => {
+                let p0 = (k0 ^ m) & !(run - 1);
+                let (partner, cm) = (&partner[p0..p0 + run], m & (run - 1));
+                for (j, b) in own.iter().enumerate() {
+                    // Re(conj(a)·b) = a.re·b.re − (−a.im)·b.im, exactly.
+                    let a = partner[(j ^ cm) & (run - 1)];
+                    acc += (a.re * b.re + a.im * b.im) * f[(j ^ cf) & (run - 1)];
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// Result of a full energy evaluation, with the gate accounting that
@@ -485,20 +530,14 @@ mod tests {
 
     #[test]
     fn batched_direct_groups_by_flip_mask() {
-        // ZZ, ZI, IZ, II all have flip-mask 0; XX has its own. The batched
-        // path must do 2 sweeps where per-term does 5.
-        nwq_telemetry::reset();
-        nwq_telemetry::set_enabled(true);
+        // ZZ, ZI, IZ, II all have flip-mask 0; XX has its own: 2 sweeps
+        // where per-term does 5 (the counters are pinned in
+        // tests/telemetry_counters.rs).
         let h = PauliOp::parse("0.7 ZZ + 0.2 ZI + 0.1 IZ + 0.05 II + 1.0 XX").unwrap();
+        let sizes: Vec<usize> = flip_groups(&h).iter().map(|g| g.terms.len()).collect();
+        assert_eq!(sizes, [4, 1]);
         let s = crate::executor::simulate(&toy_ansatz(), &[0.8, 0.1]).unwrap();
-        let before_batched = nwq_telemetry::counter_value("expval.batched_sweeps");
-        let before_terms = nwq_telemetry::counter_value("expval.term_sweeps");
         let e = energy_direct_batched(&s, &h).unwrap();
-        let batched = nwq_telemetry::counter_value("expval.batched_sweeps") - before_batched;
-        let terms = nwq_telemetry::counter_value("expval.term_sweeps") - before_terms;
-        nwq_telemetry::set_enabled(false);
-        assert_eq!(terms, 5);
-        assert_eq!(batched, 2);
         let per_term = s.energy(&h).unwrap();
         assert!((e - per_term).abs() < 1e-12);
     }
@@ -545,20 +584,210 @@ mod tests {
         let shards: Vec<&[C64]> = (0..n_ranks)
             .map(|r| &full[r * part..(r + 1) * part])
             .collect();
-        let mut total = C_ZERO;
-        for g in flip_groups(&h) {
+        let mut total = 0.0;
+        for phase in GroupPhase::of(prepared(&h)) {
             for (r, own) in shards.iter().enumerate() {
-                let partner = shards[r ^ (g.mask >> n_local) as usize];
-                total += shard_group_partial(own, partner, r, n_local, g.mask, &g.terms);
+                let partner = shards[r ^ (phase.mask() >> n_local) as usize];
+                total += shard_group_partial(own, partner, r, n_local, phase);
             }
         }
         assert!(
-            (total.re - single).abs() < 1e-12,
-            "sharded {} vs single {}",
-            total.re,
-            single
+            (total - single).abs() < 1e-12,
+            "sharded {total} vs single {single}"
         );
-        assert!(total.im.abs() < 1e-12);
+    }
+
+    /// A normalized state with no structure the readout could exploit.
+    fn dense_state(n: usize, seed: u64) -> StateVector {
+        let mut amps: Vec<C64> = (0..1usize << n)
+            .map(|i| {
+                let t = (i as f64 * 0.37 + seed as f64 * 1.3).sin();
+                C64::new(t, (t * 2.1 + 0.4).cos())
+            })
+            .collect();
+        let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+        for a in amps.iter_mut() {
+            *a = *a * (1.0 / norm);
+        }
+        StateVector::from_amplitudes(amps).unwrap()
+    }
+
+    /// The contract of the prepared observable: folding the tables gives
+    /// the bits of refilling the phase (zero-budget preparation), for a
+    /// single state and for every walker, and both agree with the
+    /// per-term reference.
+    fn assert_paths_agree(states: &[StateVector], op: &PauliOp) {
+        let streaming = PreparedObservable::with_budget(op, 0);
+        assert_eq!(streaming.num_tables(), 0);
+        let tabled: Vec<f64> = states
+            .iter()
+            .map(|s| energy_direct_batched(s, op).unwrap())
+            .collect();
+        for (s, &e) in states.iter().zip(&tabled) {
+            let streamed = energy_prepared(s, op, &streaming).unwrap();
+            assert_eq!(e.to_bits(), streamed.to_bits(), "table vs streaming");
+            let per_term = s.energy(op).unwrap();
+            assert!((e - per_term).abs() < 1e-12, "{e} vs per-term {per_term}");
+        }
+        if states[0].len() < PAR_THRESHOLD {
+            let set = crate::walkers::WalkerSet::from_states(states).unwrap();
+            let walkers = crate::walkers::walker_energies(&set, op).unwrap();
+            for (w, e) in walkers.iter().zip(&tabled) {
+                assert_eq!(w.to_bits(), e.to_bits(), "walker vs single state");
+            }
+        }
+    }
+
+    /// Hermitian operator from `(x_mask, z_mask, coeff, even_y)` specs;
+    /// `even_y` turns one Y into an X where needed, so the term's
+    /// effective coefficient is real and its group can be tabulated.
+    fn hermitian_op(n: usize, specs: &[(u64, u64, f64, bool)]) -> PauliOp {
+        let terms = specs
+            .iter()
+            .map(|&(x, mut z, c, even_y)| {
+                if even_y && (x & z).count_ones() % 2 == 1 {
+                    z &= !(1 << (x & z).trailing_zeros());
+                }
+                let s = nwq_pauli::PauliString::from_masks(n, x, z).unwrap();
+                (C64::real(c), s)
+            })
+            .collect();
+        PauliOp::from_terms(n, terms)
+    }
+
+    #[test]
+    fn prepared_tables_fold_to_streaming_bits_on_edge_operators() {
+        let n = 5;
+        let states = [dense_state(n, 1), dense_state(n, 2), dense_state(n, 3)];
+        // Identity only; one diagonal group; every term its own mask.
+        let identity = PauliOp::scalar(n, C64::real(-1.25));
+        let diagonal = PauliOp::parse("0.7 ZZIII + 0.2 IZIZI - 0.4 IIIIZ + 0.1 IIIII").unwrap();
+        let distinct = PauliOp::parse("0.5 XIIII + 0.3 IXIIZ - 0.2 YYIII + 0.9 XXXXX").unwrap();
+        for (op, groups) in [(&identity, 1), (&diagonal, 1), (&distinct, 4)] {
+            let p = prepared(op);
+            assert_eq!((p.groups().len(), p.num_tables()), (groups, groups));
+            assert_paths_agree(&states, op);
+        }
+        assert_paths_agree(&states, &PauliOp::zero(n));
+    }
+
+    #[test]
+    fn prepared_tables_cross_the_parallel_threshold() {
+        let n = 13;
+        assert!(1usize << n >= PAR_THRESHOLD);
+        let op = hermitian_op(
+            n,
+            &[
+                (0, 0b1_0000_0000_0011, 0.7, true),
+                (0, 0, -0.3, true),
+                (0b1_0000_0000_0001, 0b0_0000_1000_0000, 0.25, true),
+                (0b1_0000_0000_0001, 0b1_0000_0100_0001, -0.5, true),
+                (0b0_0000_0110_0000, 0b0_0000_0110_0000, 0.4, true),
+                (0b0_0000_0000_0110, 0b0_0000_0000_0010, 0.6, false),
+            ],
+        );
+        // The odd-Y term's group streams; the rest are tabulated.
+        let p = prepared(&op);
+        assert_eq!((p.groups().len(), p.num_tables()), (4, 3));
+        assert_paths_agree(&[dense_state(n, 5)], &op);
+    }
+
+    #[test]
+    fn non_hermitian_operator_takes_the_streaming_fallback() {
+        // An anti-Hermitian ADAPT-style generator plus a complex-weighted
+        // term: no group has a real symmetric phase.
+        let op = PauliOp::from_terms(
+            3,
+            vec![
+                (
+                    C64::imag(0.5),
+                    nwq_pauli::PauliString::parse("XYI").unwrap(),
+                ),
+                (
+                    C64::imag(-0.5),
+                    nwq_pauli::PauliString::parse("YXI").unwrap(),
+                ),
+                (
+                    C64::new(0.3, -0.2),
+                    nwq_pauli::PauliString::parse("IIX").unwrap(),
+                ),
+                (
+                    C64::imag(0.1),
+                    nwq_pauli::PauliString::parse("ZZI").unwrap(),
+                ),
+            ],
+        );
+        assert_eq!(prepared(&op).num_tables(), 0);
+        let s = dense_state(3, 9);
+        let e = energy_direct_batched(&s, &op).unwrap();
+        let reference = s.expectation(&op).unwrap().re;
+        assert!((e - reference).abs() < 1e-12, "{e} vs {reference}");
+        assert_paths_agree(&[s], &op);
+    }
+
+    #[test]
+    fn edited_operator_does_not_read_stale_tables() {
+        let s = dense_state(2, 4);
+        let mut h = PauliOp::parse("0.7 ZZ + 0.2 XX + 0.001 YY + 0.002 IZ").unwrap();
+        let before = energy_direct_batched(&s, &h).unwrap();
+        assert_eq!(h.truncate(0.01), 2);
+        let fresh = PauliOp::parse("0.7 ZZ + 0.2 XX").unwrap();
+        let after = energy_direct_batched(&s, &h).unwrap();
+        assert_ne!(after.to_bits(), before.to_bits());
+        assert_eq!(
+            after.to_bits(),
+            energy_direct_batched(&s, &fresh).unwrap().to_bits()
+        );
+        h.simplify(0.5);
+        let zz = PauliOp::parse("0.7 ZZ").unwrap();
+        assert_eq!(
+            energy_direct_batched(&s, &h).unwrap().to_bits(),
+            energy_direct_batched(&s, &zz).unwrap().to_bits()
+        );
+    }
+
+    mod random_operators {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(n, amplitudes of two states, term specs)` for 2–10 qubits.
+        #[allow(clippy::type_complexity)]
+        fn arb_case() -> impl Strategy<Value = (usize, Vec<(f64, f64)>, Vec<(u64, u64, f64, bool)>)>
+        {
+            (2..11usize).prop_flat_map(|n| {
+                let amps = proptest::collection::vec((-1.0..1.0f64, -1.0..1.0f64), 2 << n);
+                // Few distinct masks on small registers, so groups have
+                // several terms; one term in eight keeps an odd Y count.
+                let term = (0..1u64 << n, 0..1u64 << n, -1.0..1.0f64, 0..8u8)
+                    .prop_map(|(x, z, c, k)| (x, z, c, k != 0));
+                (
+                    proptest::strategy::Just(n),
+                    amps,
+                    proptest::collection::vec(term, 1..24),
+                )
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn table_fold_is_bitwise_streaming_and_matches_per_term(
+                (n, amps, specs) in arb_case(),
+            ) {
+                let op = hermitian_op(n, &specs);
+                let states: Vec<StateVector> = amps
+                    .chunks(1 << n)
+                    .map(|half| {
+                        let norm = half.iter().map(|(r, i)| r * r + i * i).sum::<f64>().sqrt();
+                        let scale = if norm > 1e-9 { 1.0 / norm } else { 0.0 };
+                        let amps = half.iter().map(|&(r, i)| C64::new(r, i) * scale).collect();
+                        StateVector::from_amplitudes(amps).unwrap()
+                    })
+                    .collect();
+                assert_paths_agree(&states, &op);
+            }
+        }
     }
 
     #[test]

@@ -1094,18 +1094,17 @@ simd_dispatch! {
 
 /// Fills `out[j]` with the group phase `Σ_t c_t·(−1)^{|(base+j) ∧ z_t|}`
 /// for a block of consecutive amplitude indices. The term loop runs
-/// *outer* so the per-index accumulation sequence matches
-/// `energy_direct_batched`'s original inner loop term-for-term (each
-/// `out[j]` receives `c.scale(sign)` contributions in Hamiltonian group
-/// order), while the index loop becomes a branch-free lane sweep LLVM can
-/// vectorize: `x & z`, popcount parity, `sign = 1 − 2·parity`, two
-/// multiply-adds.
+/// *outer* so each `out[j]` receives its `c·sign` contributions in group
+/// order — the accumulation sequence of the per-index scalar loop
+/// ([`crate::expval::GroupPhase`]) — while the index loop becomes a
+/// branch-free lane sweep LLVM can vectorize: `x & z`, popcount parity,
+/// `sign = 1 − 2·parity`, two multiply-adds.
 #[inline(always)]
-fn group_phase_block_body(out: &mut [C64], base: usize, terms: &[(u64, C64, u64)]) {
+fn group_phase_block_body(out: &mut [C64], base: usize, terms: &[(C64, u64)]) {
     for o in out.iter_mut() {
         *o = C64::default();
     }
-    for &(_, c, z) in terms {
+    for &(c, z) in terms {
         for (j, o) in out.iter_mut().enumerate() {
             let x = (base + j) as u64;
             let sign = 1.0 - 2.0 * ((x & z).count_ones() & 1) as f64;
@@ -1117,24 +1116,34 @@ fn group_phase_block_body(out: &mut [C64], base: usize, terms: &[(u64, C64, u64)
 
 simd_dispatch! {
     /// Group-phase block fill for the batched direct expectation.
-    pub fn group_phase_block(out: &mut [C64], base: usize, terms: &[(u64, C64, u64)]) =
+    pub fn group_phase_block(out: &mut [C64], base: usize, terms: &[(C64, u64)]) =
         group_phase_block_body
 }
 
-/// Fills `out[j]` with the flip-group pair weight for amplitude
-/// `x = base + j`: `|ψ[x]|²` for the diagonal (`m = 0`) group, else
-/// `conj(ψ[x⊕m])·ψ[x]` — exactly the `w` of `energy_direct_batched`'s
-/// inner loop, with the `m` branch hoisted out of the lane sweep.
+/// Fills `out[j]` with the flip-group pair weight of local index
+/// `k = base + j`: `|own[k]|²` for the diagonal group (`flip` is `None`),
+/// else `conj(partner[k⊕flip])·own[k]`. On one node `partner` is `own`;
+/// on a sharded register it is the shard the mask's rank bits point at
+/// and `flip` carries only the mask's local bits.
 #[inline(always)]
-fn flip_weights_block_body(out: &mut [C64], psi: &[C64], base: usize, m: usize) {
-    if m == 0 {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = C64::new(psi[base + j].norm_sqr(), 0.0);
+fn flip_weights_block_body(
+    out: &mut [C64],
+    own: &[C64],
+    partner: &[C64],
+    base: usize,
+    flip: Option<usize>,
+) {
+    match flip {
+        None => {
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = C64::new(own[base + j].norm_sqr(), 0.0);
+            }
         }
-    } else {
-        for (j, o) in out.iter_mut().enumerate() {
-            let x = base + j;
-            *o = psi[x ^ m].conj() * psi[x];
+        Some(m) => {
+            for (j, o) in out.iter_mut().enumerate() {
+                let k = base + j;
+                *o = partner[k ^ m].conj() * own[k];
+            }
         }
     }
 }
@@ -1142,8 +1151,13 @@ fn flip_weights_block_body(out: &mut [C64], psi: &[C64], base: usize, m: usize) 
 simd_dispatch! {
     /// Flip-group pair-weight block fill for the batched direct
     /// expectation.
-    pub fn flip_weights_block(out: &mut [C64], psi: &[C64], base: usize, m: usize) =
-        flip_weights_block_body
+    pub fn flip_weights_block(
+        out: &mut [C64],
+        own: &[C64],
+        partner: &[C64],
+        base: usize,
+        flip: Option<usize>,
+    ) = flip_weights_block_body
 }
 
 #[cfg(test)]
@@ -1207,14 +1221,8 @@ mod tests {
 
     #[test]
     fn group_phase_instantiations_bitwise_identical() {
-        let terms: Vec<(u64, C64, u64)> = (0..7)
-            .map(|t| {
-                (
-                    0u64,
-                    C64::new(0.1 * t as f64, -0.02 * t as f64),
-                    0b1011 << t,
-                )
-            })
+        let terms: Vec<(C64, u64)> = (0..7)
+            .map(|t| (C64::new(0.1 * t as f64, -0.02 * t as f64), 0b1011 << t))
             .collect();
         let mut fast = vec![C64::default(); 64];
         let mut slow = vec![C64::default(); 64];

@@ -12,8 +12,9 @@
 //! The second — and on many-term molecular Hamiltonians the dominant —
 //! win is in the readout: the flip-group phase `f(x) = Σ_t c_t·sign_t(x)`
 //! of the batched §4.2 expectation is θ-independent, so
-//! [`walker_energies`] computes it ONCE per amplitude index and reuses it
-//! for every walker, where independent evaluation recomputes it per θ.
+//! [`walker_energies`] obtains each block of it ONCE (from the operator's
+//! prepared table, or streamed when it has none) and reuses it for every
+//! walker.
 //!
 //! **Bitwise contract.** Every walker kernel applies, per walker, exactly
 //! the arithmetic of the single-state serial kernels in
@@ -24,7 +25,7 @@
 //! independent single-state runs — the tests and the serve batcher rely
 //! on this.
 
-use crate::expval::{ensure_finite_energy, flip_groups};
+use crate::expval::{count_sweeps, ensure_finite_energy, prepared, GroupPhase};
 use crate::kernels::{DiagFactor, Mat4Shape, SubKind};
 use crate::plan::{ExecPlan, PlanOp};
 use crate::state::StateVector;
@@ -471,11 +472,11 @@ pub fn plans_aligned(plans: &[ExecPlan]) -> bool {
 const WALKER_BLOCK: usize = 128;
 
 /// Per-walker energies `Re⟨ψ_w|H|ψ_w⟩` in one pass over the interleaved
-/// buffer. The flip-group phase `f(x)` is θ-independent, so it is
-/// computed once per amplitude index and shared by every walker — the
-/// readout work drops from `n_walkers` full term sweeps to one, which on
-/// many-term Hamiltonians dominates the whole evaluation. Per walker the
-/// result is bitwise [`crate::expval::energy_direct_batched`].
+/// buffer. The flip-group phase `f(x)` is θ-independent, so one block of
+/// it (read from the operator's prepared table, or streamed) is shared by
+/// every walker — the readout work drops from `n_walkers` full term
+/// sweeps to at most one. Per walker the result is bitwise
+/// [`crate::expval::energy_direct_batched`].
 pub fn walker_energies(set: &WalkerSet, op: &PauliOp) -> Result<Vec<f64>> {
     if set.dim() != 1usize << op.n_qubits() {
         return Err(Error::DimensionMismatch {
@@ -486,24 +487,17 @@ pub fn walker_energies(set: &WalkerSet, op: &PauliOp) -> Result<Vec<f64>> {
     let _span = nwq_telemetry::span!("expval.walkers");
     let nw = set.n_walkers();
     let dim = set.dim();
-    let groups = flip_groups(op);
-    nwq_telemetry::counter_add("expval.term_sweeps", (op.num_terms() * nw) as u64);
-    nwq_telemetry::counter_add("expval.batched_sweeps", groups.len() as u64);
-    nwq_telemetry::counter_add(
-        "expval.sweeps_saved",
-        (op.num_terms() * nw - groups.len()) as u64,
-    );
+    let prepared = prepared(op);
+    count_sweeps(op, prepared, nw);
     let mut totals = vec![C_ZERO; nw];
     let mut accs = vec![C_ZERO; nw];
     let mut fbuf = [C_ZERO; WALKER_BLOCK];
-    for g in &groups {
-        let m = g.mask as usize;
-        // group_phase_block's term triples carry the mask slot unused.
-        let triples: Vec<(u64, C64, u64)> = g.terms.iter().map(|&(c, z)| (g.mask, c, z)).collect();
+    for phase in GroupPhase::of(prepared) {
+        let m = phase.mask() as usize;
         accs.fill(C_ZERO);
         for base in (0..dim).step_by(WALKER_BLOCK) {
             let blk = WALKER_BLOCK.min(dim - base);
-            crate::simd::group_phase_block(&mut fbuf[..blk], base, &triples);
+            phase.fill(&mut fbuf[..blk], base);
             walker_accum(&mut accs, set.amplitudes(), nw, base, m, &fbuf[..blk]);
         }
         for (t, a) in totals.iter_mut().zip(&accs) {

@@ -1,0 +1,74 @@
+//! Tests that assert exact values of process-global telemetry counters.
+//!
+//! The registry is one per process and every kernel and readout in the
+//! crate emits into it while it is enabled, so an exact count is only
+//! meaningful when nothing else runs in the process: these tests live in
+//! their own test binary (no other test's evaluations can land in the
+//! enabled window) and take one lock (they cannot land in each other's).
+
+use nwq_circuit::Circuit;
+use nwq_pauli::PauliOp;
+use nwq_statevec::expval::energy_direct_batched;
+use nwq_statevec::{Executor, NormGuard, StateVector};
+use std::sync::{Mutex, MutexGuard};
+
+/// Enables a freshly reset registry for as long as the guard lives.
+fn exclusive_telemetry() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that failed while holding it has already been reported.
+    let guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    nwq_telemetry::reset();
+    nwq_telemetry::set_enabled(true);
+    guard
+}
+
+#[test]
+fn norm_guard_amortizes_over_interval() {
+    let _telemetry = exclusive_telemetry();
+    let mut c = Circuit::new(1);
+    c.h(0);
+    let guard = NormGuard {
+        enabled: true,
+        tolerance: 1e-6,
+        check_interval: 4,
+    };
+    let mut ex = Executor::with_guard(guard);
+    let mut st = StateVector::zero(1);
+    for _ in 0..8 {
+        ex.run_on(&c, &[], &mut st).unwrap();
+    }
+    let checks = nwq_telemetry::counter_value("resilience.norm_checks");
+    nwq_telemetry::set_enabled(false);
+    assert_eq!(checks, 2, "8 runs at interval 4 → 2 checks");
+}
+
+#[test]
+fn batched_direct_counts_sweeps_per_call_and_tables_per_operator() {
+    let _telemetry = exclusive_telemetry();
+    // ZZ, ZI, IZ, II share flip-mask 0; XX has its own: each evaluation
+    // makes 2 group sweeps where per-term would make 5. The operator is
+    // prepared by the first evaluation and never again — not by the
+    // second, not through a clone.
+    let h = PauliOp::parse("0.7 ZZ + 0.2 ZI + 0.1 IZ + 0.05 II + 1.0 XX").unwrap();
+    let mut c = Circuit::new(2);
+    c.ry(0, 0.8).cx(0, 1).rz(1, 0.1);
+    let s = nwq_statevec::simulate(&c, &[]).unwrap();
+    let first = energy_direct_batched(&s, &h).unwrap();
+    let again = energy_direct_batched(&s, &h.clone()).unwrap();
+    let count = nwq_telemetry::counter_value;
+    let sweeps = (
+        count("expval.term_sweeps"),
+        count("expval.batched_sweeps"),
+        count("expval.sweeps_saved"),
+    );
+    let tables = (
+        count("expval.tables_built"),
+        count("expval.table_bytes"),
+        count("expval.table_folds"),
+    );
+    nwq_telemetry::set_enabled(false);
+    assert_eq!(first.to_bits(), again.to_bits());
+    assert_eq!(sweeps, (2 * 5, 2 * 2, 2 * 3));
+    // A full diagonal table of 4 entries and a half table of 2.
+    assert_eq!(tables, (1, (4 + 2) * 8, 2 * 2));
+}
