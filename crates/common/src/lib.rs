@@ -9,7 +9,9 @@
 //!   to two qubits, per §4.3 of the paper, so no larger matrices exist);
 //! - [`bits`] — the canonical basis-index enumeration helpers used by all
 //!   gate kernels (qubit 0 = least-significant bit);
-//! - [`error::Error`] — the workspace-wide error enum.
+//! - [`error::Error`] — the workspace-wide error enum;
+//! - [`PAR_MIN_AMPS`] — the one amplitude floor below which nothing in the
+//!   workspace hands a sweep or a reduction to the thread pool.
 
 #![warn(missing_docs)]
 
@@ -21,6 +23,20 @@ pub mod mat;
 pub use complex::{C64, C_I, C_ONE, C_ZERO};
 pub use error::{Error, Result};
 pub use mat::{Mat2, Mat4};
+
+/// Amplitude floor of every thread-pool dispatch in the workspace: a gate
+/// sweep or a readout reduction over fewer amplitudes than this runs on
+/// the calling thread, whatever the pool width. Handing half a sweep to a
+/// sleeping worker and waiting for it costs 15–60 µs on the 2-vCPU
+/// reference host when its vCPUs sit on separate cores — a serial sweep
+/// over 2¹⁶ amplitudes — so a split only pays once each half outlasts
+/// that. Measured there (`figures -- bench` writes the table to
+/// `BENCH_kernels.json`, `calibration.crossover`): at 2¹⁶ the split loses
+/// 1.3–2×, at 2¹⁷ it ties (0.84–1.26× by target qubit), and from 2¹⁸ every
+/// target position wins (0.72–0.79×) — which is the floor. In the phases
+/// where the host schedules both vCPUs onto one core (the committed table
+/// is from one) no size wins and the split costs 0–10 %.
+pub const PAR_MIN_AMPS: usize = 1 << 18;
 
 #[cfg(test)]
 mod proptests {

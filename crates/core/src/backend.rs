@@ -590,32 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_theta_hits_cache_and_is_visible_in_telemetry() {
-        // BENCH_vqe.json once showed misses == evaluations with hits
-        // untested and invisible; pin both the cache behaviour and the
-        // telemetry counter. The registry is process-global and other tests
-        // in this binary record while it is enabled, so assert on deltas
-        // with `>=` rather than absolute values.
-        let (ansatz, h) = toy();
-        nwq_telemetry::set_enabled(true);
-        let hits_before = nwq_telemetry::counter_value("cache.hits");
-        let misses_before = nwq_telemetry::counter_value("cache.misses");
-        let mut d = DirectBackend::new();
-        let e1 = d.energy(&ansatz, &[0.25], &h).unwrap();
-        let e2 = d.energy(&ansatz, &[0.25], &h).unwrap();
-        let hits_after = nwq_telemetry::counter_value("cache.hits");
-        let misses_after = nwq_telemetry::counter_value("cache.misses");
-        nwq_telemetry::set_enabled(false);
-        assert_eq!(e1, e2, "cache hit must reproduce the energy exactly");
-        assert!(hits_after > hits_before, "repeated θ must hit");
-        assert!(misses_after > misses_before);
-        assert!((d.cache_stats().hit_rate() - 0.5).abs() < 1e-15);
-        // The second evaluation did not re-run the ansatz.
-        assert_eq!(d.stats().ansatz_runs, 1);
-        assert_eq!(d.stats().evaluations, 2);
-    }
-
-    #[test]
     fn direct_backend_executes_fused_plans() {
         // The seed baseline's gap: executor.fused_blocks == 0 across a VQE
         // run because symbolic ansätze never fused. The plan path must fuse;

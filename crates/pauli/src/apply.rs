@@ -9,12 +9,8 @@
 
 use crate::op::PauliOp;
 use crate::string::PauliString;
-use nwq_common::{bits::masked_parity, Error, Result, C64, C_ZERO};
+use nwq_common::{bits::masked_parity, Error, Result, C64, C_ZERO, PAR_MIN_AMPS};
 use rayon::prelude::*;
-
-/// Number of amplitudes below which the serial path is used; parallel
-/// dispatch overhead dominates under this size.
-const PAR_THRESHOLD: usize = 1 << 12;
 
 fn check_dim(n_qubits: usize, len: usize) -> Result<()> {
     if len != 1usize << n_qubits {
@@ -42,7 +38,7 @@ pub fn apply_string(string: &PauliString, coeff: C64, input: &[C64]) -> Result<V
         };
         y_phase * sign * input[src]
     };
-    let out = if input.len() >= PAR_THRESHOLD {
+    let out = if input.len() >= PAR_MIN_AMPS {
         (0..input.len()).into_par_iter().map(body).collect()
     } else {
         (0..input.len()).map(body).collect()
@@ -71,7 +67,7 @@ pub fn accumulate_string(
         };
         *o += y_phase * sign * input[src];
     };
-    if out.len() >= PAR_THRESHOLD {
+    if out.len() >= PAR_MIN_AMPS {
         out.par_iter_mut()
             .enumerate()
             .for_each(|(y, o)| body((y, o)));
@@ -107,7 +103,7 @@ pub fn expectation_string(string: &PauliString, psi: &[C64]) -> Result<C64> {
         };
         psi[x ^ m].conj() * psi[x] * sign
     };
-    let raw: C64 = if psi.len() >= PAR_THRESHOLD {
+    let raw: C64 = if psi.len() >= PAR_MIN_AMPS {
         (0..psi.len())
             .into_par_iter()
             .map(body)
@@ -128,7 +124,7 @@ pub fn expectation_op(op: &PauliOp, psi: &[C64]) -> Result<C64> {
         let m = s.x_mask() as usize;
         let z = s.z_mask();
         let y_phase = crate::pauli::Phase::from_power(s.y_count()).to_c64();
-        let raw: C64 = if !many_terms && psi.len() >= PAR_THRESHOLD {
+        let raw: C64 = if !many_terms && psi.len() >= PAR_MIN_AMPS {
             (0..psi.len())
                 .into_par_iter()
                 .map(|x| {
@@ -316,8 +312,8 @@ mod tests {
 
     #[test]
     fn large_state_parallel_path() {
-        // Exercise the Rayon path (dim >= threshold) and check ⟨Z...Z⟩ on |0...0⟩.
-        let n = 13;
+        // Exercise the Rayon path (dim at the floor) and check ⟨Z...Z⟩ on |0...0⟩.
+        let n = PAR_MIN_AMPS.trailing_zeros() as usize;
         let s = PauliString::parse(&"Z".repeat(n)).unwrap();
         let psi = basis(n, 0);
         let e = expectation_string(&s, &psi).unwrap();

@@ -130,6 +130,10 @@ pub struct EngineStats {
     pub requeued: u64,
     /// Jobs quarantined as poison after exhausting their attempt budget.
     pub quarantined: u64,
+    /// Job records the engine currently holds (every accepted job keeps
+    /// one so `status`/`result` stay answerable; terminal ones hold no
+    /// spec). Filled in by [`Engine::stats`].
+    pub jobs_retained: u64,
 }
 
 impl EngineStats {
@@ -148,8 +152,6 @@ impl EngineStats {
 pub struct JobView {
     /// Engine job id.
     pub id: JobId,
-    /// The submitted spec.
-    pub spec: JobSpec,
     /// Current lifecycle state.
     pub status: JobStatus,
     /// Result, once `status == Done`.
@@ -158,12 +160,29 @@ pub struct JobView {
     pub error: Option<String>,
 }
 
+/// What the engine keeps per accepted job. The spec (molecule name, θ
+/// vector) is only needed until the job is terminal — a worker claims it,
+/// possibly again after a crash requeue — so [`Shared::finish`] drops it
+/// and a finished record is just what `status`/`result` print. A server
+/// that has answered millions of jobs holds their outcomes, not their
+/// inputs.
 struct JobRecord {
-    spec: JobSpec,
+    spec: Option<JobSpec>,
     status: JobStatus,
     outcome: Option<JobOutcome>,
     error: Option<String>,
     submitted: Instant,
+}
+
+impl JobRecord {
+    fn view(&self, id: JobId) -> JobView {
+        JobView {
+            id,
+            status: self.status,
+            outcome: self.outcome.clone(),
+            error: self.error.clone(),
+        }
+    }
 }
 
 struct Shared {
@@ -258,7 +277,7 @@ impl Engine {
         lock(&s.jobs).insert(
             id,
             JobRecord {
-                spec: spec.clone(),
+                spec: Some(spec.clone()),
                 status: JobStatus::Queued,
                 outcome: None,
                 error: None,
@@ -305,13 +324,7 @@ impl Engine {
 
     /// Full record view of a job, if the id is known.
     pub fn view(&self, id: JobId) -> Option<JobView> {
-        lock(&self.shared.jobs).get(&id).map(|r| JobView {
-            id,
-            spec: r.spec.clone(),
-            status: r.status,
-            outcome: r.outcome.clone(),
-            error: r.error.clone(),
-        })
+        lock(&self.shared.jobs).get(&id).map(|r| r.view(id))
     }
 
     /// Blocks until the job reaches a terminal status or `timeout` passes;
@@ -336,13 +349,7 @@ impl Engine {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             jobs = guard;
         }
-        jobs.get(&id).map(|r| JobView {
-            id,
-            spec: r.spec.clone(),
-            status: r.status,
-            outcome: r.outcome.clone(),
-            error: r.error.clone(),
-        })
+        jobs.get(&id).map(|r| r.view(id))
     }
 
     /// Cancels a job that is still queued. Returns `false` when the job is
@@ -381,7 +388,11 @@ impl Engine {
 
     /// Engine accounting snapshot.
     pub fn stats(&self) -> EngineStats {
-        *lock(&self.shared.stats)
+        let jobs_retained = lock(&self.shared.jobs).len() as u64;
+        EngineStats {
+            jobs_retained,
+            ..*lock(&self.shared.stats)
+        }
     }
 
     /// Shared-cache accounting snapshot.
@@ -415,14 +426,15 @@ impl Shared {
     }
 
     /// Marks a queued job running; returns its spec and queue wait. `None`
-    /// means the record vanished (should not happen — cancel goes through
-    /// the queue) and the claim is dropped.
+    /// means the record vanished or is already terminal (should not
+    /// happen — cancel goes through the queue) and the claim is dropped.
     fn claim(&self, job: &QueuedJob) -> Option<(JobSpec, f64)> {
         let wait_ms = job.waited_ms(Instant::now());
         let mut jobs = lock(&self.jobs);
         let r = jobs.get_mut(&job.id)?;
+        let spec = r.spec.clone()?;
         r.status = JobStatus::Running;
-        Some((r.spec.clone(), wait_ms))
+        Some((spec, wait_ms))
     }
 
     /// Transitions a job to a terminal status and wakes waiters.
@@ -435,6 +447,7 @@ impl Shared {
     ) {
         let mut jobs = lock(&self.jobs);
         if let Some(r) = jobs.get_mut(&id) {
+            r.spec = None;
             r.status = status;
             r.outcome = outcome;
             r.error = error;
@@ -618,7 +631,8 @@ fn worker_loop(shared: Arc<Shared>, faults: Option<FaultSpec>) {
         let solo_energy = !live[0].batchable
             && lock(&shared.jobs)
                 .get(&live[0].id)
-                .is_some_and(|r| matches!(r.spec.kind, JobKind::EnergyEval { .. }));
+                .and_then(|r| r.spec.as_ref())
+                .is_some_and(|spec| matches!(spec.kind, JobKind::EnergyEval { .. }));
         // Containment boundary: a panic anywhere in job execution must not
         // take the worker thread (and every job it would ever have run)
         // down with it. The backend is rebuilt afterwards — its caches may
@@ -920,7 +934,8 @@ impl Shared {
         let id = group[0].id;
         let molecule = lock(&self.jobs)
             .get(&id)
-            .map(|r| r.spec.molecule.clone())
+            .and_then(|r| r.spec.as_ref())
+            .map(|spec| spec.molecule.clone())
             .ok_or_else(|| nwq_common::Error::Invalid(format!("job {id} has no record")))?;
         self.problem(&molecule)
     }
@@ -965,6 +980,44 @@ mod tests {
                 .unwrap();
             let served = view.outcome.unwrap().energy;
             assert_eq!(served.to_bits(), reference.to_bits());
+        }
+        engine.drain();
+    }
+
+    #[test]
+    fn finished_jobs_keep_their_answer_but_not_their_spec() {
+        // A long-lived server: 5 000 energy jobs through a 64-slot queue.
+        // Every record stays answerable, none still holds its θ vector.
+        let engine = Engine::start(EngineConfig::default());
+        let n_jobs = 5_000u64;
+        let mut ids = Vec::new();
+        for k in 0..n_jobs {
+            let theta = [0.001 * (k % 97) as f64, -0.002 * (k % 89) as f64];
+            loop {
+                match engine.submit(toy_energy(theta)) {
+                    SubmitOutcome::Accepted(id) => break ids.push(id),
+                    SubmitOutcome::Rejected { reason } => {
+                        assert_eq!(reason, "queue_full");
+                        wait(&engine, *ids.last().unwrap());
+                    }
+                }
+            }
+        }
+        for &id in &ids {
+            assert_eq!(wait(&engine, id).status, JobStatus::Done);
+        }
+        assert_eq!(engine.stats().jobs_retained, n_jobs);
+        assert!(lock(&engine.shared.jobs).values().all(|r| r.spec.is_none()));
+        for id in [ids[0], *ids.last().unwrap()] {
+            assert_eq!(engine.status(id), Some(JobStatus::Done));
+            let first = engine.view(id).unwrap();
+            let again = wait(&engine, id);
+            assert!(first.outcome.is_some());
+            assert_eq!(
+                first.outcome, again.outcome,
+                "a second result is the same answer"
+            );
+            assert_eq!((first.status, first.error), (again.status, again.error));
         }
         engine.drain();
     }

@@ -262,6 +262,7 @@ pub fn stats_reply(
     e.push("max_batch_size", JsonValue::Int(engine.max_batch_size));
     e.push("requeued", JsonValue::Int(engine.requeued));
     e.push("quarantined", JsonValue::Int(engine.quarantined));
+    e.push("jobs_retained", JsonValue::Int(engine.jobs_retained));
     e.push(
         "mean_batch_size",
         JsonValue::Float(engine.mean_batch_size()),
@@ -344,7 +345,6 @@ mod tests {
         let energy = -1.137_283_834_976_625_4_f64;
         let view = JobView {
             id: 42,
-            spec: JobSpec::energy("h2", vec![0.1]),
             status: JobStatus::Done,
             outcome: Some(JobOutcome {
                 energy,

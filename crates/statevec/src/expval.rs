@@ -22,6 +22,7 @@
 //! which is the quantity paper Fig 3 compares.
 
 use crate::executor::Executor;
+use crate::kernels::dispatches;
 use crate::plan::ExecPlan;
 use crate::state::StateVector;
 use nwq_circuit::basis::group_basis_circuit;
@@ -32,9 +33,6 @@ use nwq_pauli::prepared::PhaseTable;
 pub use nwq_pauli::prepared::{FlipGroup, PreparedObservable};
 use nwq_pauli::PauliOp;
 use rayon::prelude::*;
-
-/// Amplitude count at or above which the reductions here go parallel.
-const PAR_THRESHOLD: usize = 1 << 12;
 
 /// Block width (amplitudes) of the serial batched-expectation sweep: big
 /// enough to amortize the SIMD dispatch and fill vector lanes, small
@@ -76,7 +74,7 @@ fn diagonal_group_energy(state: &StateVector, group: &MeasurementGroup) -> f64 {
             }
         }
     };
-    let per_term: Vec<f64> = if amps.len() >= PAR_THRESHOLD {
+    let per_term: Vec<f64> = if dispatches(amps.len()) {
         let chunk = amps.len().div_ceil(rayon::current_num_threads());
         let partials: Vec<Vec<f64>> = amps
             .par_chunks(chunk)
@@ -242,10 +240,12 @@ fn energy_prepared(
 /// the mask's rank bits are zero).
 ///
 /// The products are added in index order, whichever f source `phase`
-/// is. On a multi-thread pool, shards of [`PAR_THRESHOLD`] amplitudes or
-/// more are reduced per element in the pool's contiguous parts. Otherwise
-/// (a single-thread pool runs the same one part, so the same bits) the
-/// sweep is serial: with a table, one fused multiply-add chain per run of
+/// is. Shards the one dispatch rule sends to the pool
+/// ([`crate::kernels::dispatches`]: a multi-thread pool and at least
+/// `PAR_MIN_AMPS` amplitudes) are reduced per element in the pool's
+/// contiguous parts, so there — and only there — the sum's association
+/// depends on the pool width. Every smaller shard, on every host, takes
+/// the serial sweep: with a table, one fused multiply-add chain per run of
 /// the table; without, fill a block of phases `f` and pair weights `w`
 /// (both vectorize), then fold `w·f`. The diagonal (`m = 0`) group reads
 /// one amplitude per index via `norm_sqr` instead of a conjugate product
@@ -264,7 +264,7 @@ pub fn shard_group_partial(
     let mask = phase.mask();
     let flip = (mask != 0).then_some((mask & ((1u64 << n_local) - 1)) as usize);
     let base = rank << n_local;
-    if own.len() >= PAR_THRESHOLD && crate::kernels::parallel_dispatch_enabled() {
+    if dispatches(own.len()) {
         let body = |k: usize| -> C64 {
             let w = match flip {
                 None => C64::new(own[k].norm_sqr(), 0.0),
@@ -543,8 +543,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_direct_large_register_parallel_path() {
-        let n = 13; // crosses PAR_THRESHOLD
+    fn batched_direct_either_side_of_the_dispatch_floor() {
+        let floor = nwq_common::PAR_MIN_AMPS.trailing_zeros() as usize;
+        for n in [floor - 1, floor] {
+            batched_direct_matches_per_term(n);
+        }
+    }
+
+    fn batched_direct_matches_per_term(n: usize) {
         let mut ansatz = Circuit::new(n);
         for q in 0..n {
             ansatz.h(q);
@@ -629,7 +635,7 @@ mod tests {
             let per_term = s.energy(op).unwrap();
             assert!((e - per_term).abs() < 1e-12, "{e} vs per-term {per_term}");
         }
-        if states[0].len() < PAR_THRESHOLD {
+        if !dispatches(states[0].len()) {
             let set = crate::walkers::WalkerSet::from_states(states).unwrap();
             let walkers = crate::walkers::walker_energies(&set, op).unwrap();
             for (w, e) in walkers.iter().zip(&tabled) {
@@ -672,24 +678,30 @@ mod tests {
     }
 
     #[test]
-    fn prepared_tables_cross_the_parallel_threshold() {
-        let n = 13;
-        assert!(1usize << n >= PAR_THRESHOLD);
-        let op = hermitian_op(
-            n,
-            &[
-                (0, 0b1_0000_0000_0011, 0.7, true),
-                (0, 0, -0.3, true),
-                (0b1_0000_0000_0001, 0b0_0000_1000_0000, 0.25, true),
-                (0b1_0000_0000_0001, 0b1_0000_0100_0001, -0.5, true),
-                (0b0_0000_0110_0000, 0b0_0000_0110_0000, 0.4, true),
-                (0b0_0000_0000_0110, 0b0_0000_0000_0010, 0.6, false),
-            ],
-        );
-        // The odd-Y term's group streams; the rest are tabulated.
-        let p = prepared(&op);
-        assert_eq!((p.groups().len(), p.num_tables()), (4, 3));
-        assert_paths_agree(&[dense_state(n, 5)], &op);
+    fn prepared_tables_either_side_of_the_dispatch_floor() {
+        // Below the floor the fold is the serial one on every host (and
+        // the walker readout shares its bits); at the floor a multi-thread
+        // pool reduces in parts. Tables and streaming agree bitwise on
+        // both sides, and both stay within 1e-12 of the per-term sum.
+        let floor = nwq_common::PAR_MIN_AMPS.trailing_zeros() as usize;
+        for n in [floor - 1, floor] {
+            let top = 1u64 << (n - 1);
+            let op = hermitian_op(
+                n,
+                &[
+                    (0, top | 0b11, 0.7, true),
+                    (0, 0, -0.3, true),
+                    (top | 1, 0b1000_0000, 0.25, true),
+                    (top | 1, top | 0b100_0001, -0.5, true),
+                    (0b110_0000, 0b110_0000, 0.4, true),
+                    (0b110, 0b010, 0.6, false),
+                ],
+            );
+            // The odd-Y term's group streams; the rest are tabulated.
+            let p = prepared(&op);
+            assert_eq!((p.groups().len(), p.num_tables()), (4, 3));
+            assert_paths_agree(&[dense_state(n, 5)], &op);
+        }
     }
 
     #[test]

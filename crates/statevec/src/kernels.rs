@@ -1,66 +1,117 @@
-//! In-place, Rayon-parallel gate application kernels.
+//! In-place gate application kernels.
 //!
 //! These are the CPU analog of NWQ-Sim's GPU kernels: each gate touches
-//! every amplitude exactly once, and disjoint amplitude pairs/quads are
-//! distributed across cores. Safe-Rust chunking strategies give the
-//! data-race freedom Rayon guarantees without `unsafe`:
+//! every amplitude exactly once. A single-qubit gate on qubit `q` splits
+//! the array into blocks of `2^{q+1}`, each holding `2^q` independent
+//! (low, high) pairs; a two-qubit gate uses blocks of `2^{hi+1}` with an
+//! inner split for the `lo` bit. Diagonal matrices (RZ, CZ, CP, RZZ,
+//! fused diagonals) multiply amplitudes without pairing.
 //!
-//! - For a single-qubit gate on qubit `q`, the array splits into blocks of
-//!   `2^{q+1}`; each block holds `2^q` independent (low, high) pairs.
-//!   Low-`q` gates parallelize across blocks; high-`q` gates have few
-//!   blocks, so the kernel instead splits each block and zips the halves
-//!   in parallel.
-//! - Two-qubit gates use blocks of `2^{hi+1}` with an inner split for the
-//!   `hi` bit and chunked pairing for the `lo` bit.
-//!
-//! Diagonal matrices (RZ, CZ, CP, RZZ, fused diagonals) take a fast path
-//! that multiplies amplitudes without pairing.
+//! **When a sweep is split** (DESIGN.md §15). One rule, [`dispatches`]:
+//! work goes to the thread pool iff the pool has more than one thread and
+//! the register holds at least [`PAR_MIN_AMPS`] amplitudes — a floor on
+//! *work*, since a pool round trip costs a serial sweep over 2¹⁶ of them.
+//! One shape, [`partition`]: as many contiguous parts as the pool has
+//! threads, cut on outer-block boundaries, each running the *same serial
+//! SIMD body* the whole register would; a target qubit too high to leave
+//! that many blocks gets its blocks' low and high halves cut into matching
+//! windows instead. Gate kernels reduce nothing, so every amplitude keeps
+//! its arithmetic expression however the register is cut: split and
+//! serial sweeps are bitwise identical.
 
 use crate::simd;
-use nwq_common::{Error, Mat2, Mat4, Result, C64};
+use nwq_common::{Error, Mat2, Mat4, Result, C64, PAR_MIN_AMPS};
 use rayon::prelude::*;
 
-/// Minimum number of independent outer blocks before parallel dispatch is
-/// worthwhile *when the pool has multiple threads*; below this the serial
-/// loop wins. See [`min_par_blocks`] for the effective value.
-pub const MIN_PAR_BLOCKS: usize = 8;
-/// Minimum amplitudes per parallel work item for the inner-split paths
-/// when the pool has multiple threads. See [`min_par_elems`].
-pub const MIN_PAR_ELEMS: usize = 1 << 11;
-
 /// `true` when the Rayon pool can actually run work concurrently. On a
-/// single-thread pool the parallel paths still compute correct results,
-/// but pay pure dispatch overhead: the calibration sweep in
-/// `BENCH_kernels.json` measured `mat4_mixed` at 163 M updates/s through
-/// parallel dispatch vs 304 M serial on one thread (the par path boxes a
-/// closure per outer block — ~65 k of them at 18 qubits — and runs them
-/// serially anyway).
+/// single-thread pool a dispatch still computes the right result but is
+/// pure overhead, so nothing below dispatches there.
 #[inline]
 pub fn parallel_dispatch_enabled() -> bool {
     rayon::current_num_threads() > 1
 }
 
-/// Effective outer-block threshold for parallel dispatch: the calibrated
-/// [`MIN_PAR_BLOCKS`] on a multi-thread pool, `usize::MAX` (never) on a
-/// single-thread pool.
+/// The one dispatch rule: work over `len` amplitudes goes to the thread
+/// pool iff the pool can run it concurrently and `len` reaches
+/// [`PAR_MIN_AMPS`]. Gate sweeps, `prob_one`/`collapse` and the readout
+/// reductions in [`crate::expval`] all ask this.
 #[inline]
-pub fn min_par_blocks() -> usize {
-    if parallel_dispatch_enabled() {
-        MIN_PAR_BLOCKS
+pub fn dispatches(len: usize) -> bool {
+    len >= PAR_MIN_AMPS && parallel_dispatch_enabled()
+}
+
+/// Number of parts a gate sweep over `len` amplitudes runs in (1 =
+/// serial), counted so `--metrics` shows which regime a run was in.
+fn sweep_parts(len: usize) -> usize {
+    if dispatches(len) {
+        nwq_telemetry::counter_add("kernels.par_sweeps", 1);
+        rayon::current_num_threads()
     } else {
-        usize::MAX
+        nwq_telemetry::counter_add("kernels.serial_sweeps", 1);
+        1
     }
 }
 
-/// Effective per-item element threshold for the inner-split and
-/// per-amplitude parallel paths (see [`min_par_blocks`]).
-#[inline]
-pub fn min_par_elems() -> usize {
-    if parallel_dispatch_enabled() {
-        MIN_PAR_ELEMS
+/// One part of a partitioned sweep; `.0` is the absolute index of the
+/// part's first amplitude (diagonal sweeps read factor bits off it).
+enum Part<'a> {
+    /// A run of whole outer blocks.
+    Blocks(usize, &'a mut [C64]),
+    /// Matching windows of one block's low and high halves (the index is
+    /// the low window's).
+    Halves(usize, &'a mut [C64], &'a mut [C64]),
+}
+
+/// Cuts a register of `2·half`-amplitude blocks into contiguous parts:
+/// `parts` runs of whole blocks (sizes differing by at most one block)
+/// when there are that many blocks, otherwise power-of-two windows of
+/// each block's halves, cut in lockstep and no shorter than `align` (the
+/// inner `2^{lo+1}` block of a two-qubit gate), so that all blocks
+/// together yield at least `parts` window pairs where `align` allows.
+fn partition(amps: &mut [C64], half: usize, align: usize, parts: usize) -> Vec<Part<'_>> {
+    let block = half << 1;
+    let nblocks = amps.len() / block;
+    let mut out = Vec::with_capacity(parts.max(nblocks));
+    if nblocks >= parts {
+        let (mut rest, mut base) = (amps, 0);
+        for p in 0..parts {
+            let len = (nblocks / parts + usize::from(p < nblocks % parts)) * block;
+            let (head, tail) = rest.split_at_mut(len);
+            out.push(Part::Blocks(base, head));
+            (rest, base) = (tail, base + len);
+        }
     } else {
-        usize::MAX
+        let win = (half / parts.div_ceil(nblocks).next_power_of_two()).max(align);
+        for (b, c) in amps.chunks_mut(block).enumerate() {
+            let (lo, hi) = c.split_at_mut(half);
+            for (w, (l, h)) in lo.chunks_mut(win).zip(hi.chunks_mut(win)).enumerate() {
+                out.push(Part::Halves(b * block + w * win, l, h));
+            }
+        }
     }
+    out
+}
+
+/// Runs one sweep in `parts` parts: `whole` on each run of blocks (on the
+/// whole register when `parts` is 1, without touching the pool), `halves`
+/// on each window pair.
+fn sweep(
+    amps: &mut [C64],
+    half: usize,
+    align: usize,
+    parts: usize,
+    whole: impl Fn(usize, &mut [C64]) + Sync,
+    halves: impl Fn(usize, &mut [C64], &mut [C64]) + Sync,
+) {
+    if parts <= 1 {
+        return whole(0, amps);
+    }
+    partition(amps, half, align, parts)
+        .par_iter_mut()
+        .for_each(|part| match part {
+            Part::Blocks(base, a) => whole(*base, a),
+            Part::Halves(base, lo, hi) => halves(*base, lo, hi),
+        });
 }
 
 #[inline]
@@ -185,64 +236,32 @@ pub fn mat4_shape(m: &Mat4) -> Mat4Shape {
 
 /// Applies a single-qubit unitary to qubit `q`, in place.
 pub fn apply_mat2(amps: &mut [C64], q: usize, m: &Mat2) {
-    debug_assert!(1usize << q < amps.len());
     nwq_telemetry::counter_add("kernels.amplitude_updates", amps.len() as u64);
     if mat2_is_diagonal(m) {
         nwq_telemetry::counter_add("kernels.mat2.diag", 1);
-        return apply_diag1(amps, q, m.0[0][0], m.0[1][1]);
+    }
+    apply_mat2_parts(amps, q, m, sweep_parts(amps.len()));
+}
+
+/// [`apply_mat2`] cut into an explicit number of parts, whatever the pool
+/// width and register size (no telemetry). The parity tests drive this
+/// with part counts the CI host's pool would never pick.
+#[doc(hidden)]
+pub fn apply_mat2_parts(amps: &mut [C64], q: usize, m: &Mat2, parts: usize) {
+    debug_assert!(1usize << q < amps.len());
+    if mat2_is_diagonal(m) {
+        let d = [m.0[0][0], m.0[1][1]];
+        return diag_parts(amps, &[DiagFactor::One { q, d }], parts);
     }
     let stride = 1usize << q;
-    let block = stride << 1;
-    let nblocks = amps.len() / block;
-    if nblocks >= min_par_blocks() {
-        nwq_telemetry::counter_add("kernels.mat2.par_blocks", 1);
-        amps.par_chunks_mut(block).for_each(|c| {
-            let (lo, hi) = c.split_at_mut(stride);
-            simd::mat2_pairs(lo, hi, m);
-        });
-    } else if stride >= min_par_elems() {
-        nwq_telemetry::counter_add("kernels.mat2.par_inner", 1);
-        for c in amps.chunks_mut(block) {
-            let (lo, hi) = c.split_at_mut(stride);
-            lo.par_iter_mut().zip(hi.par_iter_mut()).for_each(|(a, b)| {
-                pair_update(a, b, m);
-            });
-        }
-    } else {
-        // The per-gate regime is fixed, so the whole sweep goes to one
-        // dispatch-free SIMD entry point instead of re-testing the
-        // parallel threshold per block (that re-test was the measured
-        // `mat2_dispatch_vs_serial = 1.25` overhead).
-        nwq_telemetry::counter_add("kernels.mat2.serial", 1);
-        simd::mat2_sweep(amps, stride, m);
-    }
-}
-
-/// Diagonal single-qubit fast path: `amp[i] *= d0` or `d1` by bit `q`.
-fn apply_diag1(amps: &mut [C64], q: usize, d0: C64, d1: C64) {
-    if amps.len() >= min_par_elems() {
-        amps.par_iter_mut().enumerate().for_each(|(i, a)| {
-            let d = if (i >> q) & 1 == 1 { d1 } else { d0 };
-            *a *= d;
-        });
-    } else {
-        simd::diag1_sweep(amps, q, d0, d1);
-    }
-}
-
-#[inline]
-fn quad_update(a00: &mut C64, a01: &mut C64, a10: &mut C64, a11: &mut C64, m: &Mat4) {
-    // Index convention: (high bit, low bit); a01 = high 0, low 1.
-    let v = [*a00, *a01, *a10, *a11];
-    let mut out = [C64::default(); 4];
-    for (r, o) in out.iter_mut().enumerate() {
-        let row = &m.0[r];
-        *o = row[0] * v[0] + row[1] * v[1] + row[2] * v[2] + row[3] * v[3];
-    }
-    *a00 = out[0];
-    *a01 = out[1];
-    *a10 = out[2];
-    *a11 = out[3];
+    sweep(
+        amps,
+        stride,
+        1,
+        parts,
+        |_, a| simd::mat2_sweep(a, stride, m),
+        |_, lo, hi| simd::mat2_pairs(lo, hi, m),
+    );
 }
 
 /// Applies a two-qubit unitary, in place. The matrix follows the workspace
@@ -271,62 +290,66 @@ pub fn apply_mat4_prenorm(amps: &mut [C64], hi: usize, lo: usize, mat: &Mat4) {
 /// caller (compiled plans classify once at bind time and cache the shape
 /// alongside the op). `shape` must be `mat4_shape(mat)`.
 pub fn apply_mat4_shaped(amps: &mut [C64], hi: usize, lo: usize, mat: &Mat4, shape: Mat4Shape) {
-    debug_assert!(hi > lo);
-    debug_assert!(1usize << hi < amps.len());
-    debug_assert_eq!(shape, mat4_shape(mat));
     nwq_telemetry::counter_add("kernels.amplitude_updates", amps.len() as u64);
     match shape {
-        Mat4Shape::Diagonal => {
-            nwq_telemetry::counter_add("kernels.mat4.diag", 1);
-            return apply_diag2(
-                amps,
-                hi,
-                lo,
-                [mat.0[0][0], mat.0[1][1], mat.0[2][2], mat.0[3][3]],
-            );
-        }
+        Mat4Shape::Diagonal => nwq_telemetry::counter_add("kernels.mat4.diag", 1),
         Mat4Shape::BlockHi { .. } | Mat4Shape::BlockLo { .. } => {
-            nwq_telemetry::counter_add("kernels.mat4.block", 1);
-            return apply_mat4_block(amps, hi, lo, &shape, true);
+            nwq_telemetry::counter_add("kernels.mat4.block", 1)
         }
         Mat4Shape::Dense => {}
     }
-    // One stack copy so the optimizer can keep the 16 elements in
-    // registers across the amplitude loop — measurably faster than
-    // chasing the caller's reference (which it must conservatively
-    // reload), and worth far more than the 256-byte memcpy costs.
-    let mat = &{ *mat };
-    let s_lo = 1usize << lo;
-    let s_hi = 1usize << hi;
-    let block = s_hi << 1;
-    let nblocks = amps.len() / block;
+    mat4_parts(amps, hi, lo, mat, &shape, sweep_parts(amps.len()));
+}
 
-    if nblocks >= min_par_blocks() {
-        nwq_telemetry::counter_add("kernels.mat4.par_blocks", 1);
-        amps.par_chunks_mut(block).for_each(|c| {
-            let (h0, h1) = c.split_at_mut(s_hi);
-            simd::mat4_half_pair(h0, h1, s_lo, mat);
-        });
-    } else if s_hi >= min_par_elems() {
-        nwq_telemetry::counter_add("kernels.mat4.par_inner", 1);
-        let lo_block = s_lo << 1;
-        for c in amps.chunks_mut(block) {
-            let (h0, h1) = c.split_at_mut(s_hi);
-            // Parallelize across low-bit chunk pairs.
-            h0.par_chunks_mut(lo_block)
-                .zip(h1.par_chunks_mut(lo_block))
-                .for_each(|(c0, c1)| {
-                    let (c00, c01) = c0.split_at_mut(s_lo);
-                    let (c10, c11) = c1.split_at_mut(s_lo);
-                    for j in 0..s_lo {
-                        quad_update(&mut c00[j], &mut c01[j], &mut c10[j], &mut c11[j], mat);
-                    }
-                });
+/// The two-qubit sweep in `parts` parts (`hi > lo` normalized, `shape`
+/// = `mat4_shape(mat)`): diagonal matrices multiply in place,
+/// block-structured ones (controlled gates) touch at most half the
+/// amplitudes with 2-term MACs, dense ones run the 4-term quad update.
+fn mat4_parts(amps: &mut [C64], hi: usize, lo: usize, mat: &Mat4, shape: &Mat4Shape, parts: usize) {
+    debug_assert!(hi > lo);
+    debug_assert!(1usize << hi < amps.len());
+    debug_assert_eq!(*shape, mat4_shape(mat));
+    let (s_hi, s_lo) = (1usize << hi, 1usize << lo);
+    match shape {
+        Mat4Shape::Diagonal => {
+            let d = [mat.0[0][0], mat.0[1][1], mat.0[2][2], mat.0[3][3]];
+            diag_parts(amps, &[DiagFactor::Two { hi, lo, d }], parts);
         }
-    } else {
-        nwq_telemetry::counter_add("kernels.mat4.serial", 1);
-        simd::mat4_sweep(amps, s_hi, s_lo, mat);
+        Mat4Shape::BlockHi { .. } | Mat4Shape::BlockLo { .. } => sweep(
+            amps,
+            s_hi,
+            s_lo << 1,
+            parts,
+            |_, a| {
+                for c in a.chunks_mut(s_hi << 1) {
+                    let (h0, h1) = c.split_at_mut(s_hi);
+                    block_update(h0, h1, s_lo, shape);
+                }
+            },
+            |_, h0, h1| block_update(h0, h1, s_lo, shape),
+        ),
+        Mat4Shape::Dense => sweep(
+            amps,
+            s_hi,
+            s_lo << 1,
+            parts,
+            |_, a| simd::mat4_sweep(a, s_hi, s_lo, mat),
+            |_, h0, h1| simd::mat4_half_pair(h0, h1, s_lo, mat),
+        ),
     }
+}
+
+/// [`apply_mat4`] cut into an explicit number of parts (see
+/// [`apply_mat2_parts`]).
+#[doc(hidden)]
+pub fn apply_mat4_parts(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4, parts: usize) {
+    debug_assert!(qa != qb);
+    let (hi, lo, mat) = if qa > qb {
+        (qa, qb, *m)
+    } else {
+        (qb, qa, m.swap_qubits())
+    };
+    mat4_parts(amps, hi, lo, &mat, &mat4_shape(&mat), parts);
 }
 
 /// Applies one 2×2 sub-block across a (low, high) stripe pair:
@@ -383,39 +406,6 @@ fn block_update(h0: &mut [C64], h1: &mut [C64], s_lo: usize, shape: &Mat4Shape) 
     }
 }
 
-/// Block-structured two-qubit sweep (`hi > lo` normalized): controlled
-/// gates touch at most half the amplitudes with 2-term MACs instead of
-/// all of them with 4-term MACs.
-fn apply_mat4_block(amps: &mut [C64], hi: usize, lo: usize, shape: &Mat4Shape, parallel: bool) {
-    let s_lo = 1usize << lo;
-    let s_hi = 1usize << hi;
-    let block = s_hi << 1;
-    let nblocks = amps.len() / block;
-    if parallel && nblocks >= min_par_blocks() {
-        amps.par_chunks_mut(block).for_each(|c| {
-            let (h0, h1) = c.split_at_mut(s_hi);
-            block_update(h0, h1, s_lo, shape);
-        });
-    } else {
-        for c in amps.chunks_mut(block) {
-            let (h0, h1) = c.split_at_mut(s_hi);
-            block_update(h0, h1, s_lo, shape);
-        }
-    }
-}
-
-/// Diagonal two-qubit fast path (`hi > lo` already normalized).
-fn apply_diag2(amps: &mut [C64], hi: usize, lo: usize, d: [C64; 4]) {
-    if amps.len() >= min_par_elems() {
-        amps.par_iter_mut().enumerate().for_each(|(i, a)| {
-            let idx = (((i >> hi) & 1) << 1) | ((i >> lo) & 1);
-            *a *= d[idx];
-        });
-    } else {
-        simd::diag2_sweep(amps, hi, lo, &d);
-    }
-}
-
 /// One diagonal gate inside a coalesced sweep: a per-amplitude phase factor
 /// selected by one or two index bits. All diagonal operators commute, so a
 /// run of them can be applied in a single amplitude pass (see
@@ -458,6 +448,14 @@ impl DiagFactor {
         }
     }
 
+    /// The highest qubit this factor reads.
+    fn top_qubit(&self) -> usize {
+        match *self {
+            DiagFactor::One { q, .. } => q,
+            DiagFactor::Two { hi, .. } => hi,
+        }
+    }
+
     /// The phase this factor contributes to amplitude `i`.
     #[inline]
     pub(crate) fn at(&self, i: usize) -> C64 {
@@ -487,54 +485,49 @@ pub fn apply_diag_sweep(amps: &mut [C64], factors: &[DiagFactor]) {
     nwq_telemetry::counter_add("kernels.amplitude_updates", amps.len() as u64);
     nwq_telemetry::counter_add("kernels.diag_sweep", 1);
     nwq_telemetry::counter_add("kernels.diag_sweep_factors", factors.len() as u64);
-    if amps.len() >= min_par_elems() {
-        amps.par_iter_mut().enumerate().for_each(|(i, a)| {
-            for f in factors {
-                *a *= f.at(i);
-            }
-        });
-    } else {
-        // One-factor sweeps dominate compiled UCCSD plans (ladder-fenced
-        // RZ apexes); give them the run-shaped SIMD fast paths. Each
-        // amplitude still computes exactly `a *= f.at(i)` per factor, so
-        // every arm is bitwise identical to the generic loop.
-        match factors {
-            [DiagFactor::One { q, d }] => simd::diag1_sweep(amps, *q, d[0], d[1]),
-            [DiagFactor::Two { hi, lo, d }] => simd::diag2_sweep(amps, *hi, *lo, d),
-            _ => simd::diag_multi_sweep(amps, factors),
-        }
+    diag_parts(amps, factors, sweep_parts(amps.len()));
+}
+
+/// [`apply_diag_sweep`] cut into an explicit number of parts (see
+/// [`apply_mat2_parts`]).
+#[doc(hidden)]
+pub fn apply_diag_sweep_parts(amps: &mut [C64], factors: &[DiagFactor], parts: usize) {
+    if !factors.is_empty() {
+        diag_parts(amps, factors, parts);
     }
+}
+
+/// The diagonal sweep in `parts` parts, blocked on the highest factor
+/// qubit so a run of whole blocks sees every factor bit at its own
+/// offset; a window of a half reads the bits above it off its base.
+fn diag_parts(amps: &mut [C64], factors: &[DiagFactor], parts: usize) {
+    // One-factor sweeps dominate compiled UCCSD plans (ladder-fenced RZ
+    // apexes); give them the run-shaped SIMD fast paths. Each amplitude
+    // still computes exactly `a *= f.at(i)` per factor, so every arm is
+    // bitwise identical to the generic loop.
+    let window = |base: usize, a: &mut [C64]| match factors {
+        [DiagFactor::One { q, d }] => simd::diag1_sweep(a, base, *q, d[0], d[1]),
+        [DiagFactor::Two { hi, lo, d }] => simd::diag2_sweep(a, base, *hi, *lo, d),
+        _ => simd::diag_multi_sweep(a, base, factors),
+    };
+    let top = factors.iter().map(DiagFactor::top_qubit).max();
+    let half = 1usize << top.expect("diag_parts needs a factor");
+    sweep(amps, half, 1, parts, window, |base, lo, hi| {
+        window(base, lo);
+        window(base + half, hi);
+    });
 }
 
 /// Strictly serial variant of [`apply_mat2`]: same math, no thread-pool
 /// dispatch and no telemetry. Exists so the bench harness can measure the
-/// parallel kernels' speedup against a true single-thread baseline.
+/// partitioned kernels against a true single-thread baseline.
 pub fn apply_mat2_serial(amps: &mut [C64], q: usize, m: &Mat2) {
-    debug_assert!(1usize << q < amps.len());
-    if mat2_is_diagonal(m) {
-        return simd::diag1_sweep(amps, q, m.0[0][0], m.0[1][1]);
-    }
-    simd::mat2_sweep(amps, 1usize << q, m);
+    apply_mat2_parts(amps, q, m, 1);
 }
 
 /// Strictly serial variant of [`apply_mat4`] (see [`apply_mat2_serial`]).
 pub fn apply_mat4_serial(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
-    debug_assert!(qa != qb);
-    let (hi, lo, mat) = if qa > qb {
-        (qa, qb, *m)
-    } else {
-        (qb, qa, m.swap_qubits())
-    };
-    match mat4_shape(&mat) {
-        Mat4Shape::Diagonal => {
-            let d = [mat.0[0][0], mat.0[1][1], mat.0[2][2], mat.0[3][3]];
-            simd::diag2_sweep(amps, hi, lo, &d);
-        }
-        shape @ (Mat4Shape::BlockHi { .. } | Mat4Shape::BlockLo { .. }) => {
-            apply_mat4_block(amps, hi, lo, &shape, false);
-        }
-        Mat4Shape::Dense => simd::mat4_sweep(amps, 1usize << hi, 1usize << lo, &mat),
-    }
+    apply_mat4_parts(amps, qa, qb, m, 1);
 }
 
 /// Sharded single-qubit update for a *global* qubit (one whose bit lives
@@ -568,8 +561,8 @@ pub fn apply_exchanged_mat2(own: &mut [C64], partner: &[C64], own_bit: usize, m:
 /// Sharded two-qubit update where the matrix's *high* bit is a global
 /// qubit (rank-id bit `own_hi_bit` for this shard) and its *low* bit is
 /// the rank-local qubit `lo`. `m` must be prenormalized (high bit first),
-/// exactly as [`apply_mat4_prenorm`] expects. Mirrors [`quad_update`]'s
-/// row/column order bitwise.
+/// exactly as [`apply_mat4_prenorm`] expects. Mirrors the dense quad
+/// update's row/column order (`simd::mat4_sweep`) bitwise.
 pub fn apply_exchanged_mat4_global_local(
     own: &mut [C64],
     partner: &[C64],
@@ -590,7 +583,7 @@ pub fn apply_exchanged_mat4_global_local(
     for base in (0..own.len()).step_by(lo_block) {
         for i in base..base + s_lo {
             let j = i + s_lo;
-            // v indexed (hi bit << 1) | lo bit, matching `quad_update`.
+            // v indexed (hi bit << 1) | lo bit, matching the quad update.
             let v = if own_hi_bit == 0 {
                 [own[i], own[j], partner[i], partner[j]]
             } else {
@@ -610,7 +603,7 @@ pub fn apply_exchanged_mat4_global_local(
 /// shard's position `(hi_bit << 1) | lo_bit`; `others` holds the three
 /// partner payloads for the remaining positions in ascending position
 /// order. `m` must be prenormalized (numerically higher qubit = matrix
-/// high bit). Bitwise-mirrors [`quad_update`].
+/// high bit). Bitwise-mirrors the dense quad update (`simd::mat4_sweep`).
 pub fn apply_exchanged_mat4_global_global(
     own: &mut [C64],
     others: [&[C64]; 3],
@@ -958,7 +951,7 @@ pub fn phase_on_lo_half(
 /// Probability that qubit `q` measures 1 (parallel reduction).
 pub fn prob_one(amps: &[C64], q: usize) -> f64 {
     let body = |(i, a): (usize, &C64)| if (i >> q) & 1 == 1 { a.norm_sqr() } else { 0.0 };
-    if amps.len() >= min_par_elems() {
+    if dispatches(amps.len()) {
         amps.par_iter().enumerate().map(body).sum()
     } else {
         amps.iter().enumerate().map(body).sum()
@@ -987,7 +980,7 @@ pub fn collapse(amps: &mut [C64], q: usize, outcome: bool, prob: f64) -> Result<
             *a = C64::default();
         }
     };
-    if amps.len() >= min_par_elems() {
+    if dispatches(amps.len()) {
         amps.par_iter_mut().enumerate().for_each(body);
     } else {
         amps.iter_mut().enumerate().for_each(body);
@@ -1069,34 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_fast_path_matches_general() {
-        let psi = rand_state(6, 3);
-        let mut fast = psi.clone();
-        apply_mat2(&mut fast, 2, &mat_rz(1.1));
-        // Force the general path with an equivalent non-detected matrix:
-        // slight perturbation of the off-diagonals keeps it the same matrix
-        // numerically (norm 0 entries), so instead compare to the reference.
-        let slow = reference::apply_mat2(&psi, 2, &mat_rz(1.1));
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!(a.approx_eq(*b, 1e-12));
-        }
-    }
-
-    #[test]
-    fn big_state_parallel_paths() {
-        // Large enough to hit the Rayon branches; verify norm preservation
-        // and a known outcome.
-        let n = 14;
-        let mut amps = zero(n);
-        apply_mat2(&mut amps, 0, &mat_h());
-        apply_mat2(&mut amps, n - 1, &mat_h()); // high qubit: inner-split path
-        apply_mat4(&mut amps, 0, n - 1, &mat_cx());
-        apply_mat4(&mut amps, n - 2, 1, &mat_rzz(0.3));
-        let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        assert!((norm - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
     fn bell_via_kernels() {
         let mut amps = zero(2);
         apply_mat2(&mut amps, 0, &mat_h());
@@ -1115,7 +1080,7 @@ mod tests {
     #[test]
     fn diag_sweep_matches_sequential_application() {
         // RZ(0), CZ(1,3), CP(2,0), RZZ(3,1) applied one by one vs one sweep.
-        for n in [4usize, 12] {
+        for n in [4usize, PAR_MIN_AMPS.trailing_zeros() as usize] {
             let psi = rand_state(n, 11);
             let rz = mat_rz(0.83);
             let cz = mat_cz();
@@ -1209,17 +1174,33 @@ mod tests {
     }
 
     #[test]
-    fn thresholds_track_pool_width() {
-        // Parallel dispatch on a single-thread pool is pure overhead (the
-        // 18-qubit calibration measured 163 M vs 304 M updates/s), so the
-        // effective thresholds must disable it entirely there.
-        if parallel_dispatch_enabled() {
-            assert_eq!(min_par_blocks(), MIN_PAR_BLOCKS);
-            assert_eq!(min_par_elems(), MIN_PAR_ELEMS);
-        } else {
-            assert_eq!(min_par_blocks(), usize::MAX);
-            assert_eq!(min_par_elems(), usize::MAX);
-        }
+    fn dispatch_rule_is_the_floor_and_the_pool_width() {
+        // One pool round trip costs a serial sweep over thousands of
+        // amplitudes, and on a single-thread pool it buys nothing.
+        assert!(!dispatches(PAR_MIN_AMPS - 1));
+        assert_eq!(dispatches(PAR_MIN_AMPS), parallel_dispatch_enabled());
+        assert_eq!(dispatches(usize::MAX), parallel_dispatch_enabled());
+    }
+
+    #[test]
+    fn partition_covers_the_register_in_order() {
+        // (base, amplitudes) per part of a 32-amplitude register.
+        let cut = |half, align, parts| -> Vec<(usize, usize)> {
+            partition(&mut zero(5), half, align, parts)
+                .iter()
+                .map(|p| match p {
+                    Part::Blocks(b, a) => (*b, a.len()),
+                    Part::Halves(b, lo, hi) => (*b, lo.len() + hi.len()),
+                })
+                .collect()
+        };
+        // 8 blocks in 3 parts: whole blocks, 3/3/2.
+        assert_eq!(cut(2, 1, 3), [(0, 12), (12, 12), (24, 8)]);
+        // 1 block in 3 parts: four window pairs, unless `align` forbids.
+        assert_eq!(cut(16, 1, 3), [(0, 8), (4, 8), (8, 8), (12, 8)]);
+        assert_eq!(cut(16, 8, 3), [(0, 16), (8, 16)]);
+        // 2 blocks in 4 parts, windows pinned to the whole half.
+        assert_eq!(cut(8, 8, 4), [(0, 16), (16, 16)]);
     }
 
     #[test]
@@ -1231,27 +1212,27 @@ mod tests {
     }
 
     #[test]
-    fn serial_kernels_match_parallel() {
-        let n = 12; // crosses MIN_PAR_ELEMS so the parallel paths engage
-        for q in [0, 5, n - 1] {
-            let psi = rand_state(n, q as u64);
-            let mut par = psi.clone();
-            let mut ser = psi.clone();
-            apply_mat2(&mut par, q, &mat_h());
-            apply_mat2_serial(&mut ser, q, &mat_h());
-            for (a, b) in par.iter().zip(&ser) {
-                assert!(a.approx_eq(*b, 1e-12), "q={q}");
-            }
-        }
-        for (qa, qb) in [(0, 1), (n - 1, 2), (3, n - 2)] {
-            for m in [mat_cx(), mat_rzz(0.7)] {
-                let psi = rand_state(n, (qa * 31 + qb) as u64);
+    fn serial_kernels_match_dispatched_bitwise() {
+        // One size each side of the floor; whatever the pool does with
+        // them, the bits are the serial sweep's.
+        let floor = PAR_MIN_AMPS.trailing_zeros() as usize;
+        for n in [floor - 1, floor] {
+            for q in [0, 5, n - 1] {
+                let psi = rand_state(n, q as u64);
                 let mut par = psi.clone();
                 let mut ser = psi.clone();
-                apply_mat4(&mut par, qa, qb, &m);
-                apply_mat4_serial(&mut ser, qa, qb, &m);
-                for (a, b) in par.iter().zip(&ser) {
-                    assert!(a.approx_eq(*b, 1e-12), "qa={qa} qb={qb}");
+                apply_mat2(&mut par, q, &mat_h());
+                apply_mat2_serial(&mut ser, q, &mat_h());
+                assert_bitwise(&[par], &ser, &format!("n={n} q={q}"));
+            }
+            for (qa, qb) in [(0, 1), (n - 1, 2), (3, n - 2)] {
+                for m in [mat_cx(), mat_rzz(0.7), mat_swap()] {
+                    let psi = rand_state(n, (qa * 31 + qb) as u64);
+                    let mut par = psi.clone();
+                    let mut ser = psi.clone();
+                    apply_mat4(&mut par, qa, qb, &m);
+                    apply_mat4_serial(&mut ser, qa, qb, &m);
+                    assert_bitwise(&[par], &ser, &format!("n={n} qa={qa} qb={qb}"));
                 }
             }
         }

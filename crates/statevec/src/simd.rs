@@ -331,7 +331,7 @@ pub(crate) mod avx {
     }
 
     /// Four row outputs for two quads held in lane shape. Accumulation
-    /// matches `quad_update`'s `((r0·v0 + r1·v1) + r2·v2) + r3·v3` order
+    /// matches the scalar body's `((r0·v0 + r1·v1) + r2·v2) + r3·v3` order
     /// per lane; one swapped copy per input is shared by all four rows.
     #[inline(always)]
     unsafe fn quad_rows(v: &[__m256d; 4], rows: &Mat4Rows) -> [__m256d; 4] {
@@ -362,8 +362,8 @@ pub(crate) mod avx {
         out
     }
 
-    /// Scalar quad update at one run index — exactly `quad_update`'s
-    /// expressions and association order.
+    /// Scalar quad update at one run index — exactly the expressions and
+    /// association order of the scalar body (`mat4_quads_body`).
     #[inline(always)]
     fn quad_scalar(
         c00: &mut [C64],
@@ -877,7 +877,7 @@ pub(crate) mod avx {
 
 /// One (lo, hi) half-pair: the full `2×2` update over equal-length runs,
 /// written on interleaved lanes. Expression-for-expression this is
-/// `kernels::pair_update` (`lo' = m00·a + m01·b`, `hi' = m10·a + m11·b`)
+/// the complex pair update `lo' = m00·a + m01·b`, `hi' = m10·a + m11·b`
 /// with the complex products expanded, so it is bitwise identical to the
 /// scalar kernel on every input.
 #[inline(always)]
@@ -933,9 +933,9 @@ pub fn mat2_pairs(lo: &mut [C64], hi: &mut [C64], m: &Mat2) {
 // ---------------------------------------------------------------------------
 
 /// The `4×4` update over four equal-length quadrant runs, on interleaved
-/// lanes. Matches `kernels::quad_update` bitwise: each output is
-/// `((row0·v0 + row1·v1) + row2·v2) + row3·v3` with the same
-/// left-associated addition order.
+/// lanes: each output is `((row0·v0 + row1·v1) + row2·v2) + row3·v3`, the
+/// left-associated order every exchanged and mirrored quad kernel in
+/// `kernels` repeats.
 #[inline(always)]
 fn mat4_quads_body(c00: &mut [C64], c01: &mut [C64], c10: &mut [C64], c11: &mut [C64], m: &Mat4) {
     let n = c00.len();
@@ -1037,55 +1037,67 @@ fn diag_scale_body(amps: &mut [C64], d: C64) {
     }
 }
 
+// The three sweeps below take a *window* of the register: `amps` holds
+// the amplitudes at absolute indices `base..base + amps.len()`, and the
+// factor bits are read off the absolute index. A window must not start in
+// the middle of a constant run it extends past — true of the two shapes
+// `kernels` cuts: whole `2^{q+1}` blocks for every factor qubit `q`, or a
+// power-of-two window starting at a multiple of its own length. The whole
+// register is the window `base = 0`.
+
 #[inline(always)]
-fn diag1_sweep_body(amps: &mut [C64], q: usize, d0: C64, d1: C64) {
+fn diag1_sweep_body(amps: &mut [C64], base: usize, q: usize, d0: C64, d1: C64) {
     // Bit q is constant over runs of 2^q: alternate d0/d1 runs instead of
     // re-deriving the bit per amplitude. Each amplitude still computes
     // exactly `a *= d[bit]`, so this is value-identical to the indexed
     // form for every iteration order.
     let stride = 1usize << q;
     for (k, run) in amps.chunks_mut(stride).enumerate() {
-        diag_scale_body(run, if k & 1 == 1 { d1 } else { d0 });
+        let bit = ((base + k * stride) >> q) & 1;
+        diag_scale_body(run, if bit == 1 { d1 } else { d0 });
     }
 }
 
 simd_dispatch! {
     /// Serial diagonal single-qubit sweep in alternating constant runs.
-    pub fn diag1_sweep(amps: &mut [C64], q: usize, d0: C64, d1: C64) = diag1_sweep_body
+    pub fn diag1_sweep(amps: &mut [C64], base: usize, q: usize, d0: C64, d1: C64) =
+        diag1_sweep_body
 }
 
 #[inline(always)]
-fn diag2_sweep_body(amps: &mut [C64], hi: usize, lo: usize, d: &[C64; 4]) {
-    // Bits (hi, lo) are constant over runs of 2^lo; the run index carries
-    // both bits of every amplitude inside it.
+fn diag2_sweep_body(amps: &mut [C64], base: usize, hi: usize, lo: usize, d: &[C64; 4]) {
+    // Bits (hi, lo) are constant over runs of 2^lo; the run's first index
+    // carries both bits of every amplitude inside it.
     let s_lo = 1usize << lo;
     for (k, run) in amps.chunks_mut(s_lo).enumerate() {
-        let base = k * s_lo;
-        let idx = (((base >> hi) & 1) << 1) | ((base >> lo) & 1);
+        let first = base + k * s_lo;
+        let idx = (((first >> hi) & 1) << 1) | ((first >> lo) & 1);
         diag_scale_body(run, d[idx]);
     }
 }
 
 simd_dispatch! {
     /// Serial diagonal two-qubit sweep in constant runs (`hi > lo`).
-    pub fn diag2_sweep(amps: &mut [C64], hi: usize, lo: usize, d: &[C64; 4]) = diag2_sweep_body
+    pub fn diag2_sweep(amps: &mut [C64], base: usize, hi: usize, lo: usize, d: &[C64; 4]) =
+        diag2_sweep_body
 }
 
 #[inline(always)]
-fn diag_multi_sweep_body(amps: &mut [C64], factors: &[DiagFactor]) {
+fn diag_multi_sweep_body(amps: &mut [C64], base: usize, factors: &[DiagFactor]) {
     // Multi-factor sweeps keep the factor loop innermost so each
     // amplitude multiplies the factors in plan order — the bitwise
     // contract of apply_diag_sweep.
     for (i, a) in amps.iter_mut().enumerate() {
         for f in factors {
-            *a *= f.at(i);
+            *a *= f.at(base + i);
         }
     }
 }
 
 simd_dispatch! {
     /// Serial multi-factor diagonal sweep (factor loop innermost).
-    pub fn diag_multi_sweep(amps: &mut [C64], factors: &[DiagFactor]) = diag_multi_sweep_body
+    pub fn diag_multi_sweep(amps: &mut [C64], base: usize, factors: &[DiagFactor]) =
+        diag_multi_sweep_body
 }
 
 // ---------------------------------------------------------------------------
@@ -1213,10 +1225,10 @@ mod tests {
     #[test]
     fn diag_instantiations_bitwise_identical() {
         let rz = mat_rz(0.83);
-        assert_instantiations_agree(|a| diag1_sweep(a, 4, rz.0[0][0], rz.0[1][1]), 10, 5);
+        assert_instantiations_agree(|a| diag1_sweep(a, 0, 4, rz.0[0][0], rz.0[1][1]), 10, 5);
         let rzz = mat_rzz(1.1);
         let d = [rzz.0[0][0], rzz.0[1][1], rzz.0[2][2], rzz.0[3][3]];
-        assert_instantiations_agree(|a| diag2_sweep(a, 7, 2, &d), 10, 6);
+        assert_instantiations_agree(|a| diag2_sweep(a, 0, 7, 2, &d), 10, 6);
     }
 
     #[test]

@@ -1,21 +1,26 @@
-//! Value-exact parity between the Rayon kernel dispatch paths and a
-//! fully-serial mirror.
+//! Value-exact parity between the kernel entry points and a fully-serial,
+//! index-by-index mirror.
 //!
-//! Every dispatch path of `apply_mat2` / `apply_mat4` (outer-block
-//! parallel, inner-split parallel, serial, diagonal fast path) computes
+//! Every path of `apply_mat2` / `apply_mat4` (serial sweep, sweep split
+//! across the pool, diagonal and block-structured fast paths) computes
 //! each amplitude pair/quad with the same arithmetic in the same order —
-//! parallelism only changes *which thread* owns a block, never the
+//! a split only changes *which thread* owns a block, never the
 //! floating-point expression. The results must therefore be **bitwise
 //! identical** to a serial mirror, not merely approximately equal. These
-//! tests pin that guarantee across the `MIN_PAR_BLOCKS` /
-//! `MIN_PAR_ELEMS` thresholds: at n = 12–15 qubits, low target qubits
-//! take the block-parallel path, high qubits the inner-split path, and
-//! diagonal matrices the multiply-only path.
+//! tests pin that guarantee on both sides of the one dispatch floor
+//! (`PAR_MIN_AMPS`): one register size just below it, where every sweep
+//! is serial, and one at it, where a multi-thread pool splits every sweep
+//! — low target qubits into runs of whole blocks, the top qubit into
+//! lockstep windows of the two halves. (Cuts the host's pool would never
+//! make are covered by `partition_parity.rs`.)
 
 use nwq_common::mat::{mat_cp, mat_cx, mat_h, mat_rz, mat_rzz, mat_swap, mat_x, mat_y};
-use nwq_common::{Mat2, Mat4, C64};
+use nwq_common::{Mat2, Mat4, C64, PAR_MIN_AMPS};
 use nwq_statevec::kernels::{apply_mat2, apply_mat4};
 use proptest::prelude::*;
+
+/// Register width at the dispatch floor.
+const FLOOR: usize = PAR_MIN_AMPS.trailing_zeros() as usize;
 
 /// Serial mirror of `apply_mat2`, replicating both the diagonal fast path
 /// and the general pair math expression-for-expression.
@@ -167,10 +172,9 @@ fn assert_bit_identical(fast: &[C64], slow: &[C64], what: &str) {
 
 #[test]
 fn mat2_bitwise_parity_across_dispatch_paths() {
-    // n = 12..15 with low/mid/high q sweeps the block-parallel
-    // (q <= n-4), inner-parallel (high q, stride >= MIN_PAR_ELEMS), and
-    // small-stride serial branches.
-    for n in 12..=15usize {
+    // One size each side of the floor; low/mid/high q sweeps the
+    // stride-1 kernel, whole-block runs and the lockstep-window cut.
+    for n in [FLOOR - 1, FLOOR] {
         for q in [0, 1, n / 2, n - 3, n - 2, n - 1] {
             for (label, m) in [
                 ("h", mat_h()),
@@ -191,7 +195,7 @@ fn mat2_bitwise_parity_across_dispatch_paths() {
 
 #[test]
 fn mat4_bitwise_parity_across_dispatch_paths() {
-    for n in 12..=15usize {
+    for n in [FLOOR - 1, FLOOR] {
         // Low/low, high/high, and mixed pairs in both argument orders.
         let pairs = [
             (0, 1),
@@ -228,7 +232,7 @@ fn mat4_block_identity_subblock_preserves_negative_zero() {
     // yields `re = (-0.0 * 1.0) - (-0.0 * 0.0) = +0.0`, flipping the
     // sign bit. Random test states never hold exact zeros, so this case
     // pins the hazard explicitly with a hand-built state.
-    let n = 13usize;
+    let n = FLOOR;
     let neg_zero = C64::new(-0.0, -0.0);
     for (qa, qb) in [(2usize, 9usize), (9, 2), (0, n - 1), (n - 1, 0)] {
         let mut psi = vec![neg_zero; 1usize << n];
@@ -257,10 +261,10 @@ fn mat4_block_identity_subblock_preserves_negative_zero() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn mat2_parity_random(n in 12usize..16, q in 0usize..16, kind in 0u8..4, seed in 0u64..1000) {
+    fn mat2_parity_random(n in FLOOR - 1..=FLOOR, q in 0usize..32, kind in 0u8..4, seed in 0u64..1000) {
         let q = q % n;
         let m = match kind {
             0 => mat_h(),
@@ -278,9 +282,9 @@ proptest! {
 
     #[test]
     fn mat4_parity_random(
-        n in 12usize..16,
-        qa in 0usize..16,
-        dq in 1usize..15,
+        n in FLOOR - 1..=FLOOR,
+        qa in 0usize..32,
+        dq in 1usize..31,
         kind in 0u8..4,
         seed in 0u64..1000,
     ) {

@@ -214,12 +214,19 @@ proptest! {
     }
 }
 
-/// Deterministic wide-register case: 2^13 amplitudes cross the kernels'
-/// MIN_PAR_ELEMS threshold, so the plan runs through the parallel dispatch
-/// paths (and the diag sweep's parallel branch).
+/// Deterministic wide-register cases, one width each side of the dispatch
+/// floor: at `PAR_MIN_AMPS` amplitudes a multi-thread pool splits every
+/// sweep of the plan (the coalesced diag sweep included), one qubit below
+/// it none.
 #[test]
-fn plan_matches_gate_by_gate_on_parallel_dispatch_widths() {
-    let n = 13;
+fn plan_matches_gate_by_gate_either_side_of_the_dispatch_floor() {
+    let floor = nwq_common::PAR_MIN_AMPS.trailing_zeros() as usize;
+    for n in [floor - 1, floor] {
+        wide_plan_matches_gate_by_gate(n);
+    }
+}
+
+fn wide_plan_matches_gate_by_gate(n: usize) {
     let mut c = Circuit::with_params(n, 2);
     for q in 0..n {
         c.h(q);
@@ -230,9 +237,9 @@ fn plan_matches_gate_by_gate_on_parallel_dispatch_widths() {
     // A diagonal run over scattered qubits: coalesces into one sweep.
     c.rz(0, ParamExpr::var(0));
     c.rz(5, ParamExpr::scaled_var(1, -0.5));
-    c.cz(2, 9).rzz(3, 11, 0.77).cp(12, 4, -1.1);
+    c.cz(2, 9).rzz(3, 11, 0.77).cp(n - 1, 4, -1.1);
     // Trailing mixers so the diagonals sit mid-circuit.
-    c.ry(6, ParamExpr::var(1)).h(12);
+    c.ry(6, ParamExpr::var(1)).h(n - 1);
     let theta = [0.93, -1.37];
 
     let plan = ExecPlan::compile(&c, &theta).unwrap();

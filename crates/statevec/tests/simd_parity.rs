@@ -14,12 +14,15 @@
 //! otherwise silently compare scalar against scalar.
 
 use nwq_common::mat::{mat_cp, mat_cx, mat_h, mat_rz, mat_rzz, mat_swap, mat_x, mat_y};
-use nwq_common::C64;
+use nwq_common::{C64, PAR_MIN_AMPS};
 use nwq_statevec::kernels::{apply_diag_sweep, apply_mat2, apply_mat4, DiagFactor};
 use nwq_statevec::simd::set_force_scalar;
 use nwq_statevec::{ExecPlan, Executor, WalkerSet};
 use proptest::prelude::*;
 use std::sync::Mutex;
+
+/// Register width at the dispatch floor.
+const FLOOR: usize = PAR_MIN_AMPS.trailing_zeros() as usize;
 
 static SCALAR_SWITCH: Mutex<()> = Mutex::new(());
 
@@ -66,13 +69,54 @@ fn assert_scalar_simd_parity(psi: &[C64], what: &str, body: &dyn Fn(&mut [C64]))
     }
 }
 
+/// The proptests below stay on small registers (they sweep stride
+/// regimes, and every sweep there is serial); this pins scalar == SIMD
+/// one size each side of the dispatch floor, where a multi-thread pool
+/// hands the same bodies block runs and lockstep half windows.
+#[test]
+fn scalar_vs_simd_bitwise_either_side_of_the_dispatch_floor() {
+    for n in [FLOOR - 1, FLOOR] {
+        let psi = rand_state(n, n as u64);
+        for q in [0, n / 2, n - 1] {
+            for m in [mat_h(), mat_rz(0.37)] {
+                assert_scalar_simd_parity(&psi, &format!("mat2 n={n} q={q}"), &|amps| {
+                    apply_mat2(amps, q, &m);
+                });
+            }
+        }
+        for (qa, qb) in [(1, 0), (n - 1, 0), (n - 2, n - 1)] {
+            for m in [mat_cx(), mat_swap(), mat_rzz(0.41)] {
+                assert_scalar_simd_parity(&psi, &format!("mat4 n={n} qa={qa} qb={qb}"), &|amps| {
+                    apply_mat4(amps, qa, qb, &m);
+                });
+            }
+        }
+        let (rz, rzz) = (mat_rz(0.9), mat_rzz(-0.6));
+        let factors = [
+            DiagFactor::One {
+                q: n - 1,
+                d: [rz.0[0][0], rz.0[1][1]],
+            },
+            DiagFactor::Two {
+                hi: n - 2,
+                lo: 3,
+                d: [rzz.0[0][0], rzz.0[1][1], rzz.0[2][2], rzz.0[3][3]],
+            },
+        ];
+        for f in [&factors[..1], &factors[1..], &factors[..]] {
+            assert_scalar_simd_parity(&psi, &format!("diag n={n} nf={}", f.len()), &|amps| {
+                apply_diag_sweep(amps, f);
+            });
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// mat2 sweeps across every stride regime: q = 0 exercises the
     /// interleaved stride-1 gather kernel, 1 ≤ q < 2 the scalar-tail
-    /// run shape, larger q the full-run vector path, and n near the
-    /// MIN_PAR thresholds the dispatch boundaries.
+    /// run shape, larger q the full-run vector path.
     #[test]
     fn mat2_scalar_vs_simd_bitwise(n in 9usize..14, q in 0usize..16, kind in 0u8..4, seed in 0u64..1000) {
         let q = q % n;
