@@ -645,120 +645,6 @@ fn bench() {
         nwq_statevec::expval::energy_direct_batched(&state, &expval_op).unwrap();
     });
 
-    // Walker-batched multi-θ evolution: 8 walkers through a layered RY/CZ
-    // ansatz with a many-term observable, against 8 independent
-    // compile+run+readout evaluations — the primitive behind SPSA pair
-    // batching and the serve cross-θ merge. Amplitude count is
-    // walkers × dim, identical for both paths.
-    let walker_qubits = 12usize;
-    let n_walkers = 8usize;
-    let walker_circuit = {
-        let mut c = nwq_circuit::Circuit::new(walker_qubits);
-        for layer in 0..3 {
-            for q in 0..walker_qubits {
-                c.ry(q, nwq_circuit::ParamExpr::var(layer * walker_qubits + q));
-            }
-            for q in 0..walker_qubits - 1 {
-                c.cz(q, q + 1);
-            }
-        }
-        c
-    };
-    let walker_op = {
-        let mut terms = Vec::new();
-        let mut push = |s: Vec<u8>, w: f64| {
-            terms.push((
-                nwq_common::C64::real(w),
-                nwq_pauli::PauliString::parse(std::str::from_utf8(&s).unwrap()).unwrap(),
-            ));
-        };
-        // Molecular-shaped term structure: a handful of flip masks, each
-        // dressed with many Z-strings (like the Z-dressed excitation terms
-        // of a fermionic Hamiltonian after Jordan–Wigner). The per-term
-        // phase sweep is the part the walker path computes once and the
-        // independent path repeats per state, so terms-per-group is the
-        // lever that makes this benchmark look like a real Hamiltonian.
-        for j in 0..walker_qubits {
-            let mut s = vec![b'I'; walker_qubits];
-            s[j] = b'Z';
-            push(s, 0.5);
-        }
-        for j in 0..walker_qubits {
-            for k in j + 1..walker_qubits {
-                let mut zz = vec![b'I'; walker_qubits];
-                zz[j] = b'Z';
-                zz[k] = b'Z';
-                push(zz, 0.25 / (1.0 + (k - j) as f64));
-            }
-        }
-        for j in 0..walker_qubits - 1 {
-            let mut xx = vec![b'I'; walker_qubits];
-            xx[j] = b'X';
-            xx[j + 1] = b'X';
-            push(xx.clone(), 0.125);
-            // Y_j Y_{j+1} shares X_j X_{j+1}'s flip mask (Y = iXZ), as do
-            // all the Z-dressed variants below.
-            let mut yy = vec![b'I'; walker_qubits];
-            yy[j] = b'Y';
-            yy[j + 1] = b'Y';
-            push(yy, 0.0625);
-            for k in 0..walker_qubits {
-                if k == j || k == j + 1 {
-                    continue;
-                }
-                let mut dressed = xx.clone();
-                dressed[k] = b'Z';
-                push(dressed, 0.03125 / (1 + k) as f64);
-            }
-        }
-        nwq_pauli::PauliOp::from_terms(walker_qubits, terms)
-    };
-    let thetas: Vec<Vec<f64>> = (0..n_walkers)
-        .map(|w| {
-            (0..walker_circuit.n_params())
-                .map(|p| 0.3 + 0.07 * w as f64 + 0.013 * p as f64)
-                .collect()
-        })
-        .collect();
-    let independent_eval = || -> Vec<f64> {
-        thetas
-            .iter()
-            .map(|t| {
-                let plan = nwq_statevec::ExecPlan::compile(&walker_circuit, t).unwrap();
-                let st = nwq_statevec::executor::Executor::new()
-                    .run_plan(&plan)
-                    .unwrap();
-                nwq_statevec::expval::energy_direct_batched(&st, &walker_op).unwrap()
-            })
-            .collect()
-    };
-    let walker_eval = || -> Vec<f64> {
-        nwq_statevec::batch::walker_batched_energies(&walker_circuit, &thetas, &walker_op).unwrap()
-    };
-    // Per-walker bitwise parity between the two paths is a precondition
-    // for publishing either number.
-    let (e_ind, e_walk) = (independent_eval(), walker_eval());
-    for (w, (a, b)) in e_ind.iter().zip(&e_walk).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "walker {w}: batched energy {b} != independent {a}"
-        );
-    }
-    let walker_dim = (1usize << walker_qubits) * n_walkers;
-    let independent_s = time_case(
-        walker_dim,
-        reps,
-        "walker_independent",
-        &mut cases,
-        &mut || {
-            independent_eval();
-        },
-    );
-    let walker_s = time_case(walker_dim, reps, "walker_sweep", &mut cases, &mut || {
-        walker_eval();
-    });
-
     // Dispatch calibration: where a partitioned H sweep starts beating the
     // serial one, for the three target positions that cut differently
     // (q0: whole blocks through the stride-1 kernel; mid: whole blocks;
@@ -838,7 +724,6 @@ fn bench() {
     let expval_speedup = per_term_s / batched_s;
     let mat2_simd_speedup = mat2_scalar_s / mat2_simd_s;
     let mat4_simd_speedup = mat4_scalar_s / mat4_simd_s;
-    let walker_speedup = independent_s / walker_s;
     assert!(
         batched_s < per_term_s * 1.35,
         "flip-mask-batched expectation ({batched_s:.3e} s) regressed vs the \
@@ -854,20 +739,10 @@ fn bench() {
             );
         }
     }
-    // The walker sweep used to win ≥3x here by sharing the phase fill
-    // across walkers; independent evaluations now read the same prepared
-    // tables, so what is left is the shared amplitude traffic of the
-    // evolution (1.0–1.2x on the reference host, inside its clock noise).
-    // The gate only catches the walker path becoming a real loss.
-    assert!(
-        walker_speedup >= 0.75,
-        "walker-batched sweep ({n_walkers} walkers) is {walker_speedup:.2}x \
-         independent evaluation: it must not lose by more than the host's noise"
-    );
     println!("  calibration: expval batched speedup {expval_speedup:.3}x");
     println!(
         "  simd_selected={simd_selected}; simd/scalar mat2 {mat2_simd_speedup:.2}x, \
-         mat4 {mat4_simd_speedup:.2}x; walker sweep vs independent {walker_speedup:.2}x"
+         mat4 {mat4_simd_speedup:.2}x"
     );
     let calibration = JsonValue::Object(vec![
         (
@@ -889,10 +764,6 @@ fn bench() {
         (
             "mat4_simd_vs_scalar".into(),
             JsonValue::Float(mat4_simd_speedup),
-        ),
-        (
-            "walker_sweep_vs_independent".into(),
-            JsonValue::Float(walker_speedup),
         ),
     ]);
     let kernels = JsonValue::Object(vec![

@@ -227,18 +227,6 @@ fn main() {
     let queue_wait = nwq_telemetry::histogram_snapshot("serve.queue_wait_ms")
         .map(|h| h.summary_json())
         .unwrap_or(JsonValue::Null);
-    // Distinct-θ width of each merged energy group — the walker count of
-    // the batched sweep. Width > 1 means fingerprint-compatible jobs with
-    // *different* θ were merged into one walker-batched evaluation.
-    let walker_hist = nwq_telemetry::histogram_snapshot("serve.walker_batch_width")
-        .expect("energy groups ran, so walker widths were recorded");
-    let walker_max = walker_hist.max().unwrap_or(0.0);
-    assert!(
-        walker_max >= 2.0,
-        "phase 1 queues 30 distinct-θ energy jobs behind pinned workers, so at \
-         least one merged group must have walker width ≥ 2 (max {walker_max})"
-    );
-    let walker_width = walker_hist.summary_json();
     let mut workload = Object::new();
     workload.push("clients", JsonValue::Int(CLIENTS as u64));
     workload.push("rounds", JsonValue::Int(ROUNDS as u64));
@@ -265,7 +253,6 @@ fn main() {
     report.push("admission", admission.into_value());
     report.push("latency_ms", latency);
     report.push("queue_wait_ms", queue_wait);
-    report.push("walker_batch_width", walker_width);
     report.push("verified", verifiedo.into_value());
     let path = format!("{root}/BENCH_serve.json");
     std::fs::write(&path, report.into_value().render()).expect("write BENCH_serve.json");

@@ -47,8 +47,8 @@ pub trait Backend {
 
     /// Evaluates one energy per parameter set, in input order. The default
     /// runs the sets sequentially through [`energy`](Self::energy);
-    /// backends with a genuinely batched engine (walker-batched
-    /// statevectors, device-side batching) override this. Results must be
+    /// backends with a genuinely batched engine (a parallel map over θ,
+    /// device-side batching) override this. Results must be
     /// bitwise identical to the sequential path — callers treat the two
     /// entry points as interchangeable.
     fn energy_batch(
@@ -248,9 +248,8 @@ impl Backend for DirectBackend {
         Ok(e)
     }
 
-    /// Multi-θ evaluation through the walker-batched engine: one plan
-    /// bind per θ, one blocked kernel sweep per op for all walkers, and a
-    /// shared flip-group phase in the readout
+    /// Multi-θ evaluation as one parallel map over θ, one plan bind,
+    /// evolution and readout per entry
     /// ([`nwq_statevec::batch::batched_energies`]). Bitwise identical per
     /// entry to the sequential path. The post-ansatz cache is neither
     /// consulted nor populated here — batch entries are fresh θ by
@@ -563,17 +562,19 @@ mod tests {
 
     #[test]
     fn energy_batch_is_bitwise_identical_to_sequential() {
-        // The walker-batched override must be indistinguishable (to the
-        // bit) from evaluating each θ on a fresh backend.
+        // The batched override must be indistinguishable (to the bit)
+        // from evaluating each θ on a fresh backend, at every width.
         let (ansatz, h) = toy();
-        let sets: Vec<Vec<f64>> = (0..6).map(|k| vec![0.1 + 0.3 * k as f64]).collect();
-        let mut d = DirectBackend::new();
-        let batch = d.energy_batch(&ansatz, &sets, &h).unwrap();
-        assert_eq!(batch.len(), sets.len());
-        assert_eq!(d.stats().evaluations, sets.len() as u64);
-        for (p, &e) in sets.iter().zip(&batch) {
-            let seq = DirectBackend::new().energy(&ansatz, p, &h).unwrap();
-            assert_eq!(e.to_bits(), seq.to_bits());
+        for width in [2, 6, 8] {
+            let sets: Vec<Vec<f64>> = (0..width).map(|k| vec![0.1 + 0.3 * k as f64]).collect();
+            let mut d = DirectBackend::new();
+            let batch = d.energy_batch(&ansatz, &sets, &h).unwrap();
+            assert_eq!(batch.len(), width);
+            assert_eq!(d.stats().evaluations, width as u64);
+            for (p, &e) in sets.iter().zip(&batch) {
+                let seq = DirectBackend::new().energy(&ansatz, p, &h).unwrap();
+                assert_eq!(e.to_bits(), seq.to_bits());
+            }
         }
     }
 

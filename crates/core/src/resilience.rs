@@ -500,7 +500,7 @@ impl<'a> ResilientEvaluator<'a> {
     }
 
     /// One resilient *batched* objective evaluation: all of `thetas` in
-    /// one backend call (walker-batched on backends that support it),
+    /// one backend call ([`Backend::energy_batch`]),
     /// bitwise identical per entry to calling [`eval`](Self::eval) in
     /// order. Falls back to element-wise evaluation whenever any element
     /// would be served from the replay log or would trip the kill switch
@@ -810,8 +810,8 @@ pub fn run_vqe_with(
         // The driver feeds the optimizer through its *batched* entry
         // point: optimizers that group independent evaluations (SPSA's
         // ±perturbation pair) send them as one multi-θ batch, which a
-        // walker-batched backend evolves in a single blocked sweep. The
-        // trajectory is identical to the scalar entry either way.
+        // batching backend evaluates as one parallel map. The trajectory
+        // is identical to the scalar entry either way.
         let mut objective = |thetas: &[Vec<f64>]| -> Result<Vec<f64>> {
             let es = ev.eval_batch(&problem.ansatz, thetas, &problem.hamiltonian)?;
             for &e in &es {
@@ -874,7 +874,7 @@ fn vqe_grad_fingerprint(
 /// [`GradOptimizer`]: fused adjoint evaluations go through
 /// [`ResilientEvaluator::eval_grad`] (and the checkpoint gradient log);
 /// shift-rule and finite-difference gradients ride the *batched* energy
-/// path — one walker-batched sweep of all `2·n` probes — and replay via
+/// path — one backend batch of all `2·n` probes — and replay via
 /// the ordinary evaluation log.
 struct VqeGradObjective<'a, 'b> {
     ev: &'b mut ResilientEvaluator<'a>,
@@ -1339,10 +1339,10 @@ mod tests {
     }
 
     #[test]
-    fn spsa_vqe_walker_batching_preserves_scalar_trajectory() {
-        // The driver now feeds SPSA's ±perturbation pairs to the backend
-        // as width-2 batches (walker-evolved on a single-thread pool). The
-        // result must be bitwise what the scalar entry point produces.
+    fn spsa_vqe_pair_batching_preserves_scalar_trajectory() {
+        // The driver feeds SPSA's ±perturbation pairs to the backend as
+        // width-2 `eval_batch` calls. The result must be bitwise what the
+        // scalar entry point produces.
         let problem = toy_problem();
         let x0 = [0.9, 0.4];
         let mk_opt = || Spsa {
@@ -1366,8 +1366,6 @@ mod tests {
         for (a, b) in r.params.iter().zip(&scalar.params) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // That the pairs actually take the walker path on a single-thread
-        // pool is a telemetry count: tests/telemetry_counters.rs.
     }
 
     #[test]

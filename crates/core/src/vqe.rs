@@ -41,7 +41,7 @@ pub enum GradSource {
     /// [`GradientBackend`].
     Adjoint,
     /// Two-term shift rule `∂E/∂θ_j = [E(θ+s·e_j) − E(θ−s·e_j)] / denom`,
-    /// evaluated as one walker-batched sweep of all `2·n` probes. Exact
+    /// evaluated as one backend batch of all `2·n` probes. Exact
     /// only when the shift matches the generator spectrum — see the
     /// constructors.
     ParameterShift {

@@ -10,8 +10,7 @@
 
 use nwq_circuit::{Circuit, ParamExpr};
 use nwq_core::backend::{Backend, DirectBackend};
-use nwq_core::vqe::{run_vqe, VqeProblem};
-use nwq_opt::Spsa;
+use nwq_core::vqe::VqeProblem;
 use nwq_pauli::PauliOp;
 use std::sync::{Mutex, MutexGuard};
 
@@ -59,28 +58,4 @@ fn repeated_theta_hits_cache_and_is_visible_in_telemetry() {
     // The second evaluation did not re-run the ansatz.
     assert_eq!(d.stats().ansatz_runs, 1);
     assert_eq!(d.stats().evaluations, 2);
-}
-
-#[test]
-fn spsa_pairs_take_the_walker_path_on_a_single_thread_pool() {
-    // The driver feeds SPSA's ±perturbation pairs to the backend as
-    // width-2 batches. On a single-thread pool each pair is one walker
-    // batch; a multi-thread pool keeps the Rayon batch map (that the
-    // trajectory is bitwise the scalar one either way is pinned beside
-    // the driver, in `resilience::tests`).
-    let _telemetry = exclusive_telemetry();
-    let problem = toy_problem();
-    let mut opt = Spsa {
-        a: 0.3,
-        ..Default::default()
-    };
-    let mut backend = DirectBackend::new();
-    run_vqe(&problem, &mut backend, &mut opt, &[0.9, 0.4], 240).unwrap();
-    let batches = nwq_telemetry::counter_value("walkers.batches");
-    nwq_telemetry::set_enabled(false);
-    if nwq_statevec::kernels::parallel_dispatch_enabled() {
-        assert_eq!(batches, 0, "a multi-thread pool maps the pair instead");
-    } else {
-        assert!(batches > 0, "walker path not taken");
-    }
 }

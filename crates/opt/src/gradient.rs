@@ -86,9 +86,8 @@ fn shifted_pairs(x: &[f64], s: f64) -> Vec<Vec<f64>> {
 }
 
 /// Parameter-shift gradient through a *batched* objective: all `2·n`
-/// shifted evaluations ride one call, so walker-batched backends evolve
-/// them in a single multi-walker sweep instead of `2·n` serial
-/// simulations. Values match [`try_parameter_shift_gradient`] exactly
+/// shifted evaluations ride one call, so batching backends evaluate
+/// them as one parallel map instead of `2·n` serial simulations. Values match [`try_parameter_shift_gradient`] exactly
 /// (same points, and batched backends are bitwise identical per entry).
 pub fn try_parameter_shift_gradient_batched(
     f: &mut BatchedObjective<'_>,
@@ -265,8 +264,8 @@ impl Optimizer for Adam {
     }
 
     /// Batched override: every gradient's `2·n` shifted evaluations ride
-    /// ONE multi-vector call (a single walker-batched sweep on backends
-    /// that support it) instead of `2·n` serial simulations. The
+    /// ONE multi-vector call (one parallel map on backends that batch)
+    /// instead of `2·n` serial simulations. The
     /// trajectory is identical to [`Optimizer::try_minimize`] — same
     /// points, same order, same eval count.
     fn try_minimize_batched(

@@ -154,8 +154,8 @@ impl Optimizer for Lbfgs {
     }
 
     /// Batched override: every finite-difference gradient's `2·n` probe
-    /// evaluations ride ONE multi-vector call (a single walker-batched
-    /// sweep on backends that support it). Line-search trials stay
+    /// evaluations ride ONE multi-vector call (one parallel map on
+    /// backends that batch). Line-search trials stay
     /// sequential — each depends on the previous trial's outcome. The
     /// trajectory is identical to [`Optimizer::try_minimize`] — same
     /// points, same order, same eval count.

@@ -123,8 +123,8 @@ impl Optimizer for Spsa {
     }
 
     /// SPSA's two perturbed evaluations per iteration are independent of
-    /// each other, so they go out as one width-2 batch — a walker-batched
-    /// backend evolves both `θ±c·Δ` states in a single blocked sweep. The
+    /// each other, so they go out as one width-2 batch — a batching
+    /// backend evaluates both `θ±c·Δ` states in one call. The
     /// evaluation points, their order, and the eval count are identical to
     /// [`try_minimize`](Optimizer::try_minimize): `f([x])`, then per
     /// iteration `f([x+cΔ, x−cΔ])` followed by `f([x'])`.

@@ -43,8 +43,8 @@ pub trait Optimizer {
     /// parameter vector in the slice and returns one value per vector, in
     /// input order. Optimizers whose iterations contain structurally
     /// independent evaluations (SPSA's `θ±c·Δ` pair) override this to
-    /// group them into multi-vector calls, letting walker-batched
-    /// backends evolve all of them in one blocked sweep. The trajectory
+    /// group them into multi-vector calls, letting batching backends
+    /// evaluate all of them in one call. The trajectory
     /// must be *identical* to [`try_minimize`](Self::try_minimize) — same
     /// evaluation points, same order, same eval count — so the two entry
     /// points are interchangeable for checkpoint replay.

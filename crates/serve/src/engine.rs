@@ -791,22 +791,10 @@ fn run_energy_group(
         }
     }
 
-    // One batched sweep over all missed parameter sets — the same
-    // compile-and-run pipeline DirectBackend uses per evaluation; on a
-    // single-thread pool the sweep is walker-batched (one blocked kernel
-    // pass for all θ). Record the distinct-θ width the merge produced —
-    // the walker count of the sweep.
+    // One batched evaluation over all missed parameter sets — the same
+    // compile-and-run pipeline DirectBackend uses per evaluation, mapped
+    // over θ on the pool.
     let param_sets: Vec<Vec<f64>> = misses.iter().map(|(_, p, _)| p.clone()).collect();
-    let distinct_thetas = {
-        let mut keys: Vec<Vec<u64>> = param_sets
-            .iter()
-            .map(|p| p.iter().map(|x| x.to_bits()).collect())
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.len()
-    };
-    nwq_telemetry::histogram_record("serve.walker_batch_width", distinct_thetas as f64);
     let sweep = batched_energies(
         &problem.problem.ansatz,
         &param_sets,

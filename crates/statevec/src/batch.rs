@@ -3,98 +3,38 @@
 //! The paper proposes simulating independent circuits/parameter sets
 //! concurrently to raise device utilization. On the CPU substrate this is
 //! a Rayon parallel map over parameter sets — each batch entry owns its
-//! statevector, so the batch scales across cores without synchronization.
-//! The headline consumer is the batched parameter-shift gradient: all
-//! `2·n_params` shifted energy evaluations of one gradient run as a
-//! single batch.
+//! statevector, so the batch scales across cores without synchronization
+//! (and runs as a plain serial loop on a one-thread pool). The headline
+//! consumer is the batched parameter-shift gradient: all `2·n_params`
+//! shifted energy evaluations of one gradient run as a single batch.
 
 use crate::executor::Executor;
 use crate::expval::energy_direct_batched;
-use crate::kernels::parallel_dispatch_enabled;
 use crate::plan::ExecPlan;
-use crate::state::StateVector;
-use crate::walkers::{plans_aligned, walker_energies, WalkerSet};
 use nwq_circuit::Circuit;
 use nwq_common::Result;
 use nwq_pauli::PauliOp;
 use rayon::prelude::*;
 
-/// Runs `circuit` once per parameter set, in parallel. Each entry compiles
-/// its own [`ExecPlan`] (parameters differ, so matrices differ) and runs
-/// the fused plan. Returns the final states in input order.
-pub fn run_batch(circuit: &Circuit, param_sets: &[Vec<f64>]) -> Result<Vec<StateVector>> {
-    param_sets
-        .par_iter()
-        .map(|params| {
-            let plan = ExecPlan::compile(circuit, params)?;
-            Executor::new().run_plan(&plan)
-        })
-        .collect()
-}
-
 /// Batched energy evaluation: `E(θ_k) = ⟨ψ(θ_k)|H|ψ(θ_k)⟩` for every
 /// parameter set, through the compiled-plan and batched
-/// direct-expectation fast paths.
-///
-/// On a multi-core pool the batch runs as a Rayon parallel map, one
-/// independent state per entry. On a single-thread pool (where that map
-/// is pure dispatch overhead) multi-θ batches instead take the
-/// walker-batched path: one plan bind per θ, one blocked kernel sweep
-/// per op for all walkers, and a shared flip-group phase in the readout
-/// — bitwise identical per entry to the independent path (see
-/// [`crate::walkers`]).
+/// direct-expectation fast paths. One independent state per entry, run as
+/// a Rayon parallel map; each entry runs the same compile, evolve and
+/// readout as a single-θ evaluation, so its bits do not depend on the
+/// batch it arrives in.
 pub fn batched_energies(
     circuit: &Circuit,
     param_sets: &[Vec<f64>],
     observable: &PauliOp,
 ) -> Result<Vec<f64>> {
-    if parallel_dispatch_enabled() || param_sets.len() < 2 {
-        return param_sets
-            .par_iter()
-            .map(|params| {
-                let plan = ExecPlan::compile(circuit, params)?;
-                let state = Executor::new().run_plan(&plan)?;
-                energy_direct_batched(&state, observable)
-            })
-            .collect();
-    }
-    walker_batched_energies(circuit, param_sets, observable)
-}
-
-/// The walker-batched multi-θ energy path: compile (template-cached bind)
-/// one plan per θ, evolve all walkers through one blocked sweep per op,
-/// and read out every energy with a shared per-index group phase. Falls
-/// back to independent serial evaluation when the binds are not
-/// shape-aligned (a θ landing exactly on a diagonal special point can
-/// change an op's kind). Results are bitwise identical to evaluating each
-/// θ independently either way.
-pub fn walker_batched_energies(
-    circuit: &Circuit,
-    param_sets: &[Vec<f64>],
-    observable: &PauliOp,
-) -> Result<Vec<f64>> {
-    let plans: Vec<ExecPlan> = param_sets
-        .iter()
-        .map(|params| ExecPlan::compile(circuit, params))
-        .collect::<Result<_>>()?;
-    if plans.is_empty() {
-        return Ok(Vec::new());
-    }
-    if !plans_aligned(&plans) {
-        nwq_telemetry::counter_add("walkers.misaligned_batches", 1);
-        return plans
-            .iter()
-            .map(|plan| {
-                let state = Executor::new().run_plan(plan)?;
-                energy_direct_batched(&state, observable)
-            })
-            .collect();
-    }
-    nwq_telemetry::counter_add("walkers.batches", 1);
-    nwq_telemetry::counter_add("walkers.batched_thetas", plans.len() as u64);
-    let mut set = WalkerSet::zero(circuit.n_qubits(), plans.len())?;
-    Executor::new().run_plans_walkers(&plans, &mut set)?;
-    walker_energies(&set, observable)
+    param_sets
+        .par_iter()
+        .map(|params| {
+            let plan = ExecPlan::compile(circuit, params)?;
+            let state = Executor::new().run_plan(&plan)?;
+            energy_direct_batched(&state, observable)
+        })
+        .collect()
 }
 
 /// Generalized two-term parameter-shift gradient as one batch of `2·n`
@@ -174,19 +114,6 @@ mod tests {
         let mut c = Circuit::new(2);
         c.ry(0, ParamExpr::var(0)).cx(0, 1).ry(1, ParamExpr::var(1));
         (c, PauliOp::parse("1.0 ZZ + 0.5 XI").unwrap())
-    }
-
-    #[test]
-    fn batch_matches_serial_states() {
-        let (c, _) = toy();
-        let sets: Vec<Vec<f64>> = (0..6)
-            .map(|k| vec![0.1 * k as f64, -0.2 * k as f64])
-            .collect();
-        let batch = run_batch(&c, &sets).unwrap();
-        for (params, state) in sets.iter().zip(&batch) {
-            let serial = crate::executor::simulate(&c, params).unwrap();
-            assert!((state.fidelity(&serial).unwrap() - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -290,7 +217,6 @@ mod tests {
     #[test]
     fn empty_batch() {
         let (c, h) = toy();
-        assert!(run_batch(&c, &[]).unwrap().is_empty());
         assert!(batched_energies(&c, &[], &h).unwrap().is_empty());
     }
 

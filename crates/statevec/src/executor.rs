@@ -1,15 +1,13 @@
 //! Circuit execution on the parallel statevector kernels.
 
 use crate::kernels::{
-    apply_diag_sweep, apply_mat2, apply_mat4, apply_mat4_prenorm, apply_mat4_shaped,
-    mat2_is_diagonal, DiagFactor, Mat4Shape,
+    apply_diag_sweep, apply_mat2, apply_mat4, apply_mat4_prenorm, apply_mat4_shaped, DiagFactor,
 };
 use crate::plan::{ExecPlan, PlanOp};
 use crate::state::StateVector;
 use crate::stats::ExecStats;
-use crate::walkers::{self, WalkerSet};
 use nwq_circuit::{Circuit, Gate, GateMatrix};
-use nwq_common::{Error, Mat2, Mat4, Result};
+use nwq_common::{Error, Result};
 
 /// Post-sweep numerical health checks (paper-scale runs accumulate norm
 /// drift over millions of kernel sweeps; hardware faults show up as NaN/Inf
@@ -307,168 +305,6 @@ impl Executor {
         nwq_telemetry::counter_add("executor.fused_blocks", ops);
         nwq_telemetry::counter_add("executor.amplitude_updates", dim * ops);
         self.health_check(state)
-    }
-
-    /// Applies one shape-aligned plan per walker to `set` in place — the
-    /// multi-θ evolution path. Op `k` of every plan runs as ONE
-    /// walker-batched sweep (each cache line of the interleaved buffer
-    /// touched once for all walkers); per walker the arithmetic is
-    /// bitwise identical to [`Executor::run_plan_on`] with that walker's
-    /// plan. Callers should pre-check [`walkers::plans_aligned`] and fall
-    /// back to independent runs when binds diverge in shape.
-    pub fn run_plans_walkers(&mut self, plans: &[ExecPlan], set: &mut WalkerSet) -> Result<()> {
-        let nw = set.n_walkers();
-        if plans.len() != nw {
-            return Err(Error::DimensionMismatch {
-                expected: nw,
-                got: plans.len(),
-            });
-        }
-        let first = &plans[0];
-        if first.n_qubits() != set.n_qubits() {
-            return Err(Error::DimensionMismatch {
-                expected: set.n_qubits(),
-                got: first.n_qubits(),
-            });
-        }
-        if !walkers::plans_aligned(plans) {
-            return Err(Error::Invalid(
-                "walker plans are not shape-aligned; evaluate independently".into(),
-            ));
-        }
-        self.stats.circuits_run += nw as u64;
-        nwq_telemetry::counter_add("executor.circuits_run", nw as u64);
-        nwq_telemetry::counter_add("executor.walker_runs", 1);
-        let _span = nwq_telemetry::span!("executor.run_walkers");
-        let dim = set.dim() as u64;
-        let mut gates_1q = 0u64;
-        let mut gates_2q = 0u64;
-        let mut mats2: Vec<Mat2> = Vec::with_capacity(nw);
-        let mut mats4: Vec<Mat4> = Vec::with_capacity(nw);
-        let mut diag: Vec<bool> = Vec::with_capacity(nw);
-        let mut shapes: Vec<Mat4Shape> = Vec::with_capacity(nw);
-        let mut factors: Vec<DiagFactor> = Vec::new();
-        for (k, op) in first.ops().iter().enumerate() {
-            match op {
-                PlanOp::One(q, _) => {
-                    mats2.clear();
-                    diag.clear();
-                    for p in plans {
-                        let PlanOp::One(_, m) = &p.ops()[k] else {
-                            unreachable!("alignment checked above");
-                        };
-                        mats2.push(*m);
-                        diag.push(mat2_is_diagonal(m));
-                    }
-                    walkers::walker_mat2_sweep(
-                        set.amplitudes_mut(),
-                        nw,
-                        1usize << q,
-                        &mats2,
-                        &diag,
-                    );
-                    gates_1q += nw as u64;
-                }
-                PlanOp::Two(hi, lo, _) => {
-                    mats4.clear();
-                    diag.clear();
-                    shapes.clear();
-                    for p in plans {
-                        let PlanOp::Two(_, _, m) = &p.ops()[k] else {
-                            unreachable!("alignment checked above");
-                        };
-                        mats4.push(*m);
-                        let shape = p.shape_at(k);
-                        diag.push(shape == Mat4Shape::Diagonal);
-                        shapes.push(shape);
-                    }
-                    // Block-structured walkers (e.g. an unfused CX) must
-                    // replicate the single-state block fast path per
-                    // walker; the AVX dense/diag kernel only handles the
-                    // uniform shapes.
-                    if shapes
-                        .iter()
-                        .any(|s| matches!(s, Mat4Shape::BlockHi { .. } | Mat4Shape::BlockLo { .. }))
-                    {
-                        walkers::walker_mat4_shaped_sweep(
-                            set.amplitudes_mut(),
-                            nw,
-                            1usize << hi,
-                            1usize << lo,
-                            &mats4,
-                            &shapes,
-                        );
-                    } else {
-                        walkers::walker_mat4_sweep(
-                            set.amplitudes_mut(),
-                            nw,
-                            1usize << hi,
-                            1usize << lo,
-                            &mats4,
-                            &diag,
-                        );
-                    }
-                    gates_2q += nw as u64;
-                }
-                PlanOp::DiagSweep { len, two_qubit, .. } => {
-                    factors.clear();
-                    for f in 0..*len {
-                        for p in plans {
-                            let PlanOp::DiagSweep { start, .. } = &p.ops()[k] else {
-                                unreachable!("alignment checked above");
-                            };
-                            factors.push(p.factors()[start + f]);
-                        }
-                    }
-                    walkers::walker_diag_sweep(set.amplitudes_mut(), nw, &factors);
-                    if *two_qubit {
-                        gates_2q += nw as u64;
-                    } else {
-                        gates_1q += nw as u64;
-                    }
-                }
-            }
-        }
-        let ops = first.len() as u64 * nw as u64;
-        self.stats.gates_1q += gates_1q;
-        self.stats.gates_2q += gates_2q;
-        self.stats.fused_blocks += ops;
-        self.stats.amplitude_updates += dim * ops;
-        nwq_telemetry::counter_add("executor.gates_1q", gates_1q);
-        nwq_telemetry::counter_add("executor.gates_2q", gates_2q);
-        nwq_telemetry::counter_add("executor.fused_blocks", ops);
-        nwq_telemetry::counter_add("executor.amplitude_updates", dim * ops);
-        self.walker_health_check(set)
-    }
-
-    /// The walker analog of [`Executor::health_check`]: one amortized
-    /// "run" per batched sweep (matching the per-run cost model of the
-    /// independent path it replaces); when a check is due, every walker
-    /// is verified and renormalized individually.
-    fn walker_health_check(&mut self, set: &mut WalkerSet) -> Result<()> {
-        if !self.guard.enabled {
-            return Ok(());
-        }
-        self.runs_since_check += 1;
-        if self.runs_since_check < self.guard.check_interval.max(1) {
-            return Ok(());
-        }
-        self.runs_since_check = 0;
-        nwq_telemetry::counter_add("resilience.norm_checks", set.n_walkers() as u64);
-        for w in 0..set.n_walkers() {
-            let norm2 = set.walker_norm_sqr(w);
-            if !norm2.is_finite() {
-                nwq_telemetry::counter_add("resilience.nonfinite_detected", 1);
-                return Err(Error::Numerical(
-                    "non-finite amplitudes detected after walker sweep".into(),
-                ));
-            }
-            if (norm2 - 1.0).abs() > self.guard.tolerance {
-                set.normalize_walker(w)?;
-                nwq_telemetry::counter_add("resilience.renormalizations", 1);
-            }
-        }
-        Ok(())
     }
 }
 

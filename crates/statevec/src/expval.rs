@@ -43,7 +43,7 @@ const EXPVAL_BLOCK: usize = 128;
 /// energy (corrupted amplitudes, injected fault) is surfaced as
 /// `Error::Numerical` instead of silently poisoning the optimizer, and
 /// counted so `--metrics` artifacts show how often it happened.
-pub(crate) fn ensure_finite_energy(energy: f64, context: &str) -> Result<f64> {
+fn ensure_finite_energy(energy: f64, context: &str) -> Result<f64> {
     if energy.is_finite() {
         Ok(energy)
     } else {
@@ -161,8 +161,8 @@ impl<'a> GroupPhase<'a> {
     }
 
     /// `out[j] = f(base + j)` for a block of consecutive indices: the
-    /// streamed fold's phase block, and the block all walkers share.
-    pub(crate) fn fill(&self, out: &mut [C64], base: usize) {
+    /// streamed fold's phase block.
+    fn fill(&self, out: &mut [C64], base: usize) {
         match self.table {
             Some(_) => {
                 for (j, o) in out.iter_mut().enumerate() {
@@ -175,11 +175,11 @@ impl<'a> GroupPhase<'a> {
 }
 
 /// Records one evaluation's sweep accounting: `term_sweeps` is what the
-/// per-term path would cost for `n_states` states, `batched_sweeps` the
-/// group passes actually made, `table_folds` how many of those read a
-/// prepared table instead of refilling the phase.
-pub(crate) fn count_sweeps(op: &PauliOp, prepared: &PreparedObservable, n_states: usize) {
-    let term_sweeps = (op.num_terms() * n_states) as u64;
+/// per-term path would cost, `batched_sweeps` the group passes actually
+/// made, `table_folds` how many of those read a prepared table instead of
+/// refilling the phase.
+fn count_sweeps(op: &PauliOp, prepared: &PreparedObservable) {
+    let term_sweeps = op.num_terms() as u64;
     let group_sweeps = prepared.groups().len() as u64;
     nwq_telemetry::counter_add("expval.term_sweeps", term_sweeps);
     nwq_telemetry::counter_add("expval.batched_sweeps", group_sweeps);
@@ -220,7 +220,7 @@ fn energy_prepared(
             got: psi.len(),
         });
     }
-    count_sweeps(op, prepared, 1);
+    count_sweeps(op, prepared);
     let _span = nwq_telemetry::span!("expval.batched");
     let mut total = 0.0;
     for phase in GroupPhase::of(prepared) {
@@ -619,28 +619,17 @@ mod tests {
     }
 
     /// The contract of the prepared observable: folding the tables gives
-    /// the bits of refilling the phase (zero-budget preparation), for a
-    /// single state and for every walker, and both agree with the
-    /// per-term reference.
+    /// the bits of refilling the phase (zero-budget preparation), and both
+    /// agree with the per-term reference.
     fn assert_paths_agree(states: &[StateVector], op: &PauliOp) {
         let streaming = PreparedObservable::with_budget(op, 0);
         assert_eq!(streaming.num_tables(), 0);
-        let tabled: Vec<f64> = states
-            .iter()
-            .map(|s| energy_direct_batched(s, op).unwrap())
-            .collect();
-        for (s, &e) in states.iter().zip(&tabled) {
+        for s in states {
+            let e = energy_direct_batched(s, op).unwrap();
             let streamed = energy_prepared(s, op, &streaming).unwrap();
             assert_eq!(e.to_bits(), streamed.to_bits(), "table vs streaming");
             let per_term = s.energy(op).unwrap();
             assert!((e - per_term).abs() < 1e-12, "{e} vs per-term {per_term}");
-        }
-        if !dispatches(states[0].len()) {
-            let set = crate::walkers::WalkerSet::from_states(states).unwrap();
-            let walkers = crate::walkers::walker_energies(&set, op).unwrap();
-            for (w, e) in walkers.iter().zip(&tabled) {
-                assert_eq!(w.to_bits(), e.to_bits(), "walker vs single state");
-            }
         }
     }
 
@@ -679,9 +668,8 @@ mod tests {
 
     #[test]
     fn prepared_tables_either_side_of_the_dispatch_floor() {
-        // Below the floor the fold is the serial one on every host (and
-        // the walker readout shares its bits); at the floor a multi-thread
-        // pool reduces in parts. Tables and streaming agree bitwise on
+        // Below the floor the fold is the serial one on every host; at the
+        // floor a multi-thread pool reduces in parts. Tables and streaming agree bitwise on
         // both sides, and both stay within 1e-12 of the per-term sum.
         let floor = nwq_common::PAR_MIN_AMPS.trailing_zeros() as usize;
         for n in [floor - 1, floor] {

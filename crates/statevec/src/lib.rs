@@ -24,10 +24,7 @@
 //!   parameter-shift gradients (paper §6.2 future work, implemented);
 //! - [`simd`] — explicit AVX2 instantiations of every serial inner loop
 //!   (pair/quad updates, fused diagonal sweeps, expectation fills), with
-//!   a runtime force-scalar switch pinning scalar == SIMD bit-for-bit;
-//! - [`walkers`] — walker-batched multi-θ evolution: one amplitude-major
-//!   [`WalkerSet`] carries N parameter sets through aligned plans so each
-//!   cache line and each per-term phase sweep is touched once for all θ.
+//!   a runtime force-scalar switch pinning scalar == SIMD bit-for-bit.
 
 #![warn(missing_docs)]
 
@@ -44,13 +41,11 @@ pub mod plan_cache;
 pub mod simd;
 pub mod state;
 pub mod stats;
-pub mod walkers;
 
 pub use adjoint::{AdjointGradient, AdjointTape, AdjointTemplate};
 pub use executor::{simulate, simulate_plan, Executor, NormGuard};
 pub use plan::{BoundBlock, ExecPlan, PlanOp, PlanStats, PlanTemplate};
 pub use state::StateVector;
-pub use walkers::WalkerSet;
 
 #[cfg(test)]
 mod proptests {

@@ -142,34 +142,6 @@ pub(crate) mod avx {
         (_mm256_set1_pd(c.re), _mm256_set1_pd(c.im))
     }
 
-    /// Per-walker-pair broadcast: lanes 0–1 carry `a`, lanes 2–3 `b`.
-    #[inline(always)]
-    unsafe fn bcast2(a: C64, b: C64) -> (__m256d, __m256d) {
-        (
-            _mm256_setr_pd(a.re, a.re, b.re, b.re),
-            _mm256_setr_pd(a.im, a.im, b.im, b.im),
-        )
-    }
-
-    /// Amp-first broadcast: `([re, im, re, im], [im, re, im, re])` — the
-    /// constant shape [`cmul_amp`] consumes.
-    #[inline(always)]
-    unsafe fn bcast_ri(c: C64) -> (__m256d, __m256d) {
-        (
-            _mm256_setr_pd(c.re, c.im, c.re, c.im),
-            _mm256_setr_pd(c.im, c.re, c.im, c.re),
-        )
-    }
-
-    /// Per-walker-pair amp-first broadcast (`a` in lanes 0–1, `b` in 2–3).
-    #[inline(always)]
-    unsafe fn bcast2_ri(a: C64, b: C64) -> (__m256d, __m256d) {
-        (
-            _mm256_setr_pd(a.re, a.im, b.re, b.im),
-            _mm256_setr_pd(a.im, a.re, b.im, b.re),
-        )
-    }
-
     /// `[ai, ar, bi, br]` — swaps re/im within each complex pair.
     #[inline(always)]
     unsafe fn swap_pairs(v: __m256d) -> __m256d {
@@ -184,39 +156,6 @@ pub(crate) mod avx {
     #[inline(always)]
     unsafe fn cmul(v: __m256d, m: (__m256d, __m256d)) -> __m256d {
         _mm256_addsub_pd(_mm256_mul_pd(v, m.0), _mm256_mul_pd(swap_pairs(v), m.1))
-    }
-
-    /// Two complex products `v · m` (amplitude left, `m` broadcast by
-    /// [`bcast_ri`]/[`bcast2_ri`]): `re' = v.re·m.re − v.im·m.im`,
-    /// `im' = v.re·m.im + v.im·m.re` — bitwise `C64::mul(v, m)`, i.e. the
-    /// `a *= d` side of every diagonal fast path.
-    #[inline(always)]
-    unsafe fn cmul_amp(v: __m256d, m: (__m256d, __m256d)) -> __m256d {
-        _mm256_addsub_pd(
-            _mm256_mul_pd(_mm256_movedup_pd(v), m.0),
-            _mm256_mul_pd(_mm256_permute_pd(v, 0b1111), m.1),
-        )
-    }
-
-    /// Lane-wise complex product `u · v` of two full vectors:
-    /// `re' = u.re·v.re − u.im·v.im`, `im' = u.re·v.im + u.im·v.re` —
-    /// bitwise `C64::mul(u, v)` per complex pair.
-    #[inline(always)]
-    unsafe fn cmul_vv(u: __m256d, v: __m256d) -> __m256d {
-        _mm256_addsub_pd(
-            _mm256_mul_pd(_mm256_movedup_pd(u), v),
-            _mm256_mul_pd(_mm256_permute_pd(u, 0b1111), swap_pairs(v)),
-        )
-    }
-
-    /// Lane-wise conjugate: flips the sign bit of every `im` lane —
-    /// exactly the `-self.im` of `C64::conj`.
-    #[inline(always)]
-    unsafe fn conj_v(v: __m256d) -> __m256d {
-        _mm256_xor_pd(
-            v,
-            _mm256_castsi256_pd(_mm256_setr_epi64x(0, i64::MIN, 0, i64::MIN)),
-        )
     }
 
     #[target_feature(enable = "avx2")]
@@ -491,382 +430,6 @@ pub(crate) mod avx {
         for c in amps.chunks_mut(block) {
             let (h0, h1) = c.split_at_mut(s_hi);
             half_pair_with_rows(h0, h1, s_lo, m, &rows);
-        }
-    }
-
-    // -----------------------------------------------------------------------
-    // Walker kernels: lanes are walkers. The interleaved amplitude-major
-    // layout (`amps[i·nw + w]`) makes adjacent walkers adjacent in memory,
-    // so the vectors need NO shuffles at any stride — including stride 1,
-    // the worst case of the single-state kernels. Matrices differ per
-    // walker (one bind per θ), so coefficients broadcast per walker *pair*
-    // and are prebuilt once per sweep; a per-pair path tag hoists the
-    // diagonal/dense branch out of the amplitude loop. Walkers whose pair
-    // mixes diagonal and dense matrices — and the odd trailing walker —
-    // take the exact scalar-body expressions.
-    // -----------------------------------------------------------------------
-
-    /// Per-walker-pair dispatch for the walker single-qubit sweep.
-    enum Pair2 {
-        /// `[m00, m01, m10, m11]`, matrix-first broadcast per lane pair.
-        Dense([(__m256d, __m256d); 4]),
-        /// `[d0, d1]`, amp-first broadcast (`a *= d` per lane pair).
-        Diag([(__m256d, __m256d); 2]),
-        Mixed,
-    }
-
-    /// One walker's scalar single-qubit update — exactly the
-    /// `walker_mat2_body` expressions. Raw pointers so the caller can mix
-    /// it with vector loads/stores through the same pointers.
-    ///
-    /// # Safety
-    /// `l.add(w)` and `h.add(w)` must be valid, disjoint `C64` slots.
-    #[inline(always)]
-    unsafe fn walker2_scalar(l: *mut C64, h: *mut C64, w: usize, m: &Mat2, diag: bool) {
-        let (lw, hw) = (l.add(w), h.add(w));
-        if diag {
-            *lw *= m.0[0][0];
-            *hw *= m.0[1][1];
-        } else {
-            let a = *lw;
-            let b = *hw;
-            *lw = m.0[0][0] * a + m.0[0][1] * b;
-            *hw = m.0[1][0] * a + m.0[1][1] * b;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn walker_mat2(
-        amps: &mut [C64],
-        nw: usize,
-        stride: usize,
-        mats: &[Mat2],
-        diag: &[bool],
-    ) {
-        let np = nw / 2;
-        let pairs: Vec<Pair2> = (0..np)
-            .map(|p| {
-                let (a, b) = (2 * p, 2 * p + 1);
-                match (diag[a], diag[b]) {
-                    (true, true) => Pair2::Diag([
-                        bcast2_ri(mats[a].0[0][0], mats[b].0[0][0]),
-                        bcast2_ri(mats[a].0[1][1], mats[b].0[1][1]),
-                    ]),
-                    (false, false) => Pair2::Dense([
-                        bcast2(mats[a].0[0][0], mats[b].0[0][0]),
-                        bcast2(mats[a].0[0][1], mats[b].0[0][1]),
-                        bcast2(mats[a].0[1][0], mats[b].0[1][0]),
-                        bcast2(mats[a].0[1][1], mats[b].0[1][1]),
-                    ]),
-                    _ => Pair2::Mixed,
-                }
-            })
-            .collect();
-        let row = nw;
-        let block = (stride << 1) * row;
-        for c in amps.chunks_mut(block) {
-            let (lo, hi) = c.split_at_mut(stride * row);
-            for (l, h) in lo.chunks_exact_mut(row).zip(hi.chunks_exact_mut(row)) {
-                let lc = l.as_mut_ptr();
-                let hc = h.as_mut_ptr();
-                let lp = lc as *mut f64;
-                let hp = hc as *mut f64;
-                for (p, pair) in pairs.iter().enumerate() {
-                    let o = 4 * p;
-                    match pair {
-                        Pair2::Dense(e) => {
-                            let a = _mm256_loadu_pd(lp.add(o));
-                            let b = _mm256_loadu_pd(hp.add(o));
-                            _mm256_storeu_pd(
-                                lp.add(o),
-                                _mm256_add_pd(cmul(a, e[0]), cmul(b, e[1])),
-                            );
-                            _mm256_storeu_pd(
-                                hp.add(o),
-                                _mm256_add_pd(cmul(a, e[2]), cmul(b, e[3])),
-                            );
-                        }
-                        Pair2::Diag(d) => {
-                            _mm256_storeu_pd(lp.add(o), cmul_amp(_mm256_loadu_pd(lp.add(o)), d[0]));
-                            _mm256_storeu_pd(hp.add(o), cmul_amp(_mm256_loadu_pd(hp.add(o)), d[1]));
-                        }
-                        Pair2::Mixed => {
-                            for w in 2 * p..2 * p + 2 {
-                                walker2_scalar(lc, hc, w, &mats[w], diag[w]);
-                            }
-                        }
-                    }
-                }
-                if nw & 1 == 1 {
-                    walker2_scalar(lc, hc, nw - 1, &mats[nw - 1], diag[nw - 1]);
-                }
-            }
-        }
-    }
-
-    /// Per-walker-pair dispatch for the walker two-qubit sweep.
-    // The Dense payload is 1 KiB of broadcast rows, read every inner
-    // iteration; boxing it would add a pointer chase to the hot loop for
-    // a table that holds at most nw/2 entries and lives one sweep.
-    #[allow(clippy::large_enum_variant)]
-    enum Pair4 {
-        /// Full 4×4, matrix-first broadcast per lane pair.
-        Dense(Mat4Rows),
-        /// `[d00, d11, d22, d33]`, amp-first broadcast.
-        Diag([(__m256d, __m256d); 4]),
-        Mixed,
-    }
-
-    /// One walker's scalar quad update — exactly the `walker_mat4_body`
-    /// expressions. Raw pointers for the same reason as
-    /// [`walker2_scalar`].
-    ///
-    /// # Safety
-    /// All four `.add(k)` slots must be valid, disjoint `C64` slots.
-    #[inline(always)]
-    unsafe fn walker4_scalar(
-        c00: *mut C64,
-        c01: *mut C64,
-        c10: *mut C64,
-        c11: *mut C64,
-        k: usize,
-        m: &Mat4,
-        diag: bool,
-    ) {
-        let (a0, a1, a2, a3) = (c00.add(k), c01.add(k), c10.add(k), c11.add(k));
-        if diag {
-            *a0 *= m.0[0][0];
-            *a1 *= m.0[1][1];
-            *a2 *= m.0[2][2];
-            *a3 *= m.0[3][3];
-        } else {
-            let v = [*a0, *a1, *a2, *a3];
-            let r = &m.0;
-            *a0 = r[0][0] * v[0] + r[0][1] * v[1] + r[0][2] * v[2] + r[0][3] * v[3];
-            *a1 = r[1][0] * v[0] + r[1][1] * v[1] + r[1][2] * v[2] + r[1][3] * v[3];
-            *a2 = r[2][0] * v[0] + r[2][1] * v[1] + r[2][2] * v[2] + r[2][3] * v[3];
-            *a3 = r[3][0] * v[0] + r[3][1] * v[1] + r[3][2] * v[2] + r[3][3] * v[3];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn walker_mat4(
-        amps: &mut [C64],
-        nw: usize,
-        s_hi: usize,
-        s_lo: usize,
-        mats: &[Mat4],
-        diag: &[bool],
-    ) {
-        let np = nw / 2;
-        let pairs: Vec<Pair4> = (0..np)
-            .map(|p| {
-                let (a, b) = (2 * p, 2 * p + 1);
-                match (diag[a], diag[b]) {
-                    (true, true) => Pair4::Diag([
-                        bcast2_ri(mats[a].0[0][0], mats[b].0[0][0]),
-                        bcast2_ri(mats[a].0[1][1], mats[b].0[1][1]),
-                        bcast2_ri(mats[a].0[2][2], mats[b].0[2][2]),
-                        bcast2_ri(mats[a].0[3][3], mats[b].0[3][3]),
-                    ]),
-                    (false, false) => {
-                        let mut rows = [[(_mm256_setzero_pd(), _mm256_setzero_pd()); 4]; 4];
-                        for (r, row) in rows.iter_mut().enumerate() {
-                            for (k, e) in row.iter_mut().enumerate() {
-                                *e = bcast2(mats[a].0[r][k], mats[b].0[r][k]);
-                            }
-                        }
-                        Pair4::Dense(rows)
-                    }
-                    _ => Pair4::Mixed,
-                }
-            })
-            .collect();
-        let row = nw;
-        let block = (s_hi << 1) * row;
-        let lo_block = (s_lo << 1) * row;
-        for c in amps.chunks_mut(block) {
-            let (h0, h1) = c.split_at_mut(s_hi * row);
-            for (c0, c1) in h0.chunks_mut(lo_block).zip(h1.chunks_mut(lo_block)) {
-                let (c00, c01) = c0.split_at_mut(s_lo * row);
-                let (c10, c11) = c1.split_at_mut(s_lo * row);
-                let q0 = c00.as_mut_ptr();
-                let q1 = c01.as_mut_ptr();
-                let q2 = c10.as_mut_ptr();
-                let q3 = c11.as_mut_ptr();
-                let p0 = q0 as *mut f64;
-                let p1 = q1 as *mut f64;
-                let p2 = q2 as *mut f64;
-                let p3 = q3 as *mut f64;
-                for j in 0..s_lo {
-                    let base = j * row;
-                    for (p, pair) in pairs.iter().enumerate() {
-                        let o = 2 * base + 4 * p;
-                        match pair {
-                            Pair4::Dense(rows) => {
-                                let v = [
-                                    _mm256_loadu_pd(p0.add(o)),
-                                    _mm256_loadu_pd(p1.add(o)),
-                                    _mm256_loadu_pd(p2.add(o)),
-                                    _mm256_loadu_pd(p3.add(o)),
-                                ];
-                                let out = quad_rows(&v, rows);
-                                _mm256_storeu_pd(p0.add(o), out[0]);
-                                _mm256_storeu_pd(p1.add(o), out[1]);
-                                _mm256_storeu_pd(p2.add(o), out[2]);
-                                _mm256_storeu_pd(p3.add(o), out[3]);
-                            }
-                            Pair4::Diag(d) => {
-                                _mm256_storeu_pd(
-                                    p0.add(o),
-                                    cmul_amp(_mm256_loadu_pd(p0.add(o)), d[0]),
-                                );
-                                _mm256_storeu_pd(
-                                    p1.add(o),
-                                    cmul_amp(_mm256_loadu_pd(p1.add(o)), d[1]),
-                                );
-                                _mm256_storeu_pd(
-                                    p2.add(o),
-                                    cmul_amp(_mm256_loadu_pd(p2.add(o)), d[2]),
-                                );
-                                _mm256_storeu_pd(
-                                    p3.add(o),
-                                    cmul_amp(_mm256_loadu_pd(p3.add(o)), d[3]),
-                                );
-                            }
-                            Pair4::Mixed => {
-                                for w in 2 * p..2 * p + 2 {
-                                    walker4_scalar(q0, q1, q2, q3, base + w, &mats[w], diag[w]);
-                                }
-                            }
-                        }
-                    }
-                    if nw & 1 == 1 {
-                        let w = nw - 1;
-                        walker4_scalar(q0, q1, q2, q3, base + w, &mats[w], diag[w]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shared index selector of one diagonal-factor column (the factor
-    /// *kind* is position-aligned across walkers; only the entry values
-    /// differ per θ).
-    enum FactKind {
-        One { q: usize },
-        Two { hi: usize, lo: usize },
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn walker_diag(amps: &mut [C64], nw: usize, factors: &[DiagFactor]) {
-        let np = nw / 2;
-        let nf = factors.len() / nw;
-        // Per factor: one shared bit selector + a per-pair table of all
-        // possible entry values, amp-first broadcast. The inner loop then
-        // reduces to table-select + one complex multiply per factor.
-        let mut kinds: Vec<FactKind> = Vec::with_capacity(nf);
-        let mut tbl: Vec<[(__m256d, __m256d); 4]> = Vec::with_capacity(nf * np);
-        for f in 0..nf {
-            let fr = &factors[f * nw..(f + 1) * nw];
-            kinds.push(match fr[0] {
-                DiagFactor::One { q, .. } => FactKind::One { q },
-                DiagFactor::Two { hi, lo, .. } => FactKind::Two { hi, lo },
-            });
-            let d_of = |w: usize, idx: usize| match fr[w] {
-                DiagFactor::One { d, .. } => d[idx & 1],
-                DiagFactor::Two { d, .. } => d[idx],
-            };
-            for p in 0..np {
-                tbl.push([
-                    bcast2_ri(d_of(2 * p, 0), d_of(2 * p + 1, 0)),
-                    bcast2_ri(d_of(2 * p, 1), d_of(2 * p + 1, 1)),
-                    bcast2_ri(d_of(2 * p, 2), d_of(2 * p + 1, 2)),
-                    bcast2_ri(d_of(2 * p, 3), d_of(2 * p + 1, 3)),
-                ]);
-            }
-        }
-        let mut idxs: Vec<usize> = vec![0; nf];
-        for (i, rows) in amps.chunks_exact_mut(nw).enumerate() {
-            for (f, k) in kinds.iter().enumerate() {
-                idxs[f] = match *k {
-                    FactKind::One { q } => (i >> q) & 1,
-                    FactKind::Two { hi, lo } => (((i >> hi) & 1) << 1) | ((i >> lo) & 1),
-                };
-            }
-            let rp = rows.as_mut_ptr() as *mut f64;
-            for p in 0..np {
-                let mut v = _mm256_loadu_pd(rp.add(4 * p));
-                for (f, &idx) in idxs.iter().enumerate() {
-                    v = cmul_amp(v, tbl[f * np + p][idx]);
-                }
-                _mm256_storeu_pd(rp.add(4 * p), v);
-            }
-            if nw & 1 == 1 {
-                let w = nw - 1;
-                for f in 0..nf {
-                    rows[w] *= factors[f * nw + w].at(i);
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn walker_accum(
-        accs: &mut [C64],
-        amps: &[C64],
-        nw: usize,
-        base: usize,
-        m: usize,
-        f: &[C64],
-    ) {
-        let np = nw / 2;
-        let ap = amps.as_ptr() as *const f64;
-        // Per-pair accumulators live in registers across the block.
-        let mut av: Vec<__m256d> = {
-            let cp = accs.as_ptr() as *const f64;
-            (0..np).map(|p| _mm256_loadu_pd(cp.add(4 * p))).collect()
-        };
-        if m == 0 {
-            for (j, &fx) in f.iter().enumerate() {
-                let x = base + j;
-                let fxb = bcast_ri(fx);
-                let o = x * nw * 2;
-                for (p, a) in av.iter_mut().enumerate() {
-                    let row = _mm256_loadu_pd(ap.add(o + 4 * p));
-                    // |ψ|² per lane pair in norm_sqr's exact re·re + im·im
-                    // order, imaginary lanes blended to zero.
-                    let re = _mm256_movedup_pd(row);
-                    let im = _mm256_permute_pd(row, 0b1111);
-                    let n2 = _mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im));
-                    let w = _mm256_blend_pd(n2, _mm256_setzero_pd(), 0b1010);
-                    *a = _mm256_add_pd(*a, cmul_amp(w, fxb));
-                }
-                if nw & 1 == 1 {
-                    let w = nw - 1;
-                    accs[w] += C64::new(amps[x * nw + w].norm_sqr(), 0.0) * fx;
-                }
-            }
-        } else {
-            for (j, &fx) in f.iter().enumerate() {
-                let x = base + j;
-                let fxb = bcast_ri(fx);
-                let o = x * nw * 2;
-                let om = (x ^ m) * nw * 2;
-                for (p, a) in av.iter_mut().enumerate() {
-                    let row = _mm256_loadu_pd(ap.add(o + 4 * p));
-                    let mate = conj_v(_mm256_loadu_pd(ap.add(om + 4 * p)));
-                    *a = _mm256_add_pd(*a, cmul_amp(cmul_vv(mate, row), fxb));
-                }
-                if nw & 1 == 1 {
-                    let w = nw - 1;
-                    accs[w] += (amps[(x ^ m) * nw + w].conj() * amps[x * nw + w]) * fx;
-                }
-            }
-        }
-        let cp = accs.as_mut_ptr() as *mut f64;
-        for (p, a) in av.iter().enumerate() {
-            _mm256_storeu_pd(cp.add(4 * p), *a);
         }
     }
 }

@@ -1,13 +1,10 @@
 //! Bitwise parity between the explicit-AVX kernel instantiations and the
-//! forced-scalar path, and between the walker-batched multi-θ sweep and
-//! independent per-θ evolution.
+//! forced-scalar path.
 //!
 //! The SIMD rewrite is only allowed to change *speed*: every vector body
 //! evaluates the same floating-point expressions in the same order as
 //! the scalar body, so results must match **bit for bit** — on the AVX2
-//! host itself, not just on a scalar fallback machine. Likewise a
-//! `WalkerSet` evolved through aligned plans must hold, per walker, the
-//! exact amplitudes (and energies) of that walker's independent run.
+//! host itself, not just on a scalar fallback machine.
 //!
 //! The scalar/SIMD switch is process-global, so every test in this file
 //! serializes on one lock; a test observing the switch mid-flip would
@@ -17,7 +14,6 @@ use nwq_common::mat::{mat_cp, mat_cx, mat_h, mat_rz, mat_rzz, mat_swap, mat_x, m
 use nwq_common::{C64, PAR_MIN_AMPS};
 use nwq_statevec::kernels::{apply_diag_sweep, apply_mat2, apply_mat4, DiagFactor};
 use nwq_statevec::simd::set_force_scalar;
-use nwq_statevec::{ExecPlan, Executor, WalkerSet};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -45,10 +41,6 @@ fn rand_state(n: usize, seed: u64) -> Vec<C64> {
         *a = *a * (1.0 / norm);
     }
     v
-}
-
-fn bits(v: &[C64]) -> Vec<(u64, u64)> {
-    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
 }
 
 /// Runs `body` twice on clones of `psi` — forced-scalar, then with the
@@ -210,65 +202,5 @@ proptest! {
         set_force_scalar(false);
         let simd = nwq_statevec::expval::energy_direct_batched(&state, &op).unwrap();
         prop_assert_eq!(scalar.to_bits(), simd.to_bits());
-    }
-
-    /// An N-walker batched sweep must hold, per walker, exactly the
-    /// amplitudes and energy of that walker's independent evolution —
-    /// for any walker count (odd counts exercise the scalar trailing
-    /// walker, ≥2 the paired vector lanes).
-    #[test]
-    fn walker_sweep_matches_independent_runs_bitwise(
-        n in 4usize..9,
-        nw in 1usize..7,
-        layers in 1usize..3,
-        seed in 0u64..1000,
-    ) {
-        let mut c = nwq_circuit::Circuit::new(n);
-        for l in 0..layers {
-            for q in 0..n {
-                c.ry(q, nwq_circuit::ParamExpr::var(l * n + q));
-            }
-            for q in 0..n - 1 {
-                c.cz(q, q + 1);
-            }
-            c.rz(l % n, nwq_circuit::ParamExpr::var(l * n));
-        }
-        let thetas: Vec<Vec<f64>> = (0..nw)
-            .map(|w| {
-                (0..c.n_params())
-                    .map(|p| 0.2 + 0.11 * w as f64 + 0.007 * p as f64 + seed as f64 * 1e-4)
-                    .collect()
-            })
-            .collect();
-        let plans: Vec<ExecPlan> = thetas
-            .iter()
-            .map(|t| ExecPlan::compile(&c, t).unwrap())
-            .collect();
-        let mut set = WalkerSet::zero(n, nw).unwrap();
-        Executor::new().run_plans_walkers(&plans, &mut set).unwrap();
-
-        let mut zz = vec![b'I'; n];
-        zz[0] = b'Z';
-        zz[n - 1] = b'Z';
-        let mut xx = vec![b'I'; n];
-        xx[0] = b'X';
-        xx[1] = b'X';
-        let op = nwq_pauli::PauliOp::from_terms(
-            n,
-            vec![
-                (C64::real(0.7), nwq_pauli::PauliString::parse(std::str::from_utf8(&zz).unwrap()).unwrap()),
-                (C64::real(0.2), nwq_pauli::PauliString::parse(std::str::from_utf8(&xx).unwrap()).unwrap()),
-            ],
-        );
-        let batched = nwq_statevec::walkers::walker_energies(&set, &op).unwrap();
-        for (w, plan) in plans.iter().enumerate() {
-            let single = Executor::new().run_plan(plan).unwrap();
-            prop_assert_eq!(
-                bits(set.walker_state(w).amplitudes()),
-                bits(single.amplitudes())
-            );
-            let e = nwq_statevec::expval::energy_direct_batched(&single, &op).unwrap();
-            prop_assert_eq!(batched[w].to_bits(), e.to_bits());
-        }
     }
 }
