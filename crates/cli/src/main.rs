@@ -470,7 +470,7 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
     let resilient = snapshot_every > 0 || loss_rate > 0.0;
 
     // Layered hardware-efficient circuit whose CX ring always crosses the
-    // global/local boundary — same family the dist_scaling bench sweeps.
+    // global/local boundary — the benchmark ledger's `sharded_hea22`.
     let mut c = nwq_circuit::Circuit::new(n_qubits);
     for q in 0..n_qubits {
         c.h(q);
@@ -704,7 +704,13 @@ fn cmd_info() {
     println!("Rust reproduction of 'Enabling Scalable VQE Simulation on Leading HPC Systems' (SC-W 2023).");
     println!();
     println!("subcommands: vqe | adapt | qpe | fuse | serve | client | dist | info");
-    println!("figures    : cargo run --release -p nwq-bench --bin figures -- all");
+    println!(
+        "figures    : cargo run --release -p nwq-bench --bin figures -- \
+         [fig1a|fig1b|fig1c|fig3|fig4|fig5|dist|qpe|ablation|crossover|all]"
+    );
+    println!(
+        "benchmark  : cargo run --release --offline --manifest-path ledger/Cargo.toml -- check"
+    );
 }
 
 fn main() -> ExitCode {

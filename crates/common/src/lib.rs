@@ -30,12 +30,11 @@ pub use mat::{Mat2, Mat4};
 /// sleeping worker and waiting for it costs 15–60 µs on the 2-vCPU
 /// reference host when its vCPUs sit on separate cores — a serial sweep
 /// over 2¹⁶ amplitudes — so a split only pays once each half outlasts
-/// that. Measured there (`figures -- bench` writes the table to
-/// `BENCH_kernels.json`, `calibration.crossover`): at 2¹⁶ the split loses
-/// 1.3–2×, at 2¹⁷ it ties (0.84–1.26× by target qubit), and from 2¹⁸ every
-/// target position wins (0.72–0.79×) — which is the floor. In the phases
-/// where the host schedules both vCPUs onto one core (the committed table
-/// is from one) no size wins and the split costs 0–10 %.
+/// that. Measured there (`figures crossover` prints the table): at 2¹⁶ the
+/// split loses 1.3–2×, at 2¹⁷ it ties (0.84–1.26× by target qubit), and
+/// from 2¹⁸ every target position wins (0.72–0.79×) — which is the floor.
+/// In the phases where the host schedules both vCPUs onto one core no size
+/// wins and the split costs 0–10 %.
 pub const PAR_MIN_AMPS: usize = 1 << 18;
 
 #[cfg(test)]

@@ -192,7 +192,7 @@ pub struct DirectBackend {
 impl Default for DirectBackend {
     fn default() -> Self {
         DirectBackend {
-            cache: PostAnsatzCache::unbounded(),
+            cache: PostAnsatzCache::new(),
             executor: Executor::new(),
             stats: BackendStats::default(),
         }
@@ -200,18 +200,9 @@ impl Default for DirectBackend {
 }
 
 impl DirectBackend {
-    /// A direct backend with an unlimited device-memory model.
+    /// A direct backend with an empty post-ansatz cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A direct backend with a bounded device tier (spills to host above
-    /// the budget, per §4.1.4).
-    pub fn with_device_budget(bytes: u128) -> Self {
-        DirectBackend {
-            cache: PostAnsatzCache::new(bytes),
-            ..Default::default()
-        }
     }
 
     /// Cache statistics (hits mean reused post-ansatz states).

@@ -38,8 +38,9 @@ fn toy_problem() -> VqeProblem {
 
 #[test]
 fn repeated_theta_hits_cache_and_is_visible_in_telemetry() {
-    // BENCH_vqe.json once showed misses == evaluations with hits untested
-    // and invisible; pin both the cache behaviour and the counters.
+    // An H2 VQE run never repeats a θ, so its metrics show misses ==
+    // evaluations and no hits; pin both the cache behaviour and the
+    // counters here.
     let _telemetry = exclusive_telemetry();
     let p = toy_problem();
     let mut d = DirectBackend::new();

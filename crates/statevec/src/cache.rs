@@ -5,29 +5,12 @@
 //! — the dominant gate cost (paper Fig 3, upper curve). NWQ-Sim instead
 //! simulates the ansatz once per θ and keeps the amplitudes resident,
 //! reusing them for every subsequent basis change.
-//!
-//! The original system holds the cache in GPU memory and spills to CPU
-//! memory when the state outgrows it (§4.1.4). This reproduction models the
-//! same two-tier behaviour: a configurable device budget decides the tier,
-//! and the spill counter records when the slower tier is in use (on our
-//! all-CPU substrate both tiers are RAM; the *decision logic* and
-//! accounting are what the paper's behaviour depends on).
 
 use crate::executor::Executor;
 use crate::plan::ExecPlan;
 use crate::state::StateVector;
 use nwq_circuit::Circuit;
 use nwq_common::Result;
-
-/// Which memory tier the cached state occupies in the paper's model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemoryTier {
-    /// Fits in device (GPU) memory: fast path.
-    Device,
-    /// Exceeds the device budget: spilled to host memory (slower access,
-    /// but the simulation continues — §4.1.4).
-    Host,
-}
 
 /// Cache statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,8 +19,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Ansatz executions forced by a parameter change (or cold cache).
     pub misses: u64,
-    /// Number of cached states that landed in the host tier.
-    pub host_spills: u64,
 }
 
 impl CacheStats {
@@ -56,7 +37,6 @@ impl CacheStats {
 /// exact parameter vector.
 #[derive(Debug)]
 pub struct PostAnsatzCache {
-    device_budget_bytes: u128,
     entry: Option<Entry>,
     stats: CacheStats,
     /// Scratch plan reused across misses: `PlanTemplate::bind_into`
@@ -70,7 +50,6 @@ struct Entry {
     /// Bit patterns of the parameters (exact match semantics, NaN-safe).
     key: Vec<u64>,
     state: StateVector,
-    tier: MemoryTier,
 }
 
 fn key_of(params: &[f64]) -> Vec<u64> {
@@ -81,21 +60,20 @@ fn key_of(params: &[f64]) -> Vec<u64> {
     params.iter().map(|p| (p + 0.0).to_bits()).collect()
 }
 
+impl Default for PostAnsatzCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PostAnsatzCache {
-    /// A cache modeling a device with `device_budget_bytes` of fast memory
-    /// (e.g. 40 GiB for a Perlmutter A100).
-    pub fn new(device_budget_bytes: u128) -> Self {
+    /// An empty cache.
+    pub fn new() -> Self {
         PostAnsatzCache {
-            device_budget_bytes,
             entry: None,
             stats: CacheStats::default(),
             plan_scratch: ExecPlan::empty(),
         }
-    }
-
-    /// A cache with an effectively unlimited device tier.
-    pub fn unbounded() -> Self {
-        PostAnsatzCache::new(u128::MAX)
     }
 
     /// Statistics so far.
@@ -103,53 +81,18 @@ impl PostAnsatzCache {
         self.stats
     }
 
-    /// Tier of the currently cached state, if any.
-    pub fn tier(&self) -> Option<MemoryTier> {
-        self.entry.as_ref().map(|e| e.tier)
-    }
-
     /// Drops the cached state.
     pub fn invalidate(&mut self) {
         self.entry = None;
     }
 
-    /// Returns the post-ansatz state for `params`, preparing it with
-    /// `executor` on a miss. The returned reference stays valid until the
-    /// next call with different parameters.
-    pub fn get_or_prepare(
-        &mut self,
-        ansatz: &Circuit,
-        params: &[f64],
-        executor: &mut Executor,
-    ) -> Result<&StateVector> {
-        let key = key_of(params);
-        let hit = matches!(&self.entry, Some(e) if e.key == key);
-        if hit {
-            self.stats.hits += 1;
-            nwq_telemetry::counter_add("cache.hits", 1);
-        } else {
-            self.stats.misses += 1;
-            nwq_telemetry::counter_add("cache.misses", 1);
-            let state = executor.run(ansatz, params)?;
-            let tier = if state.memory_bytes() <= self.device_budget_bytes {
-                MemoryTier::Device
-            } else {
-                self.stats.host_spills += 1;
-                nwq_telemetry::counter_add("cache.host_spills", 1);
-                MemoryTier::Host
-            };
-            self.entry = Some(Entry { key, state, tier });
-        }
-        Ok(&self.entry.as_ref().expect("entry was just ensured").state)
-    }
-
-    /// Plan-compiling variant of [`get_or_prepare`](Self::get_or_prepare):
-    /// on a miss the ansatz's cached [`crate::PlanTemplate`] (built once
-    /// per circuit structure by the global [`crate::plan_cache`]) is bound
-    /// against `params` into a reusable scratch plan — no re-fusion, no
-    /// allocation after the first miss — and executed through the plan
-    /// path. The key is the same exact-parameter key, so callers can mix
-    /// this with `get_or_prepare` without spurious misses.
+    /// Returns the post-ansatz state for `params`, preparing it on a miss:
+    /// the ansatz's cached [`crate::PlanTemplate`] (built once per circuit
+    /// structure by the global [`crate::plan_cache`]) is bound against
+    /// `params` into a reusable scratch plan — no re-fusion, no allocation
+    /// after the first miss — and run by `executor`. The returned
+    /// reference stays valid until the next call with different
+    /// parameters.
     pub fn get_or_prepare_plan(
         &mut self,
         ansatz: &Circuit,
@@ -167,14 +110,7 @@ impl PostAnsatzCache {
             let template = crate::plan_cache::template_for(ansatz)?;
             template.bind_into(params, &mut self.plan_scratch)?;
             let state = executor.run_plan(&self.plan_scratch)?;
-            let tier = if state.memory_bytes() <= self.device_budget_bytes {
-                MemoryTier::Device
-            } else {
-                self.stats.host_spills += 1;
-                nwq_telemetry::counter_add("cache.host_spills", 1);
-                MemoryTier::Host
-            };
-            self.entry = Some(Entry { key, state, tier });
+            self.entry = Some(Entry { key, state });
         }
         Ok(&self.entry.as_ref().expect("entry was just ensured").state)
     }
@@ -194,11 +130,11 @@ mod tests {
     #[test]
     fn hit_on_same_params_miss_on_new() {
         let a = ansatz();
-        let mut cache = PostAnsatzCache::unbounded();
+        let mut cache = PostAnsatzCache::new();
         let mut ex = Executor::new();
-        cache.get_or_prepare(&a, &[0.3], &mut ex).unwrap();
-        cache.get_or_prepare(&a, &[0.3], &mut ex).unwrap();
-        cache.get_or_prepare(&a, &[0.4], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.3], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.3], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.4], &mut ex).unwrap();
         let s = cache.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
@@ -207,27 +143,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_prepare_shares_keys_with_gate_prepare_and_tracks_hit_rate() {
+    fn plan_prepare_matches_simulate_and_tracks_hit_rate() {
         let a = ansatz();
-        let mut cache = PostAnsatzCache::unbounded();
+        let mut cache = PostAnsatzCache::new();
         let mut ex = Executor::new();
         assert_eq!(cache.stats().hit_rate(), 0.0);
         cache.get_or_prepare_plan(&a, &[0.3], &mut ex).unwrap();
-        // Same θ through the gate-by-gate entry point must hit.
-        cache.get_or_prepare(&a, &[0.3], &mut ex).unwrap();
         cache.get_or_prepare_plan(&a, &[0.3], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.7], &mut ex).unwrap();
         cache.get_or_prepare_plan(&a, &[0.7], &mut ex).unwrap();
         let s = cache.stats();
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 2);
         assert!((s.hit_rate() - 0.5).abs() < 1e-15);
-        // Plan-prepared state matches gate-by-gate preparation.
-        let via_plan = cache
-            .get_or_prepare_plan(&a, &[0.7], &mut ex)
-            .unwrap()
-            .clone();
-        let mut fresh = PostAnsatzCache::unbounded();
-        let via_gates = fresh.get_or_prepare(&a, &[0.7], &mut ex).unwrap();
+        // The plan-prepared state matches gate-by-gate simulation.
+        let via_plan = cache.get_or_prepare_plan(&a, &[0.7], &mut ex).unwrap();
+        let via_gates = crate::simulate(&a, &[0.7]).unwrap();
         for (x, y) in via_plan.amplitudes().iter().zip(via_gates.amplitudes()) {
             assert!(x.approx_eq(*y, 1e-12));
         }
@@ -236,38 +167,23 @@ mod tests {
     #[test]
     fn cached_state_is_correct() {
         let a = ansatz();
-        let mut cache = PostAnsatzCache::unbounded();
+        let mut cache = PostAnsatzCache::new();
         let mut ex = Executor::new();
         let s = cache
-            .get_or_prepare(&a, &[std::f64::consts::PI], &mut ex)
+            .get_or_prepare_plan(&a, &[std::f64::consts::PI], &mut ex)
             .unwrap();
         // RY(π)|0⟩ = |1⟩, CX -> |11⟩.
         assert!((s.probability(3) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn tier_decision_and_spill_accounting() {
-        let a = ansatz(); // 2 qubits → 64 bytes of amplitudes
-        let mut ex = Executor::new();
-        let mut small = PostAnsatzCache::new(32); // budget below state size
-        small.get_or_prepare(&a, &[0.1], &mut ex).unwrap();
-        assert_eq!(small.tier(), Some(MemoryTier::Host));
-        assert_eq!(small.stats().host_spills, 1);
-        let mut big = PostAnsatzCache::new(1 << 20);
-        big.get_or_prepare(&a, &[0.1], &mut ex).unwrap();
-        assert_eq!(big.tier(), Some(MemoryTier::Device));
-        assert_eq!(big.stats().host_spills, 0);
-    }
-
-    #[test]
     fn invalidate_forces_reprepare() {
         let a = ansatz();
-        let mut cache = PostAnsatzCache::unbounded();
+        let mut cache = PostAnsatzCache::new();
         let mut ex = Executor::new();
-        cache.get_or_prepare(&a, &[0.2], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.2], &mut ex).unwrap();
         cache.invalidate();
-        assert!(cache.tier().is_none());
-        cache.get_or_prepare(&a, &[0.2], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.2], &mut ex).unwrap();
         assert_eq!(cache.stats().misses, 2);
     }
 
@@ -276,10 +192,10 @@ mod tests {
         // NaN != NaN under f64 comparison, but bit-pattern keys make the
         // same NaN hit the cache instead of looping on misses forever.
         let a = ansatz();
-        let mut cache = PostAnsatzCache::unbounded();
+        let mut cache = PostAnsatzCache::new();
         let mut ex = Executor::new();
-        cache.get_or_prepare(&a, &[f64::NAN], &mut ex).unwrap();
-        cache.get_or_prepare(&a, &[f64::NAN], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[f64::NAN], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[f64::NAN], &mut ex).unwrap();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
     }
@@ -289,11 +205,11 @@ mod tests {
         // 0.0 == -0.0, so a parameter crossing zero from below must reuse
         // the cached state instead of missing on the sign bit.
         let a = ansatz();
-        let mut cache = PostAnsatzCache::unbounded();
+        let mut cache = PostAnsatzCache::new();
         let mut ex = Executor::new();
-        cache.get_or_prepare(&a, &[0.0], &mut ex).unwrap();
-        cache.get_or_prepare(&a, &[-0.0], &mut ex).unwrap();
-        cache.get_or_prepare(&a, &[0.0], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.0], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[-0.0], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.0], &mut ex).unwrap();
         let s = cache.stats();
         assert_eq!(s.hits, 2, "-0.0 must hit the 0.0 entry");
         assert_eq!(s.misses, 1);
@@ -303,13 +219,13 @@ mod tests {
     #[test]
     fn signed_zero_mixed_with_nan_and_nonzero() {
         let a = ansatz();
-        let mut cache = PostAnsatzCache::unbounded();
+        let mut cache = PostAnsatzCache::new();
         let mut ex = Executor::new();
-        cache.get_or_prepare(&a, &[-0.0], &mut ex).unwrap();
-        cache.get_or_prepare(&a, &[0.0], &mut ex).unwrap(); // hit
-        cache.get_or_prepare(&a, &[f64::NAN], &mut ex).unwrap(); // miss
-        cache.get_or_prepare(&a, &[f64::NAN], &mut ex).unwrap(); // hit
-        cache.get_or_prepare(&a, &[0.5], &mut ex).unwrap(); // miss
+        cache.get_or_prepare_plan(&a, &[-0.0], &mut ex).unwrap();
+        cache.get_or_prepare_plan(&a, &[0.0], &mut ex).unwrap(); // hit
+        cache.get_or_prepare_plan(&a, &[f64::NAN], &mut ex).unwrap(); // miss
+        cache.get_or_prepare_plan(&a, &[f64::NAN], &mut ex).unwrap(); // hit
+        cache.get_or_prepare_plan(&a, &[0.5], &mut ex).unwrap(); // miss
         let s = cache.stats();
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 3);

@@ -518,18 +518,6 @@ fn diag_parts(amps: &mut [C64], factors: &[DiagFactor], parts: usize) {
     });
 }
 
-/// Strictly serial variant of [`apply_mat2`]: same math, no thread-pool
-/// dispatch and no telemetry. Exists so the bench harness can measure the
-/// partitioned kernels against a true single-thread baseline.
-pub fn apply_mat2_serial(amps: &mut [C64], q: usize, m: &Mat2) {
-    apply_mat2_parts(amps, q, m, 1);
-}
-
-/// Strictly serial variant of [`apply_mat4`] (see [`apply_mat2_serial`]).
-pub fn apply_mat4_serial(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
-    apply_mat4_parts(amps, qa, qb, m, 1);
-}
-
 /// Sharded single-qubit update for a *global* qubit (one whose bit lives
 /// in the rank id of a distributed run): every amplitude of `own` pairs
 /// with the amplitude at the same local index in `partner` (the exchanged
@@ -1222,7 +1210,7 @@ mod tests {
                 let mut par = psi.clone();
                 let mut ser = psi.clone();
                 apply_mat2(&mut par, q, &mat_h());
-                apply_mat2_serial(&mut ser, q, &mat_h());
+                apply_mat2_parts(&mut ser, q, &mat_h(), 1);
                 assert_bitwise(&[par], &ser, &format!("n={n} q={q}"));
             }
             for (qa, qb) in [(0, 1), (n - 1, 2), (3, n - 2)] {
@@ -1231,7 +1219,7 @@ mod tests {
                     let mut par = psi.clone();
                     let mut ser = psi.clone();
                     apply_mat4(&mut par, qa, qb, &m);
-                    apply_mat4_serial(&mut ser, qa, qb, &m);
+                    apply_mat4_parts(&mut ser, qa, qb, &m, 1);
                     assert_bitwise(&[par], &ser, &format!("n={n} qa={qa} qb={qb}"));
                 }
             }

@@ -12,8 +12,7 @@
 //!   ([`plan::PlanTemplate::build`], cached globally by [`plan_cache`])
 //!   and each new θ only replays the recorded arithmetic
 //!   ([`plan::PlanTemplate::bind`], microseconds, zero re-fusion);
-//! - [`cache::PostAnsatzCache`] — §4.1 post-ansatz state caching with the
-//!   two-tier (device/host) memory model;
+//! - [`cache::PostAnsatzCache`] — §4.1 post-ansatz state caching;
 //! - [`expval`] — §4.1/§4.2 energy evaluation strategies (non-caching
 //!   baseline, cached basis changes, direct expectation);
 //! - [`measure`] — traditional shot-based sampling, kept as the baseline

@@ -18,8 +18,7 @@ use nwq_common::mat::{
 };
 use nwq_common::{Mat2, Mat4, C64};
 use nwq_statevec::kernels::{
-    apply_diag_sweep_parts, apply_mat2_parts, apply_mat2_serial, apply_mat4_parts,
-    apply_mat4_serial, mat4_shape, DiagFactor, Mat4Shape,
+    apply_diag_sweep_parts, apply_mat2_parts, apply_mat4_parts, mat4_shape, DiagFactor, Mat4Shape,
 };
 use nwq_statevec::simd::set_force_scalar;
 use proptest::prelude::*;
@@ -130,7 +129,7 @@ proptest! {
         in_both_instantiations(|mode| {
             for q in 0..n {
                 let mut serial = psi.clone();
-                apply_mat2_serial(&mut serial, q, &m);
+                apply_mat2_parts(&mut serial, q, &m, 1);
                 for parts in PARTS {
                     let mut cut = psi.clone();
                     apply_mat2_parts(&mut cut, q, &m, parts);
@@ -153,7 +152,7 @@ proptest! {
                 for lo in los {
                     for (qa, qb) in [(hi, lo), (lo, hi)] {
                         let mut serial = psi.clone();
-                        apply_mat4_serial(&mut serial, qa, qb, &m);
+                        apply_mat4_parts(&mut serial, qa, qb, &m, 1);
                         for parts in PARTS {
                             let mut cut = psi.clone();
                             apply_mat4_parts(&mut cut, qa, qb, &m, parts);

@@ -206,7 +206,7 @@ proptest! {
         let cold_plan = ExecPlan::compile_uncached(&c, &theta1).unwrap();
         let cold = ex.run_plan(&cold_plan).unwrap();
 
-        let mut cache = PostAnsatzCache::unbounded();
+        let mut cache = PostAnsatzCache::new();
         // Dirty the scratch plan with θ2 first, then prepare θ1.
         cache.get_or_prepare_plan(&c, &theta2, &mut ex).unwrap();
         let via_cache = cache.get_or_prepare_plan(&c, &theta1, &mut ex).unwrap();

@@ -159,3 +159,53 @@ fn recovery_counters_are_recorded() {
     let after = nwq_telemetry::counter_value("resilience.shard_recoveries");
     assert!(after > before, "counter must advance: {before} -> {after}");
 }
+
+/// Snapshot amortization: a consistent cut copies each shard once, so a
+/// cut every 24 gates must cost under 10 % of the plain sharded run. This
+/// is the probe the retired scaling bench asserted: 18 qubits over 4 ranks, one
+/// H + RY + CX-ring + RZZ layer, best of alternating runs. A timing bound,
+/// so it runs in release builds only (CI's chaos job builds this file with
+/// `--release`).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing bound; run with --release")]
+fn snapshot_every_24_gates_costs_under_10_percent() {
+    let n = 18;
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.h(q);
+    }
+    for q in 0..n {
+        c.ry(q, 0.3 + 0.1 * q as f64 / n as f64);
+    }
+    for q in 0..n {
+        c.cx(q, (q + 1) % n);
+    }
+    for q in (0..n - 1).step_by(2) {
+        c.rzz(q, q + 1, 0.2);
+    }
+    let opts = ShardOptions::default();
+    let recovery = RecoveryOptions {
+        snapshot_every: 24,
+        ..Default::default()
+    };
+    let (mut plain_s, mut resilient_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..9 {
+        let t = std::time::Instant::now();
+        let plain = run_sharded(&c, &[], 4, &opts).unwrap();
+        plain_s = plain_s.min(t.elapsed().as_secs_f64());
+        drop(plain);
+        let t = std::time::Instant::now();
+        let (resilient, report) =
+            run_sharded_resilient(&c, &[], 4, &opts, &recovery, &FaultSchedule::none()).unwrap();
+        resilient_s = resilient_s.min(t.elapsed().as_secs_f64());
+        drop(resilient);
+        assert_eq!(report.recoveries, 0);
+        assert_eq!(report.snapshots_planned, 2);
+    }
+    let overhead = resilient_s / plain_s - 1.0;
+    assert!(
+        overhead < 0.10,
+        "snapshot overhead {:.1} % ({plain_s:.4} s plain, {resilient_s:.4} s resilient)",
+        overhead * 100.0
+    );
+}
