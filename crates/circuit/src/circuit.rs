@@ -4,24 +4,137 @@ use crate::gate::Gate;
 use crate::param::ParamExpr;
 use nwq_common::{Error, Result};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An ordered list of gates on a fixed-width register, with a declared
 /// variational parameter count.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Default)]
 pub struct Circuit {
     n_qubits: usize,
     n_params: usize,
     gates: Vec<Gate>,
+    /// Memo of [`Circuit::shape`]: a pure function of the three fields
+    /// above, so every method that changes them empties it. Clones share a
+    /// filled memo.
+    shape: OnceLock<Arc<Shape>>,
+}
+
+/// Equality of circuits; the memo is derived data and does not take part.
+impl PartialEq for Circuit {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_qubits == other.n_qubits
+            && self.n_params == other.n_params
+            && self.gates == other.gates
+    }
+}
+
+impl fmt::Debug for Circuit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Circuit")
+            .field("n_qubits", &self.n_qubits)
+            .field("n_params", &self.n_params)
+            .field("gates", &self.gates)
+            .finish()
+    }
+}
+
+/// A circuit's structural identity: an exact encoding of everything
+/// θ-independent that shapes its compiled plan — register width, declared
+/// parameter count, and each gate's variant, operands, parameter
+/// expressions (constant angles included) and fused-matrix bits — plus a
+/// 64-bit FNV-1a fingerprint of that encoding. Equal keys ⇔ identical
+/// plan templates; the fingerprint only prunes comparisons.
+#[derive(Debug)]
+pub struct Shape {
+    key: Vec<u64>,
+    fingerprint: u64,
+}
+
+impl Shape {
+    fn of(circuit: &Circuit) -> Shape {
+        let key = structural_key(circuit);
+        let fingerprint = fnv1a(&key);
+        Shape { key, fingerprint }
+    }
+
+    /// The exact structural encoding.
+    pub fn key(&self) -> &[u64] {
+        &self.key
+    }
+
+    /// 64-bit FNV-1a hash of [`Shape::key`].
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
+fn push_expr(key: &mut Vec<u64>, e: &ParamExpr) {
+    match *e {
+        ParamExpr::Const(v) => {
+            key.push(0);
+            key.push(v.to_bits());
+        }
+        ParamExpr::Var {
+            index,
+            coeff,
+            offset,
+        } => {
+            key.push(1);
+            key.push(index as u64);
+            key.push(coeff.to_bits());
+            key.push(offset.to_bits());
+        }
+    }
+}
+
+fn structural_key(circuit: &Circuit) -> Vec<u64> {
+    // Rough capacity: tag + 2 qubits + ~4 expr words per gate.
+    let mut key = Vec::with_capacity(3 + circuit.len() * 7);
+    key.push(circuit.n_qubits as u64);
+    key.push(circuit.n_params as u64);
+    key.push(circuit.len() as u64);
+    for gate in &circuit.gates {
+        // The mnemonic is unique per variant and ≤ 8 bytes: pack it as
+        // the variant tag.
+        let mut tag = 0u64;
+        for b in gate.name().bytes() {
+            tag = (tag << 8) | b as u64;
+        }
+        key.push(tag);
+        for q in gate.qubits() {
+            key.push(q as u64);
+        }
+        for e in gate.param_exprs() {
+            push_expr(&mut key, &e);
+        }
+        let fused: &[nwq_common::C64] = match gate {
+            Gate::Fused1(_, m) => m.0.as_flattened(),
+            Gate::Fused2(_, _, m) => m.0.as_flattened(),
+            _ => &[],
+        };
+        for c in fused {
+            key.push(c.re.to_bits());
+            key.push(c.im.to_bits());
+        }
+    }
+    key
+}
+
+fn fnv1a(key: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &word in key {
+        for byte in word.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 impl Circuit {
     /// An empty circuit on `n_qubits` with no parameters.
     pub fn new(n_qubits: usize) -> Self {
-        Circuit {
-            n_qubits,
-            n_params: 0,
-            gates: Vec::new(),
-        }
+        Circuit::with_params(n_qubits, 0)
     }
 
     /// An empty circuit declaring `n_params` variational parameters.
@@ -30,7 +143,21 @@ impl Circuit {
             n_qubits,
             n_params,
             gates: Vec::new(),
+            shape: OnceLock::new(),
         }
+    }
+
+    /// The circuit's [`Shape`], built on the first call and kept on the
+    /// circuit until it is next mutated: it depends on nothing but the
+    /// gate list, width and parameter count, so every evaluation of one
+    /// circuit pays for its key once. `on_build` runs once, in the call
+    /// that builds it (telemetry hook).
+    pub fn shape(&self, on_build: impl FnOnce(&Shape)) -> &Arc<Shape> {
+        self.shape.get_or_init(|| {
+            let built = Shape::of(self);
+            on_build(&built);
+            Arc::new(built)
+        })
     }
 
     /// Register width.
@@ -67,6 +194,7 @@ impl Circuit {
     /// parameter count if the gate references a new parameter.
     pub fn push(&mut self, gate: Gate) -> Result<&mut Self> {
         gate.validate(self.n_qubits)?;
+        self.shape = OnceLock::new();
         for e in gate.param_exprs() {
             if let Some(i) = e.param_index() {
                 self.n_params = self.n_params.max(i + 1);
@@ -212,6 +340,7 @@ impl Circuit {
             };
             self.push(shifted)?;
         }
+        self.shape = OnceLock::new();
         self.n_params = self.n_params.max(delta + other.n_params);
         Ok(delta)
     }
@@ -423,6 +552,54 @@ mod tests {
         let h = c.gate_histogram();
         assert_eq!(h["h"], 2);
         assert_eq!(h["cx"], 1);
+    }
+
+    #[test]
+    fn shape_memo_is_shared_by_clones_and_dropped_by_every_mutation() {
+        let mut c = bell_ry();
+        let mut builds = 0;
+        let first = c.shape(|_| builds += 1).clone();
+        assert!(Arc::ptr_eq(c.shape(|_| builds += 1), &first));
+        // A clone of a keyed circuit shares the key …
+        let twin = c.clone();
+        assert!(Arc::ptr_eq(twin.shape(|_| builds += 1), &first));
+        assert_eq!(builds, 1);
+        // … and equality never looks at the memo.
+        assert_eq!(twin, bell_ry());
+        assert!(bell_ry().shape.get().is_none());
+
+        c.push(Gate::H(1)).unwrap();
+        let pushed = c.shape(|_| builds += 1).clone();
+        assert_ne!(pushed.key(), first.key());
+        c.append(&bell()).unwrap();
+        let appended = c.shape(|_| builds += 1).clone();
+        assert_ne!(appended.key(), pushed.key());
+        // Appending a gate-free circuit only widens the parameter count:
+        // no push runs, yet the key must still change.
+        c.append_shifted(&Circuit::with_params(2, 3)).unwrap();
+        assert_ne!(c.shape(|_| builds += 1).key(), appended.key());
+        assert_eq!(builds, 4);
+        // The clone taken before the edits keeps the original key.
+        assert!(Arc::ptr_eq(twin.shape(|_| ()), &first));
+    }
+
+    #[test]
+    fn equal_circuits_built_apart_have_equal_shapes() {
+        let (a, b) = (bell_ry(), bell_ry());
+        let (sa, sb) = (a.shape(|_| ()), b.shape(|_| ()));
+        assert!(!Arc::ptr_eq(sa, sb));
+        assert_eq!(sa.key(), sb.key());
+        assert_eq!(sa.fingerprint(), sb.fingerprint());
+        // A different constant angle is a different shape.
+        let mut c = Circuit::new(2);
+        c.ry(0, 0.5).cx(0, 1);
+        assert_ne!(c.shape(|_| ()).fingerprint(), sa.fingerprint());
+    }
+
+    fn bell_ry() -> Circuit {
+        let mut c = Circuit::new(2);
+        c.ry(0, ParamExpr::var(0)).cx(0, 1);
+        c
     }
 
     #[test]

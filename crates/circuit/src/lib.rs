@@ -5,7 +5,8 @@
 //! - [`gate::Gate`] — the simulator's native ≤2-qubit gate set, including
 //!   transpiler-produced fused blocks;
 //! - [`circuit::Circuit`] — gate list with symbolic parameters
-//!   ([`param::ParamExpr`]), binding, composition, and inversion;
+//!   ([`param::ParamExpr`]), binding, composition, and inversion, and its
+//!   memoised structural identity [`circuit::Shape`];
 //! - [`fusion`] — the §4.3 gate-fusion pass (capped at two qubits by
 //!   design);
 //! - [`passes`] — adjacent-inverse cancellation and rotation merging;
@@ -30,7 +31,7 @@ pub mod qft;
 pub mod reference;
 pub mod routing;
 
-pub use circuit::Circuit;
+pub use circuit::{Circuit, Shape};
 pub use gate::{Gate, GateMatrix};
 pub use param::ParamExpr;
 

@@ -492,6 +492,8 @@ mod tests {
         assert_send_sync::<Executor>();
         assert_send_sync::<nwq_statevec::cache::CacheStats>();
         assert_send_sync::<nwq_statevec::stats::ExecStats>();
+        // Workers share one ansatz, whose memoised shape fills lazily.
+        assert_send_sync::<Circuit>();
         // The boxed trait-object path workers own must be movable.
         fn assert_send<T: Send + ?Sized>() {}
         assert_send::<BoxedBackend>();

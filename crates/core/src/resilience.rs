@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 pub use nwq_dist::{FaultSpec, FaultStats};
 
 /// Checkpoint schema version; bumped on incompatible layout changes.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Bounded-retry policy for transient evaluation failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -661,7 +661,6 @@ impl<'a> ResilientEvaluator<'a> {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
@@ -670,22 +669,13 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
         .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
-/// 64-bit FNV-1a content fingerprint of a circuit: width, parameter count,
-/// and the structural form of every gate (kind, qubits, parameter
-/// expressions). Two circuits fingerprint equal iff they would compile to
-/// the same `ExecPlan` for the same bindings — the identity the serving
-/// layer batches and caches by.
+/// 64-bit content fingerprint of a circuit: the fingerprint of its
+/// memoised [`nwq_circuit::Shape`] (width, parameter count, and every
+/// gate's kind, qubits and parameter expressions). Two circuits
+/// fingerprint equal iff they would compile to the same `ExecPlan` for the
+/// same bindings — the identity the serving layer batches and caches by.
 pub fn circuit_content_fingerprint(circuit: &Circuit) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv1a(h, &(circuit.n_qubits() as u64).to_le_bytes());
-    h = fnv1a(h, &(circuit.n_params() as u64).to_le_bytes());
-    for gate in circuit.gates() {
-        // The structural Debug form covers kind, qubits, and symbolic
-        // parameter expressions deterministically.
-        h = fnv1a(h, format!("{gate:?}").as_bytes());
-        h = fnv1a(h, b";");
-    }
-    h
+    circuit.shape(|_| ()).fingerprint()
 }
 
 /// Content fingerprint of a `(Hamiltonian, ansatz)` pair: the circuit
@@ -1439,6 +1429,20 @@ mod tests {
         let err =
             run_vqe_with(&problem, &mut backend, &mut spsa, &[0.4, 0.2], 200, &opts).unwrap_err();
         assert!(err.to_string().contains("optimizer"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn version_1_checkpoint_is_rejected_by_version() {
+        // Version 1 stored content fingerprints of a retired encoding.
+        let path = tmp_checkpoint("v1");
+        std::fs::write(&path, r#"{"version": 1, "kind": "vqe"}"#).unwrap();
+        let err = ResumeState::load(&path).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        assert!(
+            err.to_string().contains("unsupported checkpoint version"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

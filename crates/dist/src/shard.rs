@@ -1248,6 +1248,12 @@ pub struct RecoveryReport {
     /// Coordinator-side latency of each recovery (restore the cut +
     /// bookkeeping), milliseconds.
     pub recovery_ms: Vec<f64>,
+    /// Shard buffers the snapshot store allocated: at most
+    /// `n_ranks × (keep_versions + 1)`, whatever the cadence.
+    pub snapshot_allocs: u64,
+    /// Shard bytes copied into the snapshot store: one shard per rank per
+    /// barrier reached (replayed barriers included).
+    pub snapshot_bytes_copied: u64,
 }
 
 /// Runs `circuit` on `n_ranks` real shards, one OS thread per rank, and
@@ -1319,7 +1325,11 @@ pub fn run_sharded_resilient(
     loop {
         report.generations += 1;
         match run_generation(n_ranks, &tape, start_step, init.take(), deadline, &store) {
-            Ok(reports) => return Ok((assemble(circuit.n_qubits(), &tape, reports), report)),
+            Ok(reports) => {
+                report.snapshot_allocs = store.allocations();
+                report.snapshot_bytes_copied = store.bytes_copied();
+                return Ok((assemble(circuit.n_qubits(), &tape, reports), report));
+            }
             Err(e) => {
                 report.recoveries += 1;
                 if report.recoveries > recovery.max_recoveries {

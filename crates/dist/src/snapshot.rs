@@ -16,11 +16,21 @@
 //! recovery critical path) with an optional on-disk mirror of raw
 //! little-endian `f64` pairs per shard, so a checkpoint survives the
 //! coordinator process too.
+//!
+//! A cut costs one shard copy per rank, and after warm-up no allocation:
+//! each rank copies into a buffer recycled from a pruned version, outside
+//! the store mutex. A rank never owns more than `keep + 1` buffers; when a
+//! rank runs that far ahead of the slowest one, it recycles its oldest
+//! deposit outside the newest complete cut instead. That version then
+//! cannot be (or stay) complete, which recovery tolerates: it restores the
+//! newest complete cut only.
+//! [`SnapshotStore::allocations`] and [`SnapshotStore::bytes_copied`]
+//! count both costs.
 
 use nwq_common::{Error, Result, C64};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One restored consistent cut: the tape can be replayed from
 /// `resume_step` with these shards as the initial state.
@@ -42,6 +52,68 @@ struct Slot {
     deposited: usize,
 }
 
+struct Inner {
+    slots: BTreeMap<usize, Slot>,
+    /// Per rank: buffers of pruned versions, reused by its next deposits.
+    spare: Vec<Vec<Vec<C64>>>,
+    allocations: u64,
+    bytes_copied: u64,
+}
+
+impl Inner {
+    fn newest_complete(&self, n_ranks: usize) -> Option<(&usize, &Slot)> {
+        self.slots
+            .iter()
+            .rev()
+            .find(|(_, s)| s.deposited == n_ranks)
+    }
+
+    /// A buffer for `rank`'s next deposit: a spare one; else a fresh one
+    /// while the rank owns fewer than `cap`; else its deposit in the
+    /// oldest version that is not the newest complete cut.
+    fn take_buffer(&mut self, rank: usize, cap: usize, n_ranks: usize) -> Vec<C64> {
+        if let Some(buf) = self.spare[rank].pop() {
+            return buf;
+        }
+        let owned = self.slots.values().filter(|s| s.shards[rank].is_some());
+        if owned.count() >= cap {
+            let newest = self.newest_complete(n_ranks).map(|(&v, _)| v);
+            let oldest = self
+                .slots
+                .iter_mut()
+                .find(|(v, s)| Some(**v) != newest && s.shards[rank].is_some());
+            if let Some((_, slot)) = oldest {
+                slot.deposited -= 1;
+                return slot.shards[rank].take().expect("found by is_some");
+            }
+        }
+        self.allocations += 1;
+        Vec::new()
+    }
+
+    /// Drops every version older than the newest `keep` complete ones —
+    /// partial ones too: recovery restores the newest complete cut, so
+    /// they can never be read — and keeps their buffers for reuse.
+    fn prune(&mut self, keep: usize, n_ranks: usize) {
+        let oldest_kept = self
+            .slots
+            .iter()
+            .rev()
+            .filter(|(_, s)| s.deposited == n_ranks)
+            .nth(keep - 1)
+            .map(|(&v, _)| v);
+        let Some(oldest_kept) = oldest_kept else {
+            return;
+        };
+        let kept = self.slots.split_off(&oldest_kept);
+        for slot in std::mem::replace(&mut self.slots, kept).into_values() {
+            for (rank, buf) in slot.shards.into_iter().enumerate() {
+                self.spare[rank].extend(buf);
+            }
+        }
+    }
+}
+
 /// Versioned, rank-indexed shard snapshot store shared by all workers of a
 /// resilient run (and across its recovery generations).
 pub struct SnapshotStore {
@@ -50,7 +122,7 @@ pub struct SnapshotStore {
     /// tape doesn't hold every historical cut).
     keep: usize,
     dir: Option<PathBuf>,
-    inner: Mutex<BTreeMap<usize, Slot>>,
+    inner: Mutex<Inner>,
 }
 
 impl SnapshotStore {
@@ -61,8 +133,17 @@ impl SnapshotStore {
             n_ranks,
             keep: keep.max(1),
             dir,
-            inner: Mutex::new(BTreeMap::new()),
+            inner: Mutex::new(Inner {
+                slots: BTreeMap::new(),
+                spare: vec![Vec::new(); n_ranks],
+                allocations: 0,
+                bytes_copied: 0,
+            }),
         }
+    }
+
+    fn lock(&self) -> Result<MutexGuard<'_, Inner>> {
+        self.inner.lock().map_err(|_| poisoned())
     }
 
     /// Deposits rank `rank`'s shard for snapshot `version` taken at tape
@@ -72,51 +153,54 @@ impl SnapshotStore {
         if let Some(dir) = &self.dir {
             write_shard_file(dir, version, rank, shard)?;
         }
-        let mut inner = self.inner.lock().map_err(|_| poisoned())?;
-        let slot = inner.entry(version).or_insert_with(|| Slot {
+        let mut buf = self.lock()?.take_buffer(rank, self.keep + 1, self.n_ranks);
+        // The copy is the one cost of a cut that scales with the shard; no
+        // other rank waits on it.
+        buf.clear();
+        buf.extend_from_slice(shard);
+        let mut guard = self.lock()?;
+        let inner = &mut *guard;
+        inner.bytes_copied += std::mem::size_of_val(shard) as u64;
+        let slot = inner.slots.entry(version).or_insert_with(|| Slot {
             step,
             shards: (0..self.n_ranks).map(|_| None).collect(),
             deposited: 0,
         });
         if slot.step != step {
+            let opened = slot.step;
+            inner.spare[rank].push(buf);
             return Err(Error::Backend(format!(
                 "snapshot v{version}: rank {rank} deposited at step {step}, \
-                 but the version was opened at step {}",
-                slot.step
+                 but the version was opened at step {opened}"
             )));
         }
-        if slot.shards[rank].is_none() {
-            slot.deposited += 1;
+        match slot.shards[rank].replace(buf) {
+            Some(old) => inner.spare[rank].push(old),
+            None => slot.deposited += 1,
         }
-        slot.shards[rank] = Some(shard.to_vec());
-        let completed = slot.deposited == self.n_ranks;
-        if completed {
+        if slot.deposited == self.n_ranks {
             nwq_telemetry::counter_add("resilience.shard_snapshots", 1);
-            // Prune: keep only the newest `keep` complete versions (and
-            // any newer, still-partial ones).
-            let complete: Vec<usize> = inner
-                .iter()
-                .filter(|(_, s)| s.deposited == self.n_ranks)
-                .map(|(&v, _)| v)
-                .collect();
-            if complete.len() > self.keep {
-                for &v in &complete[..complete.len() - self.keep] {
-                    inner.remove(&v);
-                }
-            }
+            inner.prune(self.keep, self.n_ranks);
         }
         Ok(())
+    }
+
+    /// Shard buffers allocated so far: at most `n_ranks × (keep + 1)`
+    /// over the store's life, however many cuts it takes.
+    pub fn allocations(&self) -> u64 {
+        self.lock().map(|inner| inner.allocations).unwrap_or(0)
+    }
+
+    /// Shard bytes copied into the store so far: one shard per deposit.
+    pub fn bytes_copied(&self) -> u64 {
+        self.lock().map(|inner| inner.bytes_copied).unwrap_or(0)
     }
 
     /// The newest complete consistent cut, cloned out for respawning
     /// workers. `None` means recovery must restart from the zero state.
     pub fn last_complete(&self) -> Result<Option<RestoredCut>> {
-        let inner = self.inner.lock().map_err(|_| poisoned())?;
-        let Some((&version, slot)) = inner
-            .iter()
-            .rev()
-            .find(|(_, s)| s.deposited == self.n_ranks)
-        else {
+        let inner = self.lock()?;
+        let Some((&version, slot)) = inner.newest_complete(self.n_ranks) else {
             return Ok(None);
         };
         let shards = slot
@@ -134,10 +218,10 @@ impl SnapshotStore {
 
     /// Number of complete versions currently held in memory.
     pub fn complete_in_memory(&self) -> usize {
-        self.inner
-            .lock()
+        self.lock()
             .map(|inner| {
                 inner
+                    .slots
                     .values()
                     .filter(|s| s.deposited == self.n_ranks)
                     .count()
@@ -225,6 +309,40 @@ mod tests {
         assert_eq!(cut.version, 2);
         assert_eq!(cut.shards[0], shard_of(2, 4));
         assert_eq!(store.complete_in_memory(), 1);
+    }
+
+    #[test]
+    fn buffers_are_recycled_and_capped_per_rank() {
+        let store = SnapshotStore::new(2, 1, None);
+        // Ranks in step: allocation stops at 2 ranks × (keep 1 + 1).
+        for v in 0..10 {
+            for r in 0..2 {
+                store.deposit(v, v, r, &shard_of(v + r, 4)).unwrap();
+            }
+        }
+        assert_eq!(store.allocations(), 4);
+        assert_eq!(store.bytes_copied(), 10 * 2 * 4 * 16);
+        assert_eq!(
+            store.last_complete().unwrap().unwrap().shards[1],
+            shard_of(10, 4)
+        );
+        // Rank 0 runs five cuts ahead: it recycles its own deposits
+        // instead of allocating, and the newest complete cut survives.
+        for v in 10..15 {
+            store.deposit(v, v, 0, &shard_of(v, 4)).unwrap();
+        }
+        assert_eq!(store.allocations(), 4);
+        assert_eq!(store.last_complete().unwrap().unwrap().version, 9);
+        // Rank 1 catches up: the cut where rank 0's deposit survived
+        // completes, and every older version is pruned.
+        for v in 10..15 {
+            store.deposit(v, v, 1, &shard_of(v + 1, 4)).unwrap();
+        }
+        let cut = store.last_complete().unwrap().unwrap();
+        assert_eq!(cut.version, 14);
+        assert_eq!(cut.shards, vec![shard_of(14, 4), shard_of(15, 4)]);
+        assert_eq!(store.complete_in_memory(), 1);
+        assert_eq!(store.allocations(), 4);
     }
 
     #[test]

@@ -185,10 +185,76 @@ impl JobRecord {
     }
 }
 
+/// Every accepted job's record, indexed by id. Ids are handed out densely
+/// from 1, so records live in fixed-size chunks allocated as ids reach
+/// them: memory grows one chunk per [`JobTable::CHUNK`] jobs, linear in
+/// the jobs seen. (A hash map here doubled and rehashed itself each time
+/// the count crossed 7/8 of a power of two, so a server's peak memory
+/// jumped by tens of MiB depending on whether its throughput had carried
+/// it past the next threshold.)
+#[derive(Default)]
+struct JobTable {
+    chunks: Vec<Vec<Option<JobRecord>>>,
+    len: usize,
+}
+
+impl JobTable {
+    const CHUNK: usize = 1024;
+
+    fn get(&self, id: JobId) -> Option<&JobRecord> {
+        let id = id as usize;
+        self.chunks
+            .get(id / Self::CHUNK)?
+            .get(id % Self::CHUNK)?
+            .as_ref()
+    }
+
+    fn get_mut(&mut self, id: JobId) -> Option<&mut JobRecord> {
+        self.slot_mut(id)?.as_mut()
+    }
+
+    fn slot_mut(&mut self, id: JobId) -> Option<&mut Option<JobRecord>> {
+        let id = id as usize;
+        self.chunks
+            .get_mut(id / Self::CHUNK)?
+            .get_mut(id % Self::CHUNK)
+    }
+
+    /// Stores `record` under `id`. Concurrent submitters may insert ids
+    /// slightly out of order; the gap stays empty until its id arrives.
+    fn insert(&mut self, id: JobId, record: JobRecord) {
+        let (chunk, slot) = (id as usize / Self::CHUNK, id as usize % Self::CHUNK);
+        while self.chunks.len() <= chunk {
+            self.chunks.push(Vec::with_capacity(Self::CHUNK));
+        }
+        let chunk = &mut self.chunks[chunk];
+        if chunk.len() <= slot {
+            chunk.resize_with(slot + 1, || None);
+        }
+        if chunk[slot].replace(record).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, id: JobId) {
+        if self.slot_mut(id).and_then(Option::take).is_some() {
+            self.len -= 1;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn values(&self) -> impl Iterator<Item = &JobRecord> {
+        self.chunks.iter().flatten().flatten()
+    }
+}
+
 struct Shared {
     cfg: EngineConfig,
     queue: AdmissionQueue,
-    jobs: Mutex<HashMap<JobId, JobRecord>>,
+    jobs: Mutex<JobTable>,
     /// Notified whenever any job reaches a terminal status.
     terminal: Condvar,
     problems: Mutex<HashMap<String, Arc<ServeProblem>>>,
@@ -213,7 +279,7 @@ impl Engine {
             queue: AdmissionQueue::new(cfg.queue),
             cache: SharedCache::new(cfg.cache),
             cfg,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             terminal: Condvar::new(),
             problems: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -301,11 +367,11 @@ impl Engine {
                 SubmitOutcome::Accepted(id)
             }
             Admission::RejectedQueueFull => {
-                lock(&s.jobs).remove(&id);
+                lock(&s.jobs).remove(id);
                 self.reject("queue_full".into())
             }
             Admission::RejectedDraining => {
-                lock(&s.jobs).remove(&id);
+                lock(&s.jobs).remove(id);
                 self.reject("draining".into())
             }
         }
@@ -319,12 +385,12 @@ impl Engine {
 
     /// Current status of a job, if the id is known.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        lock(&self.shared.jobs).get(&id).map(|r| r.status)
+        lock(&self.shared.jobs).get(id).map(|r| r.status)
     }
 
     /// Full record view of a job, if the id is known.
     pub fn view(&self, id: JobId) -> Option<JobView> {
-        lock(&self.shared.jobs).get(&id).map(|r| r.view(id))
+        lock(&self.shared.jobs).get(id).map(|r| r.view(id))
     }
 
     /// Blocks until the job reaches a terminal status or `timeout` passes;
@@ -334,7 +400,7 @@ impl Engine {
         let deadline = Instant::now() + timeout;
         let mut jobs = lock(&s.jobs);
         loop {
-            match jobs.get(&id) {
+            match jobs.get(id) {
                 None => return None,
                 Some(r) if r.status.is_terminal() => break,
                 Some(_) => {}
@@ -349,7 +415,7 @@ impl Engine {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             jobs = guard;
         }
-        jobs.get(&id).map(|r| r.view(id))
+        jobs.get(id).map(|r| r.view(id))
     }
 
     /// Cancels a job that is still queued. Returns `false` when the job is
@@ -431,7 +497,7 @@ impl Shared {
     fn claim(&self, job: &QueuedJob) -> Option<(JobSpec, f64)> {
         let wait_ms = job.waited_ms(Instant::now());
         let mut jobs = lock(&self.jobs);
-        let r = jobs.get_mut(&job.id)?;
+        let r = jobs.get_mut(job.id)?;
         let spec = r.spec.clone()?;
         r.status = JobStatus::Running;
         Some((spec, wait_ms))
@@ -446,7 +512,7 @@ impl Shared {
         error: Option<String>,
     ) {
         let mut jobs = lock(&self.jobs);
-        if let Some(r) = jobs.get_mut(&id) {
+        if let Some(r) = jobs.get_mut(id) {
             r.spec = None;
             r.status = status;
             r.outcome = outcome;
@@ -480,7 +546,7 @@ impl Shared {
 
     fn wall_ms(&self, id: JobId) -> f64 {
         lock(&self.jobs)
-            .get(&id)
+            .get(id)
             .map_or(0.0, |r| r.submitted.elapsed().as_secs_f64() * 1e3)
     }
 
@@ -494,7 +560,7 @@ impl Shared {
         let budget = self.cfg.max_job_attempts.max(1);
         for job in claimed {
             let unfinished = lock(&self.jobs)
-                .get(&job.id)
+                .get(job.id)
                 .is_some_and(|r| !r.status.is_terminal());
             if !unfinished {
                 continue;
@@ -513,7 +579,7 @@ impl Shared {
                     )),
                 );
             } else {
-                if let Some(r) = lock(&self.jobs).get_mut(&job.id) {
+                if let Some(r) = lock(&self.jobs).get_mut(job.id) {
                     r.status = JobStatus::Queued;
                 }
                 lock(&self.stats).requeued += 1;
@@ -630,7 +696,7 @@ fn worker_loop(shared: Arc<Shared>, faults: Option<FaultSpec>) {
         // the job's actual kind, not the queue flag.
         let solo_energy = !live[0].batchable
             && lock(&shared.jobs)
-                .get(&live[0].id)
+                .get(live[0].id)
                 .and_then(|r| r.spec.as_ref())
                 .is_some_and(|spec| matches!(spec.kind, JobKind::EnergyEval { .. }));
         // Containment boundary: a panic anywhere in job execution must not
@@ -921,7 +987,7 @@ impl Shared {
     fn problem_of(&self, group: &[QueuedJob]) -> nwq_common::Result<Arc<ServeProblem>> {
         let id = group[0].id;
         let molecule = lock(&self.jobs)
-            .get(&id)
+            .get(id)
             .and_then(|r| r.spec.as_ref())
             .map(|spec| spec.molecule.clone())
             .ok_or_else(|| nwq_common::Error::Invalid(format!("job {id} has no record")))?;
@@ -1008,6 +1074,40 @@ mod tests {
             assert_eq!((first.status, first.error), (again.status, again.error));
         }
         engine.drain();
+    }
+
+    #[test]
+    fn job_table_grows_one_chunk_at_a_time_and_tolerates_out_of_order_ids() {
+        let record = |status| JobRecord {
+            spec: None,
+            status,
+            outcome: None,
+            error: None,
+            submitted: Instant::now(),
+        };
+        let mut table = JobTable::default();
+        let last = 3 * JobTable::CHUNK as JobId;
+        // Racing submitters insert ids out of order; the table does not care.
+        for id in (1..=last).rev() {
+            table.insert(id, record(JobStatus::Queued));
+        }
+        assert_eq!(table.len(), last as usize);
+        // Ids 0..=3·CHUNK span exactly four chunks: no over-allocation.
+        assert_eq!(table.chunks.len(), 4);
+        assert!(table.chunks.iter().all(|c| c.capacity() == JobTable::CHUNK));
+
+        table.get_mut(7).unwrap().status = JobStatus::Done;
+        assert_eq!(table.get(7).map(|r| r.status), Some(JobStatus::Done));
+        table.remove(8);
+        table.remove(8);
+        assert!(table.get(8).is_none());
+        assert!(table.get(0).is_none() && table.get(last + 1).is_none());
+        assert!(table.get(JobId::MAX).is_none());
+        assert_eq!(table.len(), last as usize - 1);
+        assert_eq!(table.values().count(), table.len());
+        // Re-inserting an id replaces its record without double counting.
+        table.insert(7, record(JobStatus::Failed));
+        assert_eq!(table.len(), last as usize - 1);
     }
 
     #[test]

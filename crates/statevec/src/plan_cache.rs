@@ -7,19 +7,24 @@
 //! across `PostAnsatzCache` invalidations, and across jobs on all
 //! `nwq-serve` workers (the cache is process-global and thread-safe).
 //!
-//! The key is an exact encoding of everything θ-independent that shapes
-//! the template: register width, declared parameter count, and each
-//! gate's variant, operands, parameter expressions (including constant
-//! angles — those fold into the template matrices) and fused-matrix bits.
-//! A 64-bit FNV-1a fingerprint prunes comparisons; equality is always
-//! confirmed against the full key, so collisions cannot alias templates.
+//! Entries are keyed by the circuit's memoised [`Shape`]
+//! ([`Circuit::shape`]): the exact structural encoding plus its
+//! fingerprint, built once per circuit value and shared by its clones, so
+//! a lookup constructs no key. It matches on `Arc` identity first — the
+//! hot loop's circuit carries the very `Arc` the entry holds — and falls
+//! back to fingerprint plus full-key equality for a separately built
+//! circuit of equal content, so collisions cannot alias templates. A
+//! content hit re-points the entry at the caller's `Arc`, making that
+//! circuit's next lookup a pointer hit.
 //!
 //! Telemetry: `plan.cache.hits` / `plan.cache.misses` /
-//! `plan.cache.evictions` counters and the `plan.cache.size` gauge.
+//! `plan.cache.evictions` counters, `plan.cache.shapes_derived` (shapes
+//! built by a lookup), `plan.cache.key_compares` (full-key comparisons on
+//! the fallback path) and the `plan.cache.size` gauge.
 
 use crate::adjoint::AdjointTemplate;
 use crate::plan::PlanTemplate;
-use nwq_circuit::{Circuit, Gate, ParamExpr};
+use nwq_circuit::{Circuit, Shape};
 use nwq_common::Result;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -28,8 +33,7 @@ use std::sync::Arc;
 pub const CAPACITY: usize = 64;
 
 struct Entry {
-    fingerprint: u64,
-    key: Vec<u64>,
+    shape: Arc<Shape>,
     template: Arc<PlanTemplate>,
     /// Dagger/derivative metadata, derived lazily on the first gradient
     /// request for this shape and evicted together with the template.
@@ -47,106 +51,55 @@ static CACHE: Mutex<Inner> = Mutex::new(Inner {
     tick: 0,
 });
 
-fn push_expr(key: &mut Vec<u64>, e: &ParamExpr) {
-    match *e {
-        ParamExpr::Const(v) => {
-            key.push(0);
-            key.push(v.to_bits());
-        }
-        ParamExpr::Var {
-            index,
-            coeff,
-            offset,
-        } => {
-            key.push(1);
-            key.push(index as u64);
-            key.push(coeff.to_bits());
-            key.push(offset.to_bits());
-        }
-    }
-}
-
-/// Exact structural key: equal keys ⇔ identical templates.
-fn structural_key(circuit: &Circuit) -> Vec<u64> {
-    // Rough capacity: tag + 2 qubits + ~4 expr words per gate.
-    let mut key = Vec::with_capacity(3 + circuit.len() * 7);
-    key.push(circuit.n_qubits() as u64);
-    key.push(circuit.n_params() as u64);
-    key.push(circuit.len() as u64);
-    for gate in circuit.gates() {
-        // The mnemonic is unique per variant and ≤ 8 bytes: pack it as
-        // the variant tag.
-        let mut tag = 0u64;
-        for b in gate.name().bytes() {
-            tag = (tag << 8) | b as u64;
-        }
-        key.push(tag);
-        for q in gate.qubits() {
-            key.push(q as u64);
-        }
-        for e in gate.param_exprs() {
-            push_expr(&mut key, &e);
-        }
-        match gate {
-            Gate::Fused1(_, m) => {
-                for row in &m.0 {
-                    for c in row {
-                        key.push(c.re.to_bits());
-                        key.push(c.im.to_bits());
+impl Inner {
+    /// The entry for `shape`, marked most recently used: by pointer, else
+    /// by content (adopting the caller's `Arc`).
+    fn find(&mut self, shape: &Arc<Shape>) -> Option<&mut Entry> {
+        self.tick += 1;
+        let tick = self.tick;
+        let idx = match self
+            .entries
+            .iter()
+            .position(|e| Arc::ptr_eq(&e.shape, shape))
+        {
+            Some(idx) => idx,
+            None => {
+                let mut compares = 0;
+                let idx = self.entries.iter().position(|e| {
+                    e.shape.fingerprint() == shape.fingerprint() && {
+                        compares += 1;
+                        e.shape.key() == shape.key()
                     }
-                }
+                });
+                nwq_telemetry::counter_add("plan.cache.key_compares", compares);
+                let idx = idx?;
+                self.entries[idx].shape = shape.clone();
+                idx
             }
-            Gate::Fused2(_, _, m) => {
-                for row in &m.0 {
-                    for c in row {
-                        key.push(c.re.to_bits());
-                        key.push(c.im.to_bits());
-                    }
-                }
-            }
-            _ => {}
-        }
+        };
+        let entry = &mut self.entries[idx];
+        entry.last_used = tick;
+        Some(entry)
     }
-    key
 }
 
-fn fingerprint(key: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &word in key {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// The circuit's memoised shape; a build here is counted.
+fn shape_of(circuit: &Circuit) -> &Arc<Shape> {
+    circuit.shape(|_| nwq_telemetry::counter_add("plan.cache.shapes_derived", 1))
 }
 
-fn lookup(fp: u64, key: &[u64]) -> Option<Arc<PlanTemplate>> {
+/// The cached `(template, adjoint)` pair for `shape`, if any.
+fn lookup(shape: &Arc<Shape>) -> Option<(Arc<PlanTemplate>, Option<Arc<AdjointTemplate>>)> {
     let mut inner = CACHE.lock();
-    inner.tick += 1;
-    let tick = inner.tick;
-    inner
-        .entries
-        .iter_mut()
-        .find(|e| e.fingerprint == fp && e.key == key)
-        .map(|e| {
-            e.last_used = tick;
-            e.template.clone()
-        })
+    let e = inner.find(shape)?;
+    Some((e.template.clone(), e.adjoint.clone()))
 }
 
-fn insert(fp: u64, key: Vec<u64>, template: Arc<PlanTemplate>) -> Arc<PlanTemplate> {
+fn insert(shape: &Arc<Shape>, template: Arc<PlanTemplate>) -> Arc<PlanTemplate> {
     let mut inner = CACHE.lock();
-    inner.tick += 1;
-    let tick = inner.tick;
     // Another thread may have built the same template while we did; keep
     // the canonical copy so concurrent callers share one allocation.
-    if let Some(e) = inner
-        .entries
-        .iter_mut()
-        .find(|e| e.fingerprint == fp && e.key == key)
-    {
-        e.last_used = tick;
+    if let Some(e) = inner.find(shape) {
         return e.template.clone();
     }
     if inner.entries.len() >= CAPACITY {
@@ -160,68 +113,58 @@ fn insert(fp: u64, key: Vec<u64>, template: Arc<PlanTemplate>) -> Arc<PlanTempla
             nwq_telemetry::counter_add("plan.cache.evictions", 1);
         }
     }
+    // The failed `find` above already advanced the clock.
+    let last_used = inner.tick;
     inner.entries.push(Entry {
-        fingerprint: fp,
-        key,
+        shape: shape.clone(),
         template: template.clone(),
         adjoint: None,
-        last_used: tick,
+        last_used,
     });
     nwq_telemetry::gauge_set("plan.cache.size", inner.entries.len() as f64);
     template
+}
+
+/// The template for `shape`, with its cached adjoint if one was derived.
+fn entry_for(
+    circuit: &Circuit,
+    shape: &Arc<Shape>,
+) -> Result<(Arc<PlanTemplate>, Option<Arc<AdjointTemplate>>)> {
+    if let Some(hit) = lookup(shape) {
+        nwq_telemetry::counter_add("plan.cache.hits", 1);
+        return Ok(hit);
+    }
+    nwq_telemetry::counter_add("plan.cache.misses", 1);
+    let template = Arc::new(PlanTemplate::build(circuit)?);
+    Ok((insert(shape, template), None))
 }
 
 /// Returns the cached template for `circuit`'s structure, building and
 /// inserting it on first sight. The build happens outside the cache lock;
 /// losing a build race returns the canonical cached copy.
 pub fn template_for(circuit: &Circuit) -> Result<Arc<PlanTemplate>> {
-    let key = structural_key(circuit);
-    let fp = fingerprint(&key);
-    if let Some(t) = lookup(fp, &key) {
-        nwq_telemetry::counter_add("plan.cache.hits", 1);
-        return Ok(t);
-    }
-    nwq_telemetry::counter_add("plan.cache.misses", 1);
-    let template = Arc::new(PlanTemplate::build(circuit)?);
-    Ok(insert(fp, key, template))
+    Ok(entry_for(circuit, shape_of(circuit))?.0)
 }
 
 /// Returns the cached [`AdjointTemplate`] for `circuit`'s structure,
 /// deriving it from the forward template on first request (one
-/// `plan.dagger_compiled` bump per shape, not per gradient). Losing a
-/// derive race returns the canonical cached copy; an entry evicted
-/// between derive and store still yields a valid template, it just isn't
-/// cached.
+/// `plan.dagger_compiled` bump per shape, not per gradient). One lookup
+/// serves both templates. Losing a derive race returns the canonical
+/// cached copy; an entry evicted between derive and store still yields a
+/// valid template, it just isn't cached.
 pub fn adjoint_for(circuit: &Circuit) -> Result<Arc<AdjointTemplate>> {
-    let template = template_for(circuit)?;
-    let key = structural_key(circuit);
-    let fp = fingerprint(&key);
-    {
-        let mut inner = CACHE.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(e) = inner
-            .entries
-            .iter_mut()
-            .find(|e| e.fingerprint == fp && e.key == key)
-        {
-            e.last_used = tick;
-            if let Some(adj) = &e.adjoint {
-                nwq_telemetry::counter_add("plan.cache.dagger_hits", 1);
-                return Ok(adj.clone());
-            }
-        }
+    let shape = shape_of(circuit);
+    let (template, adjoint) = entry_for(circuit, shape)?;
+    if let Some(adj) = adjoint {
+        nwq_telemetry::counter_add("plan.cache.dagger_hits", 1);
+        return Ok(adj);
     }
-    // Derive outside the lock: the scan is cheap but there is no reason
-    // to serialize concurrent gradient callers on it.
+    // Derive outside the lock: there is no reason to serialize concurrent
+    // gradient callers on it.
     let adjoint = Arc::new(AdjointTemplate::build(template));
     nwq_telemetry::counter_add("plan.dagger_compiled", 1);
     let mut inner = CACHE.lock();
-    if let Some(e) = inner
-        .entries
-        .iter_mut()
-        .find(|e| e.fingerprint == fp && e.key == key)
-    {
+    if let Some(e) = inner.find(shape) {
         if let Some(existing) = &e.adjoint {
             return Ok(existing.clone());
         }
@@ -258,6 +201,39 @@ mod tests {
         let a = template_for(&param_circuit(0.25)).unwrap();
         let b = template_for(&param_circuit(0.25)).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn pointer_hit_and_content_hit_return_the_same_template() {
+        // An angle no other test uses, so this shape is this test's own.
+        let c = param_circuit(0.3125);
+        let first = template_for(&c).unwrap();
+        // The entry holds the circuit's own shape `Arc`: a pointer hit.
+        assert!(Arc::ptr_eq(&template_for(&c).unwrap(), &first));
+        assert!(Arc::ptr_eq(&template_for(&c.clone()).unwrap(), &first));
+        // A separately built equal circuit has an equal but distinct
+        // shape: found by content, same template.
+        let twin = param_circuit(0.3125);
+        assert!(!Arc::ptr_eq(twin.shape(|_| ()), c.shape(|_| ())));
+        assert!(Arc::ptr_eq(&template_for(&twin).unwrap(), &first));
+        // The entry adopted the twin's shape, and still serves both.
+        let inner = CACHE.lock();
+        assert!(inner
+            .entries
+            .iter()
+            .any(|e| Arc::ptr_eq(&e.shape, twin.shape(|_| ()))));
+        drop(inner);
+        assert!(Arc::ptr_eq(&template_for(&c).unwrap(), &first));
+    }
+
+    #[test]
+    fn mutating_a_keyed_circuit_yields_its_new_template() {
+        let mut c = param_circuit(0.4375);
+        let before = template_for(&c).unwrap();
+        c.h(0);
+        let after = template_for(&c).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert_eq!(after.bind(&[0.1]).unwrap().stats().gates_in, 4);
     }
 
     #[test]

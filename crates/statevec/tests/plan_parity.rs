@@ -192,6 +192,16 @@ proptest! {
         let a = ex.run_plan(&cold).unwrap();
         let b = ex.run_plan(&scratch).unwrap();
         prop_assert_eq!(state_bits(&a), state_bits(&b));
+
+        // Mutating a circuit the cache has already keyed must drop its
+        // memoised shape: the cached compile follows the new gate list.
+        let mut c = c;
+        c.h(0).rz(1, ParamExpr::var(1));
+        let mutated = ExecPlan::compile(&c, &theta1).unwrap();
+        prop_assert_eq!(
+            plan_bits(&ExecPlan::compile_uncached(&c, &theta1).unwrap()),
+            plan_bits(&mutated)
+        );
     }
 
     /// The post-ansatz cache's plan path (template → scratch bind → run)

@@ -6,10 +6,10 @@
 //! their own test binary (no other test's evaluations can land in the
 //! enabled window) and take one lock (they cannot land in each other's).
 
-use nwq_circuit::Circuit;
+use nwq_circuit::{Circuit, ParamExpr};
 use nwq_pauli::PauliOp;
 use nwq_statevec::expval::energy_direct_batched;
-use nwq_statevec::{Executor, NormGuard, StateVector};
+use nwq_statevec::{plan_cache, Executor, NormGuard, StateVector};
 use std::sync::{Mutex, MutexGuard};
 
 /// Enables a freshly reset registry for as long as the guard lives.
@@ -40,6 +40,39 @@ fn norm_guard_amortizes_over_interval() {
     let checks = nwq_telemetry::counter_value("resilience.norm_checks");
     nwq_telemetry::set_enabled(false);
     assert_eq!(checks, 2, "8 runs at interval 4 → 2 checks");
+}
+
+#[test]
+fn template_lookups_key_each_circuit_once_and_hit_by_pointer() {
+    let _telemetry = exclusive_telemetry();
+    let build = || {
+        let mut c = Circuit::new(3);
+        c.ry(0, ParamExpr::var(0)).cx(0, 1).rzz(1, 2, 0.6180339);
+        c
+    };
+    let c = build();
+    for _ in 0..5 {
+        plan_cache::template_for(&c).unwrap();
+    }
+    plan_cache::adjoint_for(&c.clone()).unwrap();
+    let count = nwq_telemetry::counter_value;
+    let one_circuit = (
+        count("plan.cache.shapes_derived"),
+        count("plan.cache.key_compares"),
+    );
+    // A separately built equal circuit keys itself once and is found by
+    // one full-key comparison; from then on it hits by pointer too.
+    let twin = build();
+    for _ in 0..3 {
+        plan_cache::template_for(&twin).unwrap();
+    }
+    let with_twin = (
+        count("plan.cache.shapes_derived"),
+        count("plan.cache.key_compares"),
+    );
+    nwq_telemetry::set_enabled(false);
+    assert_eq!(one_circuit, (1, 0));
+    assert_eq!(with_twin, (2, 1));
 }
 
 #[test]
