@@ -378,8 +378,9 @@ fn ablation() {
 /// and runs it too, so the worker never has to wake). On a single-thread
 /// pool the partitioned column is the serial sweep again (one part).
 ///
-/// Exits non-zero on a multi-thread pool if, at any position, the split
-/// costs more than 15 % at the floor (a tie) or fails to win at 2^22.
+/// Prints only: wall-clock ratios on a shared host move 2× with the host's
+/// phase, so they pass or fail nothing. The dispatch rule itself is pinned
+/// by counts (`kernels.par_sweeps`, see the statevec telemetry tests).
 fn crossover() {
     use std::time::Instant;
 
@@ -420,7 +421,6 @@ fn crossover() {
         );
     }
     println!("# serial / partitioned ({threads} parts) H sweep, us; PAR_MIN_AMPS = 2^{floor}");
-    let mut failures = Vec::new();
     for log2_amps in 12..=22usize {
         let mut state = nwq_statevec::StateVector::zero(log2_amps);
         let amps = state.amplitudes_mut();
@@ -448,23 +448,8 @@ fn crossover() {
         print!("2^{log2_amps:<2}");
         for (k, (label, _)) in positions.iter().enumerate() {
             print!("  {label} {:.1}/{:.1}", serial_us[k], parts_us[k]);
-            let slack = match log2_amps {
-                22 => 1.05,
-                n if n == floor => 1.15,
-                _ => continue,
-            };
-            if threads > 1 && parts_us[k] > slack * serial_us[k] {
-                failures.push(format!(
-                    "2^{log2_amps} {label}: partitioned {:.1} us > {slack} x serial {:.1} us",
-                    parts_us[k], serial_us[k]
-                ));
-            }
         }
         println!();
-    }
-    if !failures.is_empty() {
-        eprintln!("crossover check failed:\n  {}", failures.join("\n  "));
-        std::process::exit(1);
     }
 }
 

@@ -779,6 +779,10 @@ struct Rank<'a> {
     shard: Vec<C64>,
     io: ExchangeIo<'a>,
     mirror: Option<Mirror>,
+    /// Parts each rank-local sweep is cut into: the pool's threads shared
+    /// among the rank threads ([`kernels::parts_per_caller`]), so R busy
+    /// ranks do not each dispatch the whole pool.
+    parts: usize,
 }
 
 impl Rank<'_> {
@@ -790,8 +794,10 @@ impl Rank<'_> {
     /// [`CommClass::Local`]: a rank-local gate or a snapshot deposit.
     fn local(&mut self, step: &Step, s: usize, snapshots: &SnapshotStore) -> Result<()> {
         match step {
-            Step::Local1(q, m) => kernels::apply_mat2(&mut self.shard, *q, m),
-            Step::Local2(a, b, m) => kernels::apply_mat4(&mut self.shard, *a, *b, m),
+            Step::Local1(q, m) => kernels::apply_mat2_parts(&mut self.shard, *q, m, self.parts),
+            Step::Local2(a, b, m) => {
+                kernels::apply_mat4_parts(&mut self.shard, *a, *b, m, self.parts)
+            }
             Step::Snapshot { version } => {
                 return snapshots.deposit(*version, s, self.io.rank, &self.shard)
             }
@@ -841,7 +847,7 @@ impl Rank<'_> {
             (ka, a)
         };
         if k != SubKind::Identity {
-            kernels::apply_mat2(&mut self.shard, *lo, &km);
+            kernels::apply_mat2_parts(&mut self.shard, *lo, &km, self.parts);
         }
         self.io.elide(1);
     }
@@ -1061,6 +1067,7 @@ fn worker(
             saved: 0,
         },
         mirror: None,
+        parts: kernels::parts_per_caller(part_len, mesh.senders.len()),
     };
     for s in start_step..tape.steps.len() {
         let (step, sc) = (&tape.steps[s], &tape.comm[s]);

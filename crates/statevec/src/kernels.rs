@@ -40,6 +40,19 @@ pub fn dispatches(len: usize) -> bool {
     len >= PAR_MIN_AMPS && parallel_dispatch_enabled()
 }
 
+/// Part count for a sweep over `len` amplitudes issued by one of
+/// `callers` threads that run sweeps at the same time (the rank threads
+/// of a sharded run): the pool's threads shared out, `max(1, threads /
+/// callers)`, under the same floor as [`dispatches`]. Every part count
+/// gives the serial bits, so the share moves no amplitude.
+pub fn parts_per_caller(len: usize, callers: usize) -> usize {
+    if dispatches(len) {
+        (rayon::current_num_threads() / callers.max(1)).max(1)
+    } else {
+        1
+    }
+}
+
 /// Number of parts a gate sweep over `len` amplitudes runs in (1 =
 /// serial), counted so `--metrics` shows which regime a run was in.
 fn sweep_parts(len: usize) -> usize {
@@ -112,14 +125,6 @@ fn sweep(
             Part::Blocks(base, a) => whole(*base, a),
             Part::Halves(base, lo, hi) => halves(*base, lo, hi),
         });
-}
-
-#[inline]
-fn pair_update(lo: &mut C64, hi: &mut C64, m: &Mat2) {
-    let a = *lo;
-    let b = *hi;
-    *lo = m.0[0][0] * a + m.0[0][1] * b;
-    *hi = m.0[1][0] * a + m.0[1][1] * b;
 }
 
 /// `true` when both off-diagonal entries are exactly zero (`±0` counts).
@@ -320,13 +325,8 @@ fn mat4_parts(amps: &mut [C64], hi: usize, lo: usize, mat: &Mat4, shape: &Mat4Sh
             s_hi,
             s_lo << 1,
             parts,
-            |_, a| {
-                for c in a.chunks_mut(s_hi << 1) {
-                    let (h0, h1) = c.split_at_mut(s_hi);
-                    block_update(h0, h1, s_lo, shape);
-                }
-            },
-            |_, h0, h1| block_update(h0, h1, s_lo, shape),
+            |_, a| simd::block_sweep(a, hi, lo, shape),
+            |_, h0, h1| simd::block_half_pair(h0, h1, lo, shape),
         ),
         Mat4Shape::Dense => sweep(
             amps,
@@ -350,60 +350,6 @@ pub fn apply_mat4_parts(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4, parts:
         (qb, qa, m.swap_qubits())
     };
     mat4_parts(amps, hi, lo, &mat, &mat4_shape(&mat), parts);
-}
-
-/// Applies one 2×2 sub-block across a (low, high) stripe pair:
-/// `Identity` touches nothing, `Diag` multiplies in place, `Dense` runs
-/// the paired 2-term MAC. Every sharded lean-exchange kernel reduces to
-/// this same per-element arithmetic, which is what keeps distributed
-/// runs bitwise identical to single-node.
-#[inline]
-fn apply_sub_pairwise(lo: &mut [C64], hi: &mut [C64], k: SubKind, m: &Mat2) {
-    match k {
-        SubKind::Identity => {}
-        SubKind::Diag => {
-            let (d0, d1) = (m.0[0][0], m.0[1][1]);
-            for a in lo.iter_mut() {
-                *a *= d0;
-            }
-            for a in hi.iter_mut() {
-                *a *= d1;
-            }
-        }
-        SubKind::Dense => {
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                pair_update(a, b, m);
-            }
-        }
-    }
-}
-
-/// One outer block (`[h0 | h1]`, each of length `2^hi`) of a
-/// block-structured two-qubit gate.
-#[inline]
-fn block_update(h0: &mut [C64], h1: &mut [C64], s_lo: usize, shape: &Mat4Shape) {
-    let lo_block = s_lo << 1;
-    match *shape {
-        Mat4Shape::BlockHi { a, ka, b, kb } => {
-            for c in h0.chunks_mut(lo_block) {
-                let (c0, c1) = c.split_at_mut(s_lo);
-                apply_sub_pairwise(c0, c1, ka, &a);
-            }
-            for c in h1.chunks_mut(lo_block) {
-                let (c0, c1) = c.split_at_mut(s_lo);
-                apply_sub_pairwise(c0, c1, kb, &b);
-            }
-        }
-        Mat4Shape::BlockLo { a, ka, b, kb } => {
-            for (c0, c1) in h0.chunks_mut(lo_block).zip(h1.chunks_mut(lo_block)) {
-                let (c00, c01) = c0.split_at_mut(s_lo);
-                let (c10, c11) = c1.split_at_mut(s_lo);
-                apply_sub_pairwise(c00, c10, ka, &a);
-                apply_sub_pairwise(c01, c11, kb, &b);
-            }
-        }
-        Mat4Shape::Diagonal | Mat4Shape::Dense => unreachable!("block_update needs a block shape"),
-    }
 }
 
 /// One diagonal gate inside a coalesced sweep: a per-amplitude phase factor
@@ -697,7 +643,7 @@ pub fn scale_lo_half(own: &mut [C64], lo: usize, v: usize, d: C64) {
 /// lo-block-structured gate (global high bit, local low qubit `lo`)
 /// across the global bit, touching only elements with `lo`-bit == `v`.
 /// `packed` is the partner's matching half in [`pack_lo_half`] order.
-/// Mirrors [`apply_sub_pairwise`]'s dense arm bitwise.
+/// Mirrors the dense arm of [`simd::block_sweep`] bitwise.
 pub fn apply_exchanged_half(
     own: &mut [C64],
     packed: &[C64],

@@ -1023,28 +1023,38 @@ impl PlanTemplate {
         })
     }
 
-    /// ∂(block `bi`)/∂θ_j via product-rule tape replay, `None` when the
-    /// block does not depend on θ_j. Two-qubit derivatives get the same
-    /// `hi > lo` normalization as [`PlanTemplate::bind_block`].
-    pub(crate) fn bind_block_derivative(
+    /// Block `bi` at θ together with its ∂/∂θ_j (`None` when the block
+    /// does not depend on θ_j), from one product-rule tape replay. The
+    /// replay multiplies the values exactly as [`PlanTemplate::bind_block`]
+    /// does, so the block is bitwise that bind's. Two-qubit blocks get
+    /// the same `hi > lo` normalization.
+    pub(crate) fn bind_block_and_derivative(
         &self,
         bi: usize,
         params: &[f64],
         j: usize,
-    ) -> Result<Option<BoundBlock>> {
+    ) -> Result<(BoundBlock, Option<BoundBlock>)> {
         Ok(match &self.blocks[bi] {
-            TemplateBlock::ConstOne { .. } | TemplateBlock::ConstTwo { .. } => None,
-            TemplateBlock::SymOne { q, steps } => replay1_deriv(steps, params, j)?
-                .1
-                .map(|d| BoundBlock::One(*q, d)),
+            TemplateBlock::ConstOne { .. } | TemplateBlock::ConstTwo { .. } => {
+                (self.bind_block(bi, params)?, None)
+            }
+            TemplateBlock::SymOne { q, steps } => {
+                let (m, d) = replay1_deriv(steps, params, j)?;
+                (BoundBlock::One(*q, m), d.map(|d| BoundBlock::One(*q, d)))
+            }
             TemplateBlock::SymTwo { a, b, steps } => {
-                replay4_deriv(steps, params, &self.feeders, j)?.1.map(|d| {
-                    if a > b {
-                        BoundBlock::Two(*a, *b, d)
-                    } else {
-                        BoundBlock::Two(*b, *a, d.swap_qubits())
-                    }
-                })
+                let (m, d) = replay4_deriv(steps, params, &self.feeders, j)?;
+                if a > b {
+                    (
+                        BoundBlock::Two(*a, *b, m),
+                        d.map(|d| BoundBlock::Two(*a, *b, d)),
+                    )
+                } else {
+                    (
+                        BoundBlock::Two(*b, *a, m.swap_qubits()),
+                        d.map(|d| BoundBlock::Two(*b, *a, d.swap_qubits())),
+                    )
+                }
             }
         })
     }
