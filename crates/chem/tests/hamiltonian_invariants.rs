@@ -20,7 +20,7 @@ fn assert_real_even_y_and_fully_tabulated(name: &str, h: &PauliOp) {
         assert_eq!(s.y_count() % 2, 0, "{name}: {s} has an odd Y count");
     }
     assert!(h.is_hermitian(0.0), "{name}");
-    let prepared = h.prepared(|_| ());
+    let prepared = h.prepared();
     assert_eq!(
         prepared.num_tables(),
         prepared.groups().len(),
@@ -59,7 +59,7 @@ fn ten_qubit_water_tables_stay_under_0_6_mib() {
     // 131 groups × 1024 × 8 B would be 1.0 MiB as full tables; the x⊕m
     // symmetry halves every non-diagonal one.
     let h = water_model(5, 4).to_qubit_hamiltonian().unwrap();
-    let prepared = h.prepared(|_| ());
+    let prepared = h.prepared();
     let groups = prepared.groups().len();
     assert_eq!(prepared.table_bytes(), (1024 + (groups - 1) * 512) * 8);
     assert!(

@@ -150,13 +150,13 @@ impl Circuit {
     /// The circuit's [`Shape`], built on the first call and kept on the
     /// circuit until it is next mutated: it depends on nothing but the
     /// gate list, width and parameter count, so every evaluation of one
-    /// circuit pays for its key once. `on_build` runs once, in the call
-    /// that builds it (telemetry hook).
-    pub fn shape(&self, on_build: impl FnOnce(&Shape)) -> &Arc<Shape> {
+    /// circuit pays for its key once. The build counts itself in
+    /// `plan.cache.shapes_derived`, whichever caller (plan cache,
+    /// checkpoint fingerprint, serving layer) reaches the memo first.
+    pub fn shape(&self) -> &Arc<Shape> {
         self.shape.get_or_init(|| {
-            let built = Shape::of(self);
-            on_build(&built);
-            Arc::new(built)
+            nwq_telemetry::counter_add("plan.cache.shapes_derived", 1);
+            Arc::new(Shape::of(self))
         })
     }
 
@@ -557,43 +557,40 @@ mod tests {
     #[test]
     fn shape_memo_is_shared_by_clones_and_dropped_by_every_mutation() {
         let mut c = bell_ry();
-        let mut builds = 0;
-        let first = c.shape(|_| builds += 1).clone();
-        assert!(Arc::ptr_eq(c.shape(|_| builds += 1), &first));
+        let first = c.shape().clone();
+        assert!(Arc::ptr_eq(c.shape(), &first));
         // A clone of a keyed circuit shares the key …
         let twin = c.clone();
-        assert!(Arc::ptr_eq(twin.shape(|_| builds += 1), &first));
-        assert_eq!(builds, 1);
+        assert!(Arc::ptr_eq(twin.shape(), &first));
         // … and equality never looks at the memo.
         assert_eq!(twin, bell_ry());
         assert!(bell_ry().shape.get().is_none());
 
         c.push(Gate::H(1)).unwrap();
-        let pushed = c.shape(|_| builds += 1).clone();
+        let pushed = c.shape().clone();
         assert_ne!(pushed.key(), first.key());
         c.append(&bell()).unwrap();
-        let appended = c.shape(|_| builds += 1).clone();
+        let appended = c.shape().clone();
         assert_ne!(appended.key(), pushed.key());
         // Appending a gate-free circuit only widens the parameter count:
         // no push runs, yet the key must still change.
         c.append_shifted(&Circuit::with_params(2, 3)).unwrap();
-        assert_ne!(c.shape(|_| builds += 1).key(), appended.key());
-        assert_eq!(builds, 4);
+        assert_ne!(c.shape().key(), appended.key());
         // The clone taken before the edits keeps the original key.
-        assert!(Arc::ptr_eq(twin.shape(|_| ()), &first));
+        assert!(Arc::ptr_eq(twin.shape(), &first));
     }
 
     #[test]
     fn equal_circuits_built_apart_have_equal_shapes() {
         let (a, b) = (bell_ry(), bell_ry());
-        let (sa, sb) = (a.shape(|_| ()), b.shape(|_| ()));
+        let (sa, sb) = (a.shape(), b.shape());
         assert!(!Arc::ptr_eq(sa, sb));
         assert_eq!(sa.key(), sb.key());
         assert_eq!(sa.fingerprint(), sb.fingerprint());
         // A different constant angle is a different shape.
         let mut c = Circuit::new(2);
         c.ry(0, 0.5).cx(0, 1);
-        assert_ne!(c.shape(|_| ()).fingerprint(), sa.fingerprint());
+        assert_ne!(c.shape().fingerprint(), sa.fingerprint());
     }
 
     fn bell_ry() -> Circuit {

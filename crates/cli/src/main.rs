@@ -224,8 +224,10 @@ fn cmd_vqe(args: &Args) -> Result<(), String> {
         ansatz.n_params()
     );
     println!("E_HF    : {:+.6} Ha", mol.hf_total_energy());
+    // The problem owns the one Hamiltonian the run and the exact
+    // reference share, so its prepared observable is built once.
     let problem = VqeProblem {
-        hamiltonian: h.clone(),
+        hamiltonian: h,
         ansatz,
     };
     let opts = resilience_from(args)?;
@@ -284,8 +286,9 @@ fn cmd_vqe(args: &Args) -> Result<(), String> {
     if let Some(ckpt) = &opts.checkpoint {
         println!("ckpt    : wrote {}", ckpt.path.display());
     }
+    let h = &problem.hamiltonian;
     if h.n_qubits() <= 14 {
-        let exact = ground_energy_sector_default(&h, Sector::closed_shell(mol.n_electrons()))
+        let exact = ground_energy_sector_default(h, Sector::closed_shell(mol.n_electrons()))
             .map_err(|e| e.to_string())?;
         println!(
             "E_exact : {exact:+.6} Ha  (error {:+.2e})",

@@ -510,6 +510,26 @@ pub fn embed_low(m: &Mat2) -> Mat4 {
     Mat2::identity().kron(m)
 }
 
+/// The block-diagonal two-qubit matrix with sub-blocks `a`, `b`: over the
+/// high bit when `hi_blocks` (`|0⟩⟨0| ⊗ a + |1⟩⟨1| ⊗ b`, the layout of a
+/// gate controlled by the high bit), else over the low bit
+/// (`a ⊗ |0⟩⟨0| + b ⊗ |1⟩⟨1|`).
+pub fn block_diag(hi_blocks: bool, a: &Mat2, b: &Mat2) -> Mat4 {
+    let mut m = Mat4::zero();
+    for r in 0..2 {
+        for c in 0..2 {
+            if hi_blocks {
+                m.0[r][c] = a.0[r][c];
+                m.0[2 + r][2 + c] = b.0[r][c];
+            } else {
+                m.0[2 * r][2 * c] = a.0[r][c];
+                m.0[2 * r + 1][2 * c + 1] = b.0[r][c];
+            }
+        }
+    }
+    m
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,5 +721,15 @@ mod tests {
     fn phase_insensitive_compare_rejects_different_gates() {
         assert!(!mat_x().approx_eq_up_to_phase(&mat_z(), TOL));
         assert!(!mat_cx().approx_eq_up_to_phase(&mat_cz(), TOL));
+    }
+
+    #[test]
+    fn block_diag_lays_out_controlled_gates() {
+        let (id, x) = (Mat2::identity(), mat_x());
+        assert!(block_diag(true, &id, &x).approx_eq(&mat_cx(), 0.0));
+        assert!(block_diag(false, &id, &x).approx_eq(&mat_cx().swap_qubits(), 0.0));
+        let z = mat_z();
+        assert!(block_diag(true, &z, &z).approx_eq(&embed_low(&z), 0.0));
+        assert!(block_diag(false, &x, &x).approx_eq(&embed_high(&x), 0.0));
     }
 }

@@ -675,7 +675,7 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// fingerprint equal iff they would compile to the same `ExecPlan` for the
 /// same bindings — the identity the serving layer batches and caches by.
 pub fn circuit_content_fingerprint(circuit: &Circuit) -> u64 {
-    circuit.shape(|_| ()).fingerprint()
+    circuit.shape().fingerprint()
 }
 
 /// Content fingerprint of a `(Hamiltonian, ansatz)` pair: the circuit

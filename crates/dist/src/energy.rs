@@ -21,7 +21,7 @@
 use crate::partition::DistStateVector;
 use nwq_common::{Error, Result};
 use nwq_pauli::PauliOp;
-use nwq_statevec::expval::{prepared, shard_group_partial, GroupPhase};
+use nwq_statevec::expval::{shard_group_partial, GroupPhase};
 use rayon::prelude::*;
 
 /// Evaluates `Re⟨ψ|H|ψ⟩` on a sharded register without gathering.
@@ -38,7 +38,7 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
     let part_bytes = (state.partition_len() * 16) as u64;
     let mut expval_messages = 0u64;
     let mut total = 0.0;
-    for phase in GroupPhase::of(prepared(op)) {
+    for phase in GroupPhase::of(op.prepared()) {
         let global_flip = (phase.mask() >> n_local) as usize;
         if global_flip >= n_ranks {
             // A flip on a rank-id bit beyond the layout pairs each shard
@@ -151,7 +151,7 @@ mod tests {
              + 0.2 IIXXII + 0.15 IIYYIZ",
         )
         .unwrap();
-        let tables = prepared(&h);
+        let tables = h.prepared();
         assert_eq!((tables.groups().len(), tables.num_tables()), (4, 3));
         let streaming = PreparedObservable::with_budget(&h, 0);
         let per_term = nwq_statevec::simulate(&c, &[]).unwrap().energy(&h).unwrap();

@@ -182,11 +182,17 @@ impl PauliOp {
     /// phase tables that fit [`TABLE_BUDGET_BYTES`] — built on the first
     /// call and kept on the operator: it depends on nothing but the terms,
     /// so it lives and dies with them, needs no key and no eviction.
-    /// `on_build` runs once, in the call that builds it (telemetry hook).
-    pub fn prepared(&self, on_build: impl FnOnce(&PreparedObservable)) -> &PreparedObservable {
+    ///
+    /// The build that makes tables counts them in `expval.tables_built` /
+    /// `expval.table_bytes`, whichever caller (readout, `apply_op`,
+    /// adjoint) reaches the memo first.
+    pub fn prepared(&self) -> &PreparedObservable {
         self.prepared.get_or_init(|| {
             let built = PreparedObservable::with_budget(self, TABLE_BUDGET_BYTES);
-            on_build(&built);
+            if built.num_tables() > 0 {
+                nwq_telemetry::counter_add("expval.tables_built", 1);
+                nwq_telemetry::counter_add("expval.table_bytes", built.table_bytes() as u64);
+            }
             Arc::new(built)
         })
     }
@@ -489,21 +495,18 @@ mod tests {
     #[test]
     fn prepared_is_built_once_shared_by_clones_and_dropped_by_edits() {
         let mut h = op("0.5 ZZ + 0.25 XX + 0.001 YY");
-        let mut builds = 0;
-        let first = h.prepared(|_| builds += 1) as *const _;
-        let second = h.prepared(|_| builds += 1) as *const _;
-        assert_eq!((builds, first), (1, second));
+        let first = h.prepared() as *const _;
+        assert!(std::ptr::eq(h.prepared(), first));
         // A clone of a prepared operator shares the preparation …
         let twin = h.clone();
-        assert!(std::ptr::eq(twin.prepared(|_| builds += 1), first));
-        assert_eq!(builds, 1);
+        assert!(std::ptr::eq(twin.prepared(), first));
         // … and keeps it when the original's terms change.
         assert_eq!(h.truncate(0.01), 1);
-        assert_eq!(h.prepared(|_| builds += 1).groups()[1].terms.len(), 1);
-        assert_eq!(twin.prepared(|_| ()).groups()[1].terms.len(), 2);
+        assert_eq!(h.prepared().groups()[1].terms.len(), 1);
+        assert_eq!(twin.prepared().groups()[1].terms.len(), 2);
+        assert!(std::ptr::eq(twin.prepared(), first));
         h.simplify(0.3);
-        assert_eq!(h.prepared(|_| builds += 1).groups().len(), 1);
-        assert_eq!(builds, 3);
+        assert_eq!(h.prepared().groups().len(), 1);
         // The memo is derived data: it does not take part in equality.
         assert_eq!(h, op("0.5 ZZ"));
     }

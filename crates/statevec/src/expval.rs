@@ -100,23 +100,10 @@ fn diagonal_group_energy(state: &StateVector, group: &MeasurementGroup) -> f64 {
     per_term.iter().zip(&coeffs).map(|(e, c)| e * c).sum()
 }
 
-/// The operator's prepared observable (flip-mask grouping and phase
-/// tables, see [`nwq_pauli::prepared`]), built on first use and memoised
-/// on `op`. The one build per operator is what `expval.tables_built` and
-/// `expval.table_bytes` count.
-pub fn prepared(op: &PauliOp) -> &PreparedObservable {
-    op.prepared(|built| {
-        if built.num_tables() > 0 {
-            nwq_telemetry::counter_add("expval.tables_built", 1);
-            nwq_telemetry::counter_add("expval.table_bytes", built.table_bytes() as u64);
-        }
-    })
-}
-
 /// The flip-mask groups of `op` (ascending mask order, operator order
 /// within a group) — the grouping every §4.2 reduction here folds over.
 pub fn flip_groups(op: &PauliOp) -> Vec<FlipGroup> {
-    prepared(op).groups().to_vec()
+    op.prepared().groups().to_vec()
 }
 
 /// Where one flip group's phase
@@ -198,12 +185,12 @@ fn count_sweeps(op: &PauliOp, prepared: &PreparedObservable) {
 /// the per-term `expectation_op` path. The inner sum is the group phase
 /// `f_m(x)`: it depends on neither θ nor ψ, so the grouping and (under a
 /// byte budget) the phase tables are prepared once per operator
-/// ([`prepared`]) and an evaluation only folds `w·f` — `groups × 2ⁿ`
+/// ([`PauliOp::prepared`]) and an evaluation only folds `w·f` — `groups × 2ⁿ`
 /// multiply-adds instead of `terms × 2ⁿ`. Telemetry records
 /// `expval.term_sweeps` (what per-term would cost), `expval.batched_sweeps`
 /// (passes actually made), `expval.sweeps_saved` and `expval.table_folds`.
 pub fn energy_direct_batched(state: &StateVector, op: &PauliOp) -> Result<f64> {
-    energy_prepared(state, op, prepared(op))
+    energy_prepared(state, op, op.prepared())
 }
 
 /// [`energy_direct_batched`] over an explicitly supplied preparation of
@@ -591,7 +578,7 @@ mod tests {
             .map(|r| &full[r * part..(r + 1) * part])
             .collect();
         let mut total = 0.0;
-        for phase in GroupPhase::of(prepared(&h)) {
+        for phase in GroupPhase::of(h.prepared()) {
             for (r, own) in shards.iter().enumerate() {
                 let partner = shards[r ^ (phase.mask() >> n_local) as usize];
                 total += shard_group_partial(own, partner, r, n_local, phase);
@@ -659,7 +646,7 @@ mod tests {
         let diagonal = PauliOp::parse("0.7 ZZIII + 0.2 IZIZI - 0.4 IIIIZ + 0.1 IIIII").unwrap();
         let distinct = PauliOp::parse("0.5 XIIII + 0.3 IXIIZ - 0.2 YYIII + 0.9 XXXXX").unwrap();
         for (op, groups) in [(&identity, 1), (&diagonal, 1), (&distinct, 4)] {
-            let p = prepared(op);
+            let p = op.prepared();
             assert_eq!((p.groups().len(), p.num_tables()), (groups, groups));
             assert_paths_agree(&states, op);
         }
@@ -686,7 +673,7 @@ mod tests {
                 ],
             );
             // The odd-Y term's group streams; the rest are tabulated.
-            let p = prepared(&op);
+            let p = op.prepared();
             assert_eq!((p.groups().len(), p.num_tables()), (4, 3));
             assert_paths_agree(&[dense_state(n, 5)], &op);
         }
@@ -717,7 +704,7 @@ mod tests {
                 ),
             ],
         );
-        assert_eq!(prepared(&op).num_tables(), 0);
+        assert_eq!(op.prepared().num_tables(), 0);
         let s = dense_state(3, 9);
         let e = energy_direct_batched(&s, &op).unwrap();
         let reference = s.expectation(&op).unwrap().re;

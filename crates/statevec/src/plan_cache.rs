@@ -18,9 +18,10 @@
 //! circuit's next lookup a pointer hit.
 //!
 //! Telemetry: `plan.cache.hits` / `plan.cache.misses` /
-//! `plan.cache.evictions` counters, `plan.cache.shapes_derived` (shapes
-//! built by a lookup), `plan.cache.key_compares` (full-key comparisons on
-//! the fallback path) and the `plan.cache.size` gauge.
+//! `plan.cache.evictions` counters, `plan.cache.shapes_derived` (circuit
+//! shapes derived, by whichever caller is first, see `Circuit::shape`),
+//! `plan.cache.key_compares` (full-key comparisons on the fallback path)
+//! and the `plan.cache.size` gauge.
 
 use crate::adjoint::AdjointTemplate;
 use crate::plan::PlanTemplate;
@@ -83,11 +84,6 @@ impl Inner {
     }
 }
 
-/// The circuit's memoised shape; a build here is counted.
-fn shape_of(circuit: &Circuit) -> &Arc<Shape> {
-    circuit.shape(|_| nwq_telemetry::counter_add("plan.cache.shapes_derived", 1))
-}
-
 /// The cached `(template, adjoint)` pair for `shape`, if any.
 fn lookup(shape: &Arc<Shape>) -> Option<(Arc<PlanTemplate>, Option<Arc<AdjointTemplate>>)> {
     let mut inner = CACHE.lock();
@@ -143,7 +139,7 @@ fn entry_for(
 /// inserting it on first sight. The build happens outside the cache lock;
 /// losing a build race returns the canonical cached copy.
 pub fn template_for(circuit: &Circuit) -> Result<Arc<PlanTemplate>> {
-    Ok(entry_for(circuit, shape_of(circuit))?.0)
+    Ok(entry_for(circuit, circuit.shape())?.0)
 }
 
 /// Returns the cached [`AdjointTemplate`] for `circuit`'s structure,
@@ -153,7 +149,7 @@ pub fn template_for(circuit: &Circuit) -> Result<Arc<PlanTemplate>> {
 /// cached copy; an entry evicted between derive and store still yields a
 /// valid template, it just isn't cached.
 pub fn adjoint_for(circuit: &Circuit) -> Result<Arc<AdjointTemplate>> {
-    let shape = shape_of(circuit);
+    let shape = circuit.shape();
     let (template, adjoint) = entry_for(circuit, shape)?;
     if let Some(adj) = adjoint {
         nwq_telemetry::counter_add("plan.cache.dagger_hits", 1);
@@ -214,14 +210,14 @@ mod tests {
         // A separately built equal circuit has an equal but distinct
         // shape: found by content, same template.
         let twin = param_circuit(0.3125);
-        assert!(!Arc::ptr_eq(twin.shape(|_| ()), c.shape(|_| ())));
+        assert!(!Arc::ptr_eq(twin.shape(), c.shape()));
         assert!(Arc::ptr_eq(&template_for(&twin).unwrap(), &first));
         // The entry adopted the twin's shape, and still serves both.
         let inner = CACHE.lock();
         assert!(inner
             .entries
             .iter()
-            .any(|e| Arc::ptr_eq(&e.shape, twin.shape(|_| ()))));
+            .any(|e| Arc::ptr_eq(&e.shape, twin.shape())));
         drop(inner);
         assert!(Arc::ptr_eq(&template_for(&c).unwrap(), &first));
     }
