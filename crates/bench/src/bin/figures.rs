@@ -21,7 +21,7 @@ use nwq_core::backend::DirectBackend;
 use nwq_core::exact::{ground_energy_sector_default, Sector};
 use nwq_core::qpe::{run_qpe, QpeConfig};
 use nwq_dist::{plan_communication, CostModel};
-use nwq_opt::{NelderMead, Optimizer};
+use nwq_opt::NelderMead;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -343,28 +343,6 @@ fn ablation() {
         "  E_full = {fci:+.6} Ha, E_tapered = {e_tapered:+.6} Ha (dE = {:+.1e})",
         e_tapered - fci
     );
-
-    println!("\n# Ablation 4: depolarizing noise on the H2 VQE energy (DM-Sim path)");
-    let bound = ansatz
-        .bind(&{
-            // Use the known optimum parameters via a quick optimization.
-            let mut backend = DirectBackend::new();
-            let mut opt = NelderMead::for_vqe();
-            let mut objective =
-                |x: &[f64]| backend.energy(&ansatz, x, &h2).unwrap_or(f64::INFINITY);
-            opt.minimize(&mut objective, &vec![0.0; ansatz.n_params()], 4000)
-                .params
-        })
-        .unwrap();
-    for p in [0.0, 1e-4, 1e-3, 1e-2] {
-        let noise = nwq_statevec::density::NoiseModel::depolarizing(p, 10.0 * p);
-        let rho = nwq_statevec::density::run_noisy(&bound, &[], &noise).unwrap();
-        println!(
-            "  p1={p:<8.0e} E = {:+.6} Ha (purity {:.4})",
-            rho.energy(&h2).unwrap(),
-            rho.purity()
-        );
-    }
 }
 
 /// `crossover`: where a partitioned H sweep starts beating the serial one.

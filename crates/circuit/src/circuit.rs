@@ -300,7 +300,7 @@ impl Circuit {
     // --- combinators ------------------------------------------------------
 
     /// Appends all gates of `other` (same register width required). The
-    /// parameter spaces are shared: θ[i] in `other` remains θ[i].
+    /// parameter spaces are shared: `θ[i]` in `other` remains `θ[i]`.
     pub fn append(&mut self, other: &Circuit) -> Result<&mut Self> {
         if other.n_qubits != self.n_qubits {
             return Err(Error::DimensionMismatch {

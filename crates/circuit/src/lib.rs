@@ -14,7 +14,7 @@
 //!   block);
 //! - [`basis`] — measurement basis changes (§4.1.2);
 //! - [`qft`] — (inverse) quantum Fourier transform for QPE;
-//! - [`reference`] — a naive simulator used as the workspace's test oracle.
+//! - [`reference`](mod@reference) — a naive simulator used as the workspace's test oracle.
 
 #![warn(missing_docs)]
 
@@ -29,7 +29,6 @@ pub mod passes;
 pub mod qasm;
 pub mod qft;
 pub mod reference;
-pub mod routing;
 
 pub use circuit::{Circuit, Shape};
 pub use gate::{Gate, GateMatrix};
@@ -117,32 +116,6 @@ mod proptests {
             for (x, y) in a.iter().zip(&b) {
                 prop_assert!(x.approx_eq(*y, 1e-9));
             }
-        }
-
-        #[test]
-        fn routing_on_linear_chain_preserves_state(c in arb_circuit(4, 16)) {
-            let map = crate::routing::CouplingMap::linear(4);
-            let routed = crate::routing::route(&c, &map).unwrap();
-            for g in routed.circuit.gates() {
-                let qs = g.qubits();
-                if qs.len() == 2 {
-                    prop_assert!(map.adjacent(qs[0], qs[1]));
-                }
-            }
-            let original = run(&c, &[]).unwrap();
-            let physical = run(&routed.circuit, &[]).unwrap();
-            // Undo the final layout.
-            let mut logical = vec![nwq_common::C_ZERO; physical.len()];
-            for (pidx, &a) in physical.iter().enumerate() {
-                let mut lidx = 0usize;
-                for (q, &p) in routed.final_layout.iter().enumerate() {
-                    if (pidx >> p) & 1 == 1 {
-                        lidx |= 1 << q;
-                    }
-                }
-                logical[lidx] = a;
-            }
-            prop_assert!(states_equivalent(&original, &logical, 1e-8));
         }
 
         #[test]

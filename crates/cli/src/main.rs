@@ -562,8 +562,8 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
         stats.messages, stats.bytes, plan.messages, plan.bytes
     );
     println!(
-        "lean    : {} exchanges elided, {} fused, {} bytes saved vs naive",
-        stats.exchanges_elided, stats.exchanges_fused, stats.bytes_saved
+        "lean    : {} exchanges elided, {} bytes saved vs naive",
+        stats.exchanges_elided, stats.bytes_saved
     );
     // After a recovery, the measured stats cover only the final
     // generation's replayed suffix — the plan-equality invariant only

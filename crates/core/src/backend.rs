@@ -422,50 +422,6 @@ impl Backend for DistributedBackend {
     }
 }
 
-// ---------------------------------------------------------------------------
-
-/// Density-matrix execution under a gate-level noise model (the DM-Sim
-/// path): energies are exact traces `Tr(ρH)` over the noisy mixed state.
-#[derive(Debug)]
-pub struct DensityBackend {
-    noise: nwq_statevec::density::NoiseModel,
-    stats: BackendStats,
-}
-
-impl DensityBackend {
-    /// A density-matrix backend with the given noise model.
-    pub fn new(noise: nwq_statevec::density::NoiseModel) -> Self {
-        DensityBackend {
-            noise,
-            stats: BackendStats::default(),
-        }
-    }
-
-    /// Noiseless density-matrix execution (agrees with [`DirectBackend`]).
-    pub fn noiseless() -> Self {
-        DensityBackend::new(nwq_statevec::density::NoiseModel::noiseless())
-    }
-}
-
-impl Backend for DensityBackend {
-    fn energy(&mut self, ansatz: &Circuit, params: &[f64], observable: &PauliOp) -> Result<f64> {
-        check_widths(ansatz, observable)?;
-        let rho = nwq_statevec::density::run_noisy(ansatz, params, &self.noise)?;
-        self.stats.evaluations += 1;
-        self.stats.ansatz_runs += 1;
-        self.stats.gates_applied += ansatz.len() as u64;
-        rho.energy(observable)
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "density-matrix"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,7 +441,6 @@ mod tests {
         assert_send_sync::<DirectBackend>();
         assert_send_sync::<SamplingBackend>();
         assert_send_sync::<DistributedBackend>();
-        assert_send_sync::<DensityBackend>();
         // DirectBackend internals, audited individually so a regression
         // names the offending type.
         assert_send_sync::<PostAnsatzCache>();
@@ -601,39 +556,6 @@ mod tests {
         assert!(
             ex.amplitude_updates < ansatz.len() as u64 * 4,
             "fused plan must sweep fewer amplitudes than gate-by-gate"
-        );
-    }
-
-    #[test]
-    fn noiseless_density_backend_matches_direct() {
-        let (ansatz, h) = toy();
-        let mut direct = DirectBackend::new();
-        let mut dm = DensityBackend::noiseless();
-        for theta in [[0.0], [0.4], [1.3]] {
-            let a = direct.energy(&ansatz, &theta, &h).unwrap();
-            let b = dm.energy(&ansatz, &theta, &h).unwrap();
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn noisy_density_backend_raises_toy_energy() {
-        let (ansatz, h) = toy();
-        // Depolarizing noise contracts every expectation toward the
-        // maximally-mixed value Tr(H)/4 = 0.
-        let theta = [std::f64::consts::FRAC_PI_2];
-        let mut clean = DensityBackend::noiseless();
-        let mut noisy =
-            DensityBackend::new(nwq_statevec::density::NoiseModel::depolarizing(0.02, 0.05));
-        let e_clean = clean.energy(&ansatz, &theta, &h).unwrap();
-        let e_noisy = noisy.energy(&ansatz, &theta, &h).unwrap();
-        assert!(
-            e_clean.abs() > 0.5,
-            "toy point should be far from mixed value"
-        );
-        assert!(
-            e_noisy.abs() < e_clean.abs() - 1e-4,
-            "{e_noisy} vs {e_clean}"
         );
     }
 

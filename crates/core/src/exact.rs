@@ -43,59 +43,6 @@ fn axpy(y: &mut [C64], alpha: C64, x: &[C64]) {
     }
 }
 
-/// `k`-th smallest eigenvalue (0-indexed) of a symmetric tridiagonal
-/// matrix via Sturm-sequence bisection.
-fn tridiag_kth_eig(a: &[f64], b: &[f64], k: usize) -> f64 {
-    let n = a.len();
-    debug_assert!(k < n);
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for i in 0..n {
-        let r = if n == 1 {
-            0.0
-        } else if i == 0 {
-            b[0].abs()
-        } else if i == n - 1 {
-            b[n - 2].abs()
-        } else {
-            b[i - 1].abs() + b[i].abs()
-        };
-        lo = lo.min(a[i] - r);
-        hi = hi.max(a[i] + r);
-    }
-    let count_below = |x: f64| -> usize {
-        let mut count = 0;
-        let mut d = a[0] - x;
-        if d < 0.0 {
-            count += 1;
-        }
-        for i in 1..n {
-            let denom = if d.abs() < 1e-300 {
-                1e-300_f64.copysign(d)
-            } else {
-                d
-            };
-            d = a[i] - x - b[i - 1] * b[i - 1] / denom;
-            if d < 0.0 {
-                count += 1;
-            }
-        }
-        count
-    };
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if count_below(mid) > k {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if hi - lo < 1e-13 * (1.0 + hi.abs()) {
-            break;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 /// Smallest eigenvalue of a symmetric tridiagonal matrix (diagonal `a`,
 /// off-diagonal `b`) via Sturm-sequence bisection.
 fn tridiag_smallest_eig(a: &[f64], b: &[f64]) -> f64 {
@@ -342,94 +289,6 @@ pub fn ground_energy_sector(h: &PauliOp, sector: Sector, config: LanczosConfig) 
 /// Sector-restricted ground energy with default configuration.
 pub fn ground_energy_sector_default(h: &PauliOp, sector: Sector) -> Result<f64> {
     ground_energy_sector(h, sector, LanczosConfig::default())
-}
-
-/// The `k` lowest *distinct* eigenvalues of a Hermitian Pauli operator by
-/// Lanczos with full reorthogonalization (reference spectrum for
-/// excited-state methods like VQD).
-///
-/// Single-vector Lanczos cannot resolve degeneracy: each degenerate level
-/// contributes one Krylov direction, so multiplicities are not reported
-/// (VQD itself, by contrast, does find degenerate partners through
-/// deflation). Errors if the Krylov space holds fewer than `k` distinct
-/// levels.
-pub fn lowest_eigenvalues(h: &PauliOp, k: usize, config: LanczosConfig) -> Result<Vec<f64>> {
-    if !h.is_hermitian(1e-9) {
-        return Err(Error::Invalid(
-            "Lanczos requires a Hermitian operator".into(),
-        ));
-    }
-    let dim = 1usize << h.n_qubits();
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    if k > dim {
-        return Err(Error::DimensionMismatch {
-            expected: dim,
-            got: k,
-        });
-    }
-    let mut state = config.seed.wrapping_add(0x9E3779B97F4A7C15);
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-    };
-    let mut v: Vec<C64> = (0..dim).map(|_| C64::new(next(), next())).collect();
-    let n0 = norm(&v);
-    for x in v.iter_mut() {
-        *x = *x * (1.0 / n0);
-    }
-    let mut basis = vec![v];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let mut prev: Vec<f64> = vec![f64::INFINITY; k];
-    for step in 0..config.max_dim.min(dim) {
-        let mut w = nwq_pauli::apply::apply_op(h, &basis[step])?;
-        let alpha = dot(&basis[step], &w).re;
-        alphas.push(alpha);
-        axpy(&mut w, C64::real(-alpha), &basis[step]);
-        if step > 0 {
-            axpy(&mut w, C64::real(-betas[step - 1]), &basis[step - 1]);
-        }
-        for prev_v in &basis {
-            let overlap = dot(prev_v, &w);
-            if overlap.norm() > 0.0 {
-                axpy(&mut w, -overlap, prev_v);
-            }
-        }
-        if alphas.len() >= k {
-            let current: Vec<f64> = (0..k)
-                .map(|j| tridiag_kth_eig(&alphas, &betas, j))
-                .collect();
-            let converged = current
-                .iter()
-                .zip(&prev)
-                .all(|(c, p)| (c - p).abs() < config.tol);
-            if converged {
-                return Ok(current);
-            }
-            prev = current;
-        }
-        let beta = norm(&w);
-        if beta < 1e-13 {
-            break;
-        }
-        betas.push(beta);
-        for x in w.iter_mut() {
-            *x = *x * (1.0 / beta);
-        }
-        basis.push(w);
-    }
-    if alphas.len() < k {
-        return Err(Error::Numerical(
-            "Krylov space smaller than requested k".into(),
-        ));
-    }
-    Ok((0..k)
-        .map(|j| tridiag_kth_eig(&alphas, &betas, j))
-        .collect())
 }
 
 #[cfg(test)]

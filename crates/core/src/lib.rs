@@ -42,14 +42,13 @@ pub mod backend;
 pub mod exact;
 pub mod qpe;
 pub mod resilience;
-pub mod vqd;
 pub mod vqe;
 pub mod workflow;
 
 pub use adapt::{run_adapt_vqe, run_adapt_vqe_with, AdaptConfig, AdaptResult};
 pub use backend::{
-    Backend, BackendStats, BoxedBackend, CachedMeasureBackend, DensityBackend, DirectBackend,
-    DistributedBackend, GradientBackend, NonCachingBackend, SamplingBackend,
+    Backend, BackendStats, BoxedBackend, CachedMeasureBackend, DirectBackend, DistributedBackend,
+    GradientBackend, NonCachingBackend, SamplingBackend,
 };
 pub use exact::{ground_energy_sector_default, Sector};
 pub use qpe::{run_qpe, QpeConfig, QpeOutcome};
@@ -57,6 +56,5 @@ pub use resilience::{
     circuit_content_fingerprint, problem_content_fingerprint, run_vqe_grad_with, run_vqe_with,
     CheckpointConfig, FaultyBackend, ResilienceOptions, ResumeState, RetryPolicy,
 };
-pub use vqd::{run_vqd, VqdConfig, VqdResult};
 pub use vqe::{run_vqe, run_vqe_grad, GradSource, VqeProblem, VqeResult};
 pub use workflow::{run_vqe_workflow, WorkflowConfig, WorkflowResult};

@@ -966,7 +966,7 @@ impl GradObjective for VqeGradObjective<'_, '_> {
 /// wrapped in [`Error::Interrupted`].
 ///
 /// `max_evals` is a budget in *energy-evaluation equivalents*: a fused
-/// gradient costs [`GradSource::cost`] (≈ 4 for adjoint, `2·n + 1` for
+/// gradient costs `GradSource::cost` (≈ 4 for adjoint, `2·n + 1` for
 /// shift rules), which keeps gradient-driven and derivative-free runs
 /// directly comparable.
 pub fn run_vqe_grad_with(

@@ -23,12 +23,8 @@ pub struct CommStats {
     /// (local phase sweep), block-local application, and the skipped
     /// sub-blocks of block-structured global-global gates.
     pub exchanges_elided: u64,
-    /// Pair exchanges avoided by exchange *fusion*:
-    /// consecutive same-class exchanges separated only by global phases
-    /// reuse the first exchange's partner mirror.
-    pub exchanges_fused: u64,
-    /// Naive payload bytes minus actually-moved bytes (covers elision,
-    /// fusion, and half-shard payloads).
+    /// Naive payload bytes minus actually-moved bytes (covers elision
+    /// and half-shard payloads).
     pub bytes_saved: u64,
 }
 
@@ -60,7 +56,6 @@ impl AddAssign for CommStats {
         self.global_gates += rhs.global_gates;
         self.local_gates += rhs.local_gates;
         self.exchanges_elided += rhs.exchanges_elided;
-        self.exchanges_fused += rhs.exchanges_fused;
         self.bytes_saved += rhs.bytes_saved;
     }
 }
@@ -74,9 +69,9 @@ impl AddAssign for CommStats {
 ///
 /// This is the θ-aware plan: it resolves every gate's bound matrix,
 /// classifies it against the PGAS layout (diagonal → elided, block →
-/// half-payload or sub-block exchange), and marks fusion windows — it
-/// compiles the very tape the executor replays, so "measured == planned"
-/// is a structural identity on fault-free runs. Symbolic (unbound)
+/// half-payload or sub-block exchange) — it compiles the very tape the
+/// executor replays, so "measured == planned" is a structural identity
+/// on fault-free runs. Symbolic (unbound)
 /// circuits are planned against a representative generic binding; pass
 /// concrete angles via [`plan_communication_with`] when you have them.
 pub fn plan_communication(circuit: &Circuit, n_ranks: usize) -> Result<CommStats> {
@@ -184,29 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_exchange_window_shares_one_exchange() {
-        // cx·rz·cx at a global-target apex: the rz is a global phase, so
-        // the second cx reuses the first exchange's mirror. (A *global*
-        // control would be block-local — no exchange at all.)
-        let mut c = Circuit::new(4);
-        c.cx(0, 3).rz(3, 0.5).cx(0, 3);
-        let lean = plan_communication(&c, 4).unwrap();
-        let naive = plan_communication_naive(&c, 4).unwrap();
-        assert_eq!(naive.messages, 3 * 4);
-        // Each cx is a half-shard pair exchange; the second is fused.
-        assert_eq!(lean.messages, 4);
-        assert_eq!(lean.bytes, 4 * (16 * 4) / 2);
-        assert_eq!(lean.exchanges_fused, 4);
-        // rz elided on every rank.
-        assert_eq!(lean.exchanges_elided, 4);
-        assert_eq!(
-            lean.bytes_saved,
-            naive.bytes - lean.bytes,
-            "saved must complement moved: {lean:?}"
-        );
-    }
-
-    #[test]
     fn more_ranks_more_comm() {
         let mut c = Circuit::new(10);
         for q in 0..10 {
@@ -236,7 +208,6 @@ mod tests {
             global_gates: 1,
             local_gates: 3,
             exchanges_elided: 5,
-            exchanges_fused: 1,
             bytes_saved: 128,
         };
         a += CommStats {
@@ -245,13 +216,11 @@ mod tests {
             global_gates: 1,
             local_gates: 0,
             exchanges_elided: 2,
-            exchanges_fused: 3,
             bytes_saved: 64,
         };
         assert_eq!(a.messages, 3);
         assert_eq!(a.bytes, 96);
         assert_eq!(a.exchanges_elided, 7);
-        assert_eq!(a.exchanges_fused, 4);
         assert_eq!(a.bytes_saved, 192);
         assert!((a.avg_message_bytes() - 32.0).abs() < 1e-12);
         assert!((a.global_fraction() - 0.4).abs() < 1e-12);

@@ -1,6 +1,6 @@
 //! Interconnect cost model.
 //!
-//! Converts [`CommStats`](crate::comm::CommStats) and gate counts into a
+//! Converts [`CommStats`] and gate counts into a
 //! modeled wall-clock time for an HPC system, using the classic
 //! latency–bandwidth (α–β) model plus a per-amplitude compute rate. The
 //! default parameters approximate a Perlmutter-like machine (Slingshot-11
@@ -37,10 +37,10 @@ impl CostModel {
     ///
     /// The model consumes whatever planner produced the counters: feed
     /// it [`plan_communication`](crate::comm::plan_communication) (the
-    /// θ-aware lean plan — elided diagonals, half-shard payloads, fused
-    /// windows) and the smaller `bytes` shrink the β term directly, so
-    /// halving the moved payload halves the bandwidth-bound share of the
-    /// modeled time.
+    /// θ-aware lean plan — elided diagonals, half-shard payloads) and
+    /// the smaller `bytes` shrink the β term directly, so halving the
+    /// moved payload halves the bandwidth-bound share of the modeled
+    /// time.
     pub fn comm_time_s(&self, stats: &CommStats, n_ranks: usize) -> f64 {
         if stats.messages == 0 {
             return 0.0;

@@ -140,7 +140,7 @@ mod proptests {
                 prop_assert_eq!(d.comm_stats(), plan_communication(&c, n_ranks).unwrap());
             }
             // A rank death replayed from the last cut (elision decisions
-            // and lost fusion mirrors included) stays bitwise.
+            // included) stays bitwise.
             if !c.gates().is_empty() {
                 let n_ranks = 4usize;
                 let schedule = FaultSchedule::kill(

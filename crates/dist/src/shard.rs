@@ -7,7 +7,7 @@
 //! payload sizes, same message counts, same pairing.
 //!
 //! There is one way to run: [`run_sharded_resilient`] compiles the circuit
-//! once ([`compile_tape`]: every gate matrix resolved and classified
+//! once (`compile_tape`: every gate matrix resolved and classified
 //! against the PGAS layout, snapshot barriers inserted, the
 //! [`FaultSchedule`] translated to tape coordinates) and then spawns
 //! worker generations over that tape until one completes. [`run_sharded`]
@@ -125,8 +125,8 @@ pub(crate) enum CommClass {
     Quad,
 }
 
-/// Per-step communication record: the class, the bound matrix's shape
-/// (for `Two` steps), and the compile-time fusion-window flags.
+/// Per-step communication record: the class and the bound matrix's shape
+/// (for `Two` steps).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StepComm {
     pub(crate) class: CommClass,
@@ -136,12 +136,6 @@ pub(crate) struct StepComm {
     /// Sends per rank the naive full-exchange pattern would make for this
     /// step (1 pair / 3 quad / 0 local) — the `bytes_saved` baseline.
     pub(crate) naive_sends: u8,
-    /// This step reuses the fusion mirror established by an earlier
-    /// exchange in its window instead of exchanging again.
-    pub(crate) fused: bool,
-    /// A later step in the window still needs the mirror: keep advancing
-    /// the partner copy past this step.
-    pub(crate) track: bool,
 }
 
 /// Classifies one step. The shape lattice comes from
@@ -153,8 +147,6 @@ fn classify_step(step: &Step) -> StepComm {
         class,
         shape,
         naive_sends,
-        fused: false,
-        track: false,
     };
     match step {
         Step::Local1(..) | Step::Local2(..) | Step::Snapshot { .. } => {
@@ -211,38 +203,6 @@ fn classify_step(step: &Step) -> StepComm {
                 Mat4Shape::Dense => CommClass::Quad,
             };
             comm(class, shape, 3)
-        }
-    }
-}
-
-/// Marks the exchange-fusion windows on a classified tape.
-///
-/// Legality rule: consecutive pair exchanges with the *identical* class
-/// (`PairFull` on the same global bit; `PairHalf` on the same
-/// `(gbit, lo, v)`) fuse iff every intervening step is a global phase
-/// (`Phase`, which both partners mirror deterministically) or a snapshot
-/// barrier (reads shards, never writes). Any other step — local gates,
-/// `LocalApply`, other exchanges — invalidates the partner mirror, so it
-/// closes every window. At most one window is open at a time, which is
-/// why the executor carries a single mirror slot.
-fn compute_fusion(steps: &[Step], comm: &mut [StepComm]) {
-    let mut open: Option<(usize, CommClass)> = None;
-    for j in 0..comm.len() {
-        match comm[j].class {
-            CommClass::Phase => {}
-            CommClass::Local if matches!(steps[j], Step::Snapshot { .. }) => {}
-            CommClass::PairFull { .. } | CommClass::PairHalf { .. } => {
-                if let Some((prev, class)) = open {
-                    if class == comm[j].class {
-                        comm[prev].track = true;
-                        comm[j].fused = true;
-                        open = Some((j, class));
-                        continue;
-                    }
-                }
-                open = Some((j, comm[j].class));
-            }
-            _ => open = None,
         }
     }
 }
@@ -382,7 +342,7 @@ struct Tape {
 /// one step per gate (never fused — replay must be bitwise), a snapshot
 /// barrier every `snapshot_every` gates (0 = none), `schedule` translated
 /// from gate to tape coordinates and armed fire-once, then the per-step
-/// communication classes with their fusion windows.
+/// communication classes.
 fn compile_tape(
     circuit: &Circuit,
     params: &[f64],
@@ -423,8 +383,7 @@ fn compile_tape(
         }
         steps.push(step);
     }
-    let mut comm: Vec<StepComm> = steps.iter().map(classify_step).collect();
-    compute_fusion(&steps, &mut comm);
+    let comm = steps.iter().map(classify_step).collect();
     Ok(Tape {
         n_local,
         steps,
@@ -453,23 +412,13 @@ fn accumulate_step(stats: &mut CommStats, sc: &StepComm, n: u64, pb: u64) {
             stats.bytes_saved += n * pb;
         }
         CommClass::PairFull { .. } => {
-            if sc.fused {
-                stats.exchanges_fused += n;
-                stats.bytes_saved += n * pb;
-            } else {
-                stats.messages += n;
-                stats.bytes += n * pb;
-            }
+            stats.messages += n;
+            stats.bytes += n * pb;
         }
         CommClass::PairHalf { .. } => {
-            if sc.fused {
-                stats.exchanges_fused += n;
-                stats.bytes_saved += n * pb;
-            } else {
-                stats.messages += n;
-                stats.bytes += n * pb / 2;
-                stats.bytes_saved += n * pb / 2;
-            }
+            stats.messages += n;
+            stats.bytes += n * pb / 2;
+            stats.bytes_saved += n * pb / 2;
         }
         CommClass::GlobalBlock { ndense, .. } => {
             let msgs = ndense as u64 * n / 2;
@@ -486,9 +435,8 @@ fn accumulate_step(stats: &mut CommStats, sc: &StepComm, n: u64, pb: u64) {
 }
 
 /// θ-aware communication plan: compiles the very tape the executor would
-/// run ([`compile_tape`] — same classification, same fusion-window pass)
-/// and sums what its workers will send. Backs
-/// [`crate::comm::plan_communication_with`].
+/// run (`compile_tape`, same classification) and sums what its workers
+/// will send. Backs [`crate::comm::plan_communication_with`].
 pub(crate) fn plan_lean(circuit: &Circuit, params: &[f64], n_ranks: usize) -> Result<CommStats> {
     // Symbolic circuits plan against a representative generic binding:
     // every standard gate's *shape* is angle-independent away from
@@ -527,8 +475,6 @@ struct WorkerReport {
     /// Messages the naive pattern would have sent but the step's structure
     /// (diagonal elision, block-local application) did not.
     elided: u64,
-    /// Pair exchanges avoided by exchange fusion.
-    fused: u64,
     /// Naive payload bytes minus actually-sent bytes.
     saved: u64,
     seconds: f64,
@@ -651,7 +597,6 @@ struct ExchangeIo<'a> {
     messages: u64,
     bytes: u64,
     elided: u64,
-    fused: u64,
     saved: u64,
 }
 
@@ -723,62 +668,13 @@ impl ExchangeIo<'_> {
     }
 }
 
-/// A live fusion window: the partner's payload from the window's anchor
-/// exchange, advanced step by step to the partner's current values.
-/// `class` is the window's exchange class (a fused step must match it;
-/// a mismatch means the compile-time window pass and the executor
-/// disagree, which would be a bug).
-struct Mirror {
-    class: CommClass,
-    buf: Vec<C64>,
-}
-
-/// Advances a live fusion mirror past an elided diagonal (`Phase`) step.
-/// The mirror holds the *partner's* amplitudes, so the diagonal entries
-/// are selected by the partner's rank bits — the partner differs from
-/// this rank only in the window's exchange bit, and runs exactly these
-/// expressions on its own shard, which keeps the mirror bitwise true.
-fn phase_on_mirror(mirror: &mut Mirror, rank: usize, step: &Step) {
-    let wgbit = match mirror.class {
-        CommClass::PairFull { gbit } | CommClass::PairHalf { gbit, .. } => gbit,
-        _ => unreachable!("fusion windows are anchored by pair exchanges"),
-    };
-    let partner = rank ^ (1 << wgbit);
-    match step {
-        Step::Global1 { gbit, m } => {
-            let ph = (partner >> gbit) & 1;
-            kernels::scale_amps(&mut mirror.buf, m.0[ph][ph]);
-        }
-        Step::GlobalLocal { gbit, lo, m } => {
-            let ph = (partner >> gbit) & 1;
-            if let CommClass::PairHalf { lo: wlo, v, .. } = mirror.class {
-                let d0 = m.0[ph << 1][ph << 1];
-                let d1 = m.0[(ph << 1) | 1][(ph << 1) | 1];
-                kernels::phase_on_lo_half(&mut mirror.buf, wlo, v, *lo, d0, d1);
-            } else {
-                kernels::apply_global_local_phase(&mut mirror.buf, ph, *lo, m);
-            }
-        }
-        Step::GlobalGlobal { bhi, blo, m } => {
-            // Both bits are global, so the phase is one scalar per rank —
-            // valid on a packed-half mirror too.
-            let pos = (((partner >> bhi) & 1) << 1) | ((partner >> blo) & 1);
-            kernels::scale_amps(&mut mirror.buf, m.0[pos][pos]);
-        }
-        _ => unreachable!("only global diagonal steps are Phase-classified"),
-    }
-}
-
-/// One rank's live state: its shard, its exchange endpoint, and the open
-/// fusion window's partner mirror (at most one window is open at any tape
-/// point — compile-time invariant of [`compute_fusion`] — so a single
-/// slot suffices). One method per [`CommClass`]; every method uses the
-/// exact per-amplitude expressions of the single-node kernels, so the
-/// exchange pattern is invisible bitwise.
+/// One rank's live state: its shard and its exchange endpoint. One method
+/// per [`CommClass`]; every method uses the exact per-amplitude
+/// expressions of the single-node kernels, so the exchange pattern is
+/// invisible bitwise.
 struct Rank<'a> {
     shard: Vec<C64>,
     io: ExchangeIo<'a>,
-    mirror: Option<Mirror>,
     /// Parts each rank-local sweep is cut into: the pool's threads shared
     /// among the rank threads ([`kernels::parts_per_caller`]), so R busy
     /// ranks do not each dispatch the whole pool.
@@ -803,13 +699,11 @@ impl Rank<'_> {
             }
             _ => unreachable!("Local classifies rank-local steps only"),
         }
-        debug_assert!(self.mirror.is_none(), "local gate inside a fusion window");
         Ok(())
     }
 
     /// [`CommClass::Phase`]: a diagonal global gate is a local phase sweep
-    /// (this rank's bits pick the diagonal entries), mirrored onto an open
-    /// fusion window's partner copy.
+    /// (this rank's bits pick the diagonal entries).
     fn phase(&mut self, step: &Step, sc: &StepComm) {
         match step {
             Step::Global1 { gbit, m } => {
@@ -825,9 +719,6 @@ impl Rank<'_> {
                 kernels::apply_global_global_phase(&mut self.shard, pos, m);
             }
             _ => unreachable!("Phase classifies global steps only"),
-        }
-        if let Some(mir) = self.mirror.as_mut() {
-            phase_on_mirror(mir, self.io.rank, step);
         }
         self.io.elide(sc.naive_sends as u64);
     }
@@ -852,78 +743,25 @@ impl Rank<'_> {
         self.io.elide(1);
     }
 
-    /// Obtains the partner payload for a pair-class step. A fused step
-    /// consumes the live fusion mirror — zero messages; a recovery
-    /// generation resuming mid-window finds no mirror and falls back to a
-    /// fresh exchange, which stays symmetric because every rank restarted
-    /// from the same cut and misses the same mirror.
-    fn partner_payload(
-        &mut self,
-        sc: &StepComm,
-        s: usize,
-        gbit: usize,
-        half: Option<(usize, usize)>,
-    ) -> Result<Vec<C64>> {
-        if sc.fused {
-            if let Some(mir) = self.mirror.take() {
-                debug_assert_eq!(mir.class, sc.class);
-                self.io.fused += 1;
-                self.io.saved += self.io.part_bytes;
-                return Ok(mir.buf);
-            }
-        }
-        debug_assert!(self.mirror.is_none());
-        let [payload] = self
-            .io
-            .exchange(s, [self.io.rank ^ (1 << gbit)], &self.shard, half)?;
-        if half.is_some() {
-            self.io.saved += self.io.part_bytes / 2;
-        }
-        Ok(payload)
-    }
-
-    /// Closes a pair step: a tracked payload (advanced by the step's
-    /// `exchange_mirror_*` kernel to the partner's post-gate values)
-    /// becomes the window's mirror; an untracked one returns to the pool.
-    fn settle(&mut self, sc: &StepComm, payload: Vec<C64>) {
-        if sc.track {
-            self.mirror = Some(Mirror {
-                class: sc.class,
-                buf: payload,
-            });
-        } else {
-            self.io.pool.put(payload);
-        }
-    }
-
     /// [`CommClass::PairFull`]: dense single-qubit gate on a global bit,
     /// or a two-qubit gate that reads both `lo` halves of the partner.
     fn pair_full(&mut self, step: &Step, sc: &StepComm, s: usize, gbit: usize) -> Result<()> {
         let own = self.bit(gbit);
-        let mut theirs = self.partner_payload(sc, s, gbit, None)?;
+        let [theirs] = self
+            .io
+            .exchange(s, [self.io.rank ^ (1 << gbit)], &self.shard, None)?;
         let mine = &mut self.shard;
-        match (step, sc.shape, sc.track) {
-            (Step::Global1 { m, .. }, _, true) => {
-                kernels::exchange_mirror_mat2(mine, &mut theirs, own, m)
-            }
-            (Step::Global1 { m, .. }, _, false) => {
-                kernels::apply_exchanged_mat2(mine, &theirs, own, m)
-            }
-            (Step::GlobalLocal { lo, .. }, Mat4Shape::BlockLo { .. }, true) => {
-                kernels::exchange_mirror_blocklo(mine, &mut theirs, own, *lo, &sc.shape)
-            }
-            (Step::GlobalLocal { lo, .. }, Mat4Shape::BlockLo { .. }, false) => {
+        match (step, sc.shape) {
+            (Step::Global1 { m, .. }, _) => kernels::apply_exchanged_mat2(mine, &theirs, own, m),
+            (Step::GlobalLocal { lo, .. }, Mat4Shape::BlockLo { .. }) => {
                 kernels::apply_exchanged_blocklo(mine, &theirs, own, *lo, &sc.shape)
             }
-            (Step::GlobalLocal { lo, m, .. }, _, true) => {
-                kernels::exchange_mirror_global_local(mine, &mut theirs, own, *lo, m)
-            }
-            (Step::GlobalLocal { lo, m, .. }, _, false) => {
+            (Step::GlobalLocal { lo, m, .. }, _) => {
                 kernels::apply_exchanged_mat4_global_local(mine, &theirs, own, *lo, m)
             }
             _ => unreachable!("PairFull classifies Global1 and GlobalLocal steps only"),
         }
-        self.settle(sc, theirs);
+        self.io.pool.put(theirs);
         Ok(())
     }
 
@@ -948,13 +786,12 @@ impl Rank<'_> {
         if other_k != SubKind::Identity {
             kernels::scale_lo_half(&mut self.shard, lo, 1 - v, other_m.0[own][own]);
         }
-        let mut theirs = self.partner_payload(sc, s, gbit, Some((lo, v)))?;
-        if sc.track {
-            kernels::exchange_mirror_half(&mut self.shard, &mut theirs, own, lo, v, &dense_m);
-        } else {
-            kernels::apply_exchanged_half(&mut self.shard, &theirs, own, lo, v, &dense_m);
-        }
-        self.settle(sc, theirs);
+        let [theirs] =
+            self.io
+                .exchange(s, [self.io.rank ^ (1 << gbit)], &self.shard, Some((lo, v)))?;
+        self.io.saved += self.io.part_bytes / 2;
+        kernels::apply_exchanged_half(&mut self.shard, &theirs, own, lo, v, &dense_m);
+        self.io.pool.put(theirs);
         Ok(())
     }
 
@@ -963,10 +800,6 @@ impl Rank<'_> {
     /// exchanges, and its partner shares the `sel` bit, so it takes the
     /// same arm and the exchange stays symmetric.
     fn global_block(&mut self, sc: &StepComm, s: usize, sel: usize, xbit: usize) -> Result<()> {
-        debug_assert!(
-            self.mirror.is_none(),
-            "global-global step in a fusion window"
-        );
         let (Mat4Shape::BlockHi { a, ka, b, kb } | Mat4Shape::BlockLo { a, ka, b, kb }) = sc.shape
         else {
             unreachable!("GlobalBlock comes from a block shape");
@@ -994,10 +827,6 @@ impl Rank<'_> {
     /// [`CommClass::Quad`]: dense gate on two global bits — all-to-all
     /// within the quad of ranks that differ in those bits.
     fn quad(&mut self, step: &Step, s: usize) -> Result<()> {
-        debug_assert!(
-            self.mirror.is_none(),
-            "global-global step in a fusion window"
-        );
         let Step::GlobalGlobal { bhi, blo, m } = step else {
             unreachable!("Quad is a global-global class");
         };
@@ -1063,10 +892,8 @@ fn worker(
             messages: 0,
             bytes: 0,
             elided: 0,
-            fused: 0,
             saved: 0,
         },
-        mirror: None,
         parts: kernels::parts_per_caller(part_len, mesh.senders.len()),
     };
     for s in start_step..tape.steps.len() {
@@ -1090,7 +917,6 @@ fn worker(
         messages: w.io.messages,
         bytes: w.io.bytes,
         elided: w.io.elided,
-        fused: w.io.fused,
         saved: w.io.saved,
         seconds: started.elapsed().as_secs_f64(),
     })
@@ -1178,8 +1004,7 @@ fn run_generation(
 }
 
 /// Folds one generation's worker reports into the assembled distributed
-/// state, with the usual `dist.*` telemetry (measured counters plus the
-/// α–β model's prediction for them).
+/// state, with the measured `dist.*` telemetry counters.
 fn assemble(n_qubits: usize, tape: &Tape, reports: Vec<WorkerReport>) -> DistStateVector {
     let n_ranks = reports.len();
     let mut stats = CommStats {
@@ -1192,7 +1017,6 @@ fn assemble(n_qubits: usize, tape: &Tape, reports: Vec<WorkerReport>) -> DistSta
         stats.messages += report.messages;
         stats.bytes += report.bytes;
         stats.exchanges_elided += report.elided;
-        stats.exchanges_fused += report.fused;
         stats.bytes_saved += report.saved;
         nwq_telemetry::histogram_record("dist.rank_seconds", report.seconds);
         nwq_telemetry::histogram_record("dist.rank_messages", report.messages as f64);
@@ -1203,15 +1027,7 @@ fn assemble(n_qubits: usize, tape: &Tape, reports: Vec<WorkerReport>) -> DistSta
     nwq_telemetry::counter_add("dist.local_gates", stats.local_gates);
     nwq_telemetry::counter_add("dist.global_gates", stats.global_gates);
     nwq_telemetry::counter_add("dist.exchanges_elided", stats.exchanges_elided);
-    nwq_telemetry::counter_add("dist.exchange_fused", stats.exchanges_fused);
     nwq_telemetry::counter_add("dist.bytes_saved", stats.bytes_saved);
-    let model = crate::costmodel::CostModel::perlmutter_like();
-    let total_gates = stats.global_gates + stats.local_gates;
-    nwq_telemetry::value_add("dist.modeled_comm_s", model.comm_time_s(&stats, n_ranks));
-    nwq_telemetry::value_add(
-        "dist.modeled_total_s",
-        model.total_time_s(&stats, total_gates, n_qubits, n_ranks),
-    );
     DistStateVector::from_parts(n_qubits, tape.n_local, partitions, stats)
 }
 
@@ -1442,10 +1258,10 @@ mod tests {
         assert_bitwise(&d, &single, "bound at run time");
     }
 
-    /// H sweep, then a half-exchange fusion window on the top qubit with
-    /// every transparent phase kind between the anchor and the fused
-    /// member: `Global1` (rz), diagonal `GlobalLocal` (cp), and — at ≥ 4
-    /// ranks — diagonal `GlobalGlobal` (rzz).
+    /// H sweep, then two half-exchange CX steps on the top qubit with
+    /// every global phase kind between them: `Global1` (rz), diagonal
+    /// `GlobalLocal` (cp), and — at ≥ 4 ranks — diagonal `GlobalGlobal`
+    /// (rzz).
     fn apex_circuit(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         for q in 0..n {
@@ -1462,17 +1278,15 @@ mod tests {
     }
 
     #[test]
-    fn fusion_window_is_bitwise_and_matches_plan() {
+    fn apex_circuit_is_bitwise_and_matches_plan() {
         let c = apex_circuit(6);
         let single = nwq_statevec::simulate(&c, &[]).unwrap();
         for n_ranks in [2usize, 4, 8] {
             let d = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).unwrap();
-            let ctx = format!("fused ranks={n_ranks}");
+            let ctx = format!("apex ranks={n_ranks}");
             assert_bitwise(&d, &single, &ctx);
             let stats = d.comm_stats();
             assert_eq!(stats, plan_communication(&c, n_ranks).unwrap(), "{ctx}");
-            // The second cx rides the first one's mirror on every rank.
-            assert_eq!(stats.exchanges_fused, n_ranks as u64, "{ctx}");
             // Everything not moved is accounted as saved vs the naive plan.
             let naive = plan_communication_naive(&c, n_ranks).unwrap();
             assert_eq!(stats.bytes + stats.bytes_saved, naive.bytes, "{ctx}");
@@ -1629,13 +1443,11 @@ mod tests {
     }
 
     #[test]
-    fn recovery_inside_fusion_window_stays_bitwise() {
-        // Kill a rank at every step of a circuit whose tail is a fusion
-        // window (anchor cx, transparent phases, fused cx): when the
-        // replay resumes past the anchor the mirror is gone on every
-        // rank, so the fused member must fall back to a symmetric fresh
-        // exchange — and still reproduce the fault-free amplitudes
-        // bitwise.
+    fn recovery_inside_apex_circuit_stays_bitwise() {
+        // Kill a rank at every step of the apex circuit (half-exchange
+        // cx, global phases, half-exchange cx): whichever cut the replay
+        // resumes from, every rank redoes the same exchanges and still
+        // reproduces the fault-free amplitudes bitwise.
         let c = apex_circuit(5);
         let single = nwq_statevec::simulate(&c, &[]).unwrap();
         for n_ranks in [2usize, 4] {

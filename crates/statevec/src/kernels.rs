@@ -11,7 +11,7 @@
 //! work goes to the thread pool iff the pool has more than one thread and
 //! the register holds at least [`PAR_MIN_AMPS`] amplitudes — a floor on
 //! *work*, since a pool round trip costs a serial sweep over 2¹⁶ of them.
-//! One shape, [`partition`]: as many contiguous parts as the pool has
+//! One shape, `partition`: as many contiguous parts as the pool has
 //! threads, cut on outer-block boundaries, each running the *same serial
 //! SIMD body* the whole register would; a target qubit too high to leave
 //! that many blocks gets its blocks' low and high halves cut into matching
@@ -568,8 +568,8 @@ pub fn apply_exchanged_mat4_global_global(
 }
 
 // ---------------------------------------------------------------------
-// Lean-exchange kernels: phase elision, half-shard payloads, and fusion
-// mirrors for the sharded executor. Every function here reduces to the
+// Lean-exchange kernels: phase elision and half-shard payloads for the
+// sharded executor. Every function here reduces to the
 // exact per-element expressions of the single-node kernels above, which
 // is what keeps exchange-lean distributed runs bitwise identical.
 // ---------------------------------------------------------------------
@@ -714,171 +714,6 @@ pub fn apply_exchanged_blocklo(
                 }
             }
         }
-    }
-}
-
-// --- Fusion mirrors -----------------------------------------------------
-//
-// A fusion window keeps the partner's shard (or packed half) alive in a
-// local `copy` so the next global gate on the same qubit can skip its
-// exchange. The mirror variants below apply the rank's own update AND
-// advance `copy` to the partner's post-gate values — computed with the
-// exact expressions the partner itself runs, so a fused replay is
-// bitwise indistinguishable from a fresh exchange.
-
-/// [`apply_exchanged_mat2`] (dense arm) that also advances `copy` to the
-/// partner's post-gate shard.
-pub fn exchange_mirror_mat2(own: &mut [C64], copy: &mut [C64], own_bit: usize, m: &Mat2) {
-    debug_assert_eq!(own.len(), copy.len());
-    debug_assert!(own_bit < 2);
-    nwq_telemetry::counter_add("kernels.amplitude_updates", 2 * own.len() as u64);
-    for (a, b) in own.iter_mut().zip(copy.iter_mut()) {
-        if own_bit == 0 {
-            let (v0, v1) = (*a, *b);
-            *a = m.0[0][0] * v0 + m.0[0][1] * v1;
-            *b = m.0[1][0] * v0 + m.0[1][1] * v1;
-        } else {
-            let (v0, v1) = (*b, *a);
-            *a = m.0[1][0] * v0 + m.0[1][1] * v1;
-            *b = m.0[0][0] * v0 + m.0[0][1] * v1;
-        }
-    }
-}
-
-/// [`apply_exchanged_mat4_global_local`] (dense arm) that also advances
-/// `copy` to the partner's post-gate shard.
-pub fn exchange_mirror_global_local(
-    own: &mut [C64],
-    copy: &mut [C64],
-    own_hi_bit: usize,
-    lo: usize,
-    m: &Mat4,
-) {
-    debug_assert_eq!(own.len(), copy.len());
-    debug_assert!(own_hi_bit < 2);
-    nwq_telemetry::counter_add("kernels.amplitude_updates", 2 * own.len() as u64);
-    let m = &{ *m };
-    let s_lo = 1usize << lo;
-    let lo_block = s_lo << 1;
-    for base in (0..own.len()).step_by(lo_block) {
-        for i in base..base + s_lo {
-            let j = i + s_lo;
-            let v = if own_hi_bit == 0 {
-                [own[i], own[j], copy[i], copy[j]]
-            } else {
-                [copy[i], copy[j], own[i], own[j]]
-            };
-            let (own_rows, cp_rows) = if own_hi_bit == 0 {
-                ([0, 1], [2, 3])
-            } else {
-                ([2, 3], [0, 1])
-            };
-            let mac = |r: &[C64; 4]| r[0] * v[0] + r[1] * v[1] + r[2] * v[2] + r[3] * v[3];
-            own[i] = mac(&m.0[own_rows[0]]);
-            own[j] = mac(&m.0[own_rows[1]]);
-            copy[i] = mac(&m.0[cp_rows[0]]);
-            copy[j] = mac(&m.0[cp_rows[1]]);
-        }
-    }
-}
-
-/// [`apply_exchanged_blocklo`] that also advances the full-shard `copy`
-/// to the partner's post-gate values.
-pub fn exchange_mirror_blocklo(
-    own: &mut [C64],
-    copy: &mut [C64],
-    own_hi_bit: usize,
-    lo: usize,
-    shape: &Mat4Shape,
-) {
-    let Mat4Shape::BlockLo { a, ka, b, kb } = shape else {
-        panic!("exchange_mirror_blocklo needs a BlockLo shape");
-    };
-    debug_assert_eq!(own.len(), copy.len());
-    nwq_telemetry::counter_add("kernels.amplitude_updates", 2 * own.len() as u64);
-    let s_lo = 1usize << lo;
-    for (c, p) in own.chunks_mut(s_lo << 1).zip(copy.chunks_mut(s_lo << 1)) {
-        for (v, (k, m)) in [(ka, a), (kb, b)].iter().enumerate() {
-            let rng = v * s_lo..(v + 1) * s_lo;
-            match k {
-                SubKind::Identity => {}
-                SubKind::Diag => {
-                    let (d0, d1) = (m.0[0][0], m.0[1][1]);
-                    let (dn, dp) = if own_hi_bit == 1 { (d1, d0) } else { (d0, d1) };
-                    for x in c[rng.clone()].iter_mut() {
-                        *x *= dn;
-                    }
-                    for x in p[rng.clone()].iter_mut() {
-                        *x *= dp;
-                    }
-                }
-                SubKind::Dense => {
-                    for (x, y) in c[rng.clone()].iter_mut().zip(p[rng.clone()].iter_mut()) {
-                        let (v0, v1) = if own_hi_bit == 0 { (*x, *y) } else { (*y, *x) };
-                        let lo_out = m.0[0][0] * v0 + m.0[0][1] * v1;
-                        let hi_out = m.0[1][0] * v0 + m.0[1][1] * v1;
-                        if own_hi_bit == 0 {
-                            *x = lo_out;
-                            *y = hi_out;
-                        } else {
-                            *x = hi_out;
-                            *y = lo_out;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`apply_exchanged_half`] that also advances the packed half `copy` to
-/// the partner's post-gate values.
-pub fn exchange_mirror_half(
-    own: &mut [C64],
-    copy: &mut [C64],
-    own_hi_bit: usize,
-    lo: usize,
-    v: usize,
-    m: &Mat2,
-) {
-    debug_assert_eq!(copy.len(), own.len() / 2);
-    nwq_telemetry::counter_add("kernels.amplitude_updates", own.len() as u64);
-    let s_lo = 1usize << lo;
-    let mut p = 0;
-    for c in own.chunks_mut(s_lo << 1) {
-        for a in c[v * s_lo..(v + 1) * s_lo].iter_mut() {
-            let b = &mut copy[p];
-            p += 1;
-            let (v0, v1) = if own_hi_bit == 0 { (*a, *b) } else { (*b, *a) };
-            let lo_out = m.0[0][0] * v0 + m.0[0][1] * v1;
-            let hi_out = m.0[1][0] * v0 + m.0[1][1] * v1;
-            if own_hi_bit == 0 {
-                *a = lo_out;
-                *b = hi_out;
-            } else {
-                *a = hi_out;
-                *b = lo_out;
-            }
-        }
-    }
-}
-
-/// Applies a diagonal gate's phase to a *packed half* fusion mirror: the
-/// copy holds the partner's `window_lo`-bit == `v` half, and the phase of
-/// element `p` depends on the bit of qubit `lo2` in its original index
-/// (`d0`/`d1` already select for the partner's global bits).
-pub fn phase_on_lo_half(
-    copy: &mut [C64],
-    window_lo: usize,
-    v: usize,
-    lo2: usize,
-    d0: C64,
-    d1: C64,
-) {
-    let s = 1usize << window_lo;
-    for (p, a) in copy.iter_mut().enumerate() {
-        let orig = (p / s) * (s << 1) + v * s + (p % s);
-        *a *= if (orig >> lo2) & 1 == 1 { d1 } else { d0 };
     }
 }
 

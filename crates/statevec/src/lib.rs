@@ -30,7 +30,6 @@
 pub mod adjoint;
 pub mod batch;
 pub mod cache;
-pub mod density;
 pub mod executor;
 pub mod expval;
 pub mod kernels;
@@ -94,19 +93,6 @@ mod proptests {
         fn executor_preserves_norm(c in arb_circuit(6, 40)) {
             let s = simulate(&c, &[]).unwrap();
             prop_assert!((s.norm_sqr() - 1.0).abs() < 1e-8);
-        }
-
-        #[test]
-        fn noisy_execution_preserves_trace_and_bounds_purity(
-            c in arb_circuit(3, 12), p in 0.0..0.4f64
-        ) {
-            let noise = crate::density::NoiseModel::depolarizing(p, p);
-            let rho = crate::density::run_noisy(&c, &[], &noise).unwrap();
-            prop_assert!((rho.trace().re - 1.0).abs() < 1e-8);
-            prop_assert!(rho.trace().im.abs() < 1e-10);
-            let purity = rho.purity();
-            prop_assert!(purity <= 1.0 + 1e-9);
-            prop_assert!(purity >= 1.0 / 8.0 - 1e-9); // ≥ maximally mixed
         }
 
         #[test]

@@ -32,7 +32,7 @@
 //!
 //! [`ExecPlan::compile`] keeps its signature but now routes through the
 //! global [`crate::plan_cache`] LRU, so every energy path (VQE / ADAPT /
-//! VQD / QPE / batch / serve workers) shares templates automatically. The
+//! QPE / batch / serve workers) shares templates automatically. The
 //! cache key is the circuit's memoised [`nwq_circuit::Shape`], built once
 //! per circuit value, so a rebind's lookup is a pointer comparison.
 //! Execution happens through `Executor::run_plan_on` /

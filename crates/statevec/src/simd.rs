@@ -731,7 +731,7 @@ fn mat2_sweep_body(amps: &mut [C64], stride: usize, m: &Mat2) {
 
 /// Full serial single-qubit sweep: every block's (lo, hi) pair run
 /// through the `2×2` update. `stride = 2^q`. The dense sweeps dispatch to
-/// hand-written AVX2 kernels (see [`avx`]) rather than the
+/// hand-written AVX2 kernels (see `avx`) rather than the
 /// auto-vectorized body — the explicit `vaddsubpd` form is bitwise
 /// identical and measurably faster.
 pub fn mat2_sweep(amps: &mut [C64], stride: usize, m: &Mat2) {
@@ -763,7 +763,7 @@ pub fn mat2_pairs(lo: &mut [C64], hi: &mut [C64], m: &Mat2) {
 
 /// The `4×4` update over four equal-length quadrant runs, on interleaved
 /// lanes: each output is `((row0·v0 + row1·v1) + row2·v2) + row3·v3`, the
-/// left-associated order every exchanged and mirrored quad kernel in
+/// left-associated order every exchanged quad kernel in
 /// `kernels` repeats.
 #[inline(always)]
 fn mat4_quads_body(c00: &mut [C64], c01: &mut [C64], c10: &mut [C64], c11: &mut [C64], m: &Mat4) {
@@ -1379,7 +1379,8 @@ mod tests {
     /// would otherwise index past the end of the register.
     #[test]
     fn sweeps_reject_strides_that_are_not_powers_of_two() {
-        let cases: [(&str, fn(&mut [C64])); 4] = [
+        type Sweep = fn(&mut [C64]);
+        let cases: [(&str, Sweep); 4] = [
             ("mat2_sweep", |a| mat2_sweep(a, 3, &mat_h())),
             ("mat4_sweep", |a| mat4_sweep(a, 6, 3, &mat_cx())),
             ("mat4_sweep s_hi", |a| mat4_sweep(a, 3, 1, &mat_cx())),
@@ -1390,7 +1391,8 @@ mod tests {
         ];
         for (what, sweep) in cases {
             let mut amps = vec![C64::default(); 12];
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep(&mut amps)));
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep(&mut amps)));
             assert!(caught.is_err(), "{what} accepted a bad stride");
         }
         let mut amps = vec![C64::default(); 16];

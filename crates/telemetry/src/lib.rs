@@ -13,7 +13,7 @@
 //!   "run": { "command": "vqe", "molecule": "h2", ... },
 //!   "spans": [ { "path": "vqe/iteration", "count": 12,
 //!                "total_ms": 3.4, "min_ms": 0.1, "max_ms": 0.9 } ],
-//!   "counters": { "statevec.gates_1q": 420, "dist.modeled_time_s": 0.0012 },
+//!   "counters": { "statevec.gates_1q": 420, "plan.bind_ms": 0.0012 },
 //!   "iterations": [ { "i": 0, "energy": -1.1, "grad_norm": 0.3,
 //!                     "evaluations": 5, "gates": 120, "wall_ms": 1.2 } ],
 //!   "histograms": { "serve.latency_ms": { "count": 120, "mean": 4.2,
@@ -192,7 +192,7 @@ pub fn histogram_snapshot(name: &str) -> Option<Histogram> {
     registry().lock().histograms.get(name).cloned()
 }
 
-/// When enabled, every completed [`span`] additionally records its elapsed
+/// When enabled, every completed [`span()`] additionally records its elapsed
 /// milliseconds into a histogram named `span.<path>`, making tail latency
 /// (not just min/mean/max) visible for any instrumented section.
 pub fn set_span_histograms(on: bool) {
@@ -207,7 +207,7 @@ pub fn record_iteration(record: IterationRecord) {
     registry().lock().iterations.push(record);
 }
 
-/// RAII timer for one section; see [`span`].
+/// RAII timer for one section; see [`span()`].
 pub struct SpanGuard {
     start: Option<Instant>,
 }
@@ -255,7 +255,7 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a [`span`] guard bound to a local: `let _s = span!("vqe.iteration");`.
+/// Opens a [`span()`] guard bound to a local: `let _s = span!("vqe.iteration");`.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
