@@ -20,6 +20,7 @@ use nwq_core::adapt::{run_adapt_vqe, AdaptConfig};
 use nwq_core::backend::DirectBackend;
 use nwq_core::exact::{ground_energy_sector_default, Sector};
 use nwq_core::qpe::{run_qpe, QpeConfig};
+use nwq_core::vqe::{run_vqe_grad, GradSource, VqeProblem};
 use nwq_dist::{plan_communication, CostModel};
 use nwq_opt::NelderMead;
 use rayon::prelude::*;
@@ -260,21 +261,10 @@ fn ablation() {
     let opts: Vec<(&str, Box<dyn nwq_opt::Optimizer>)> = vec![
         ("nelder-mead", Box::new(NelderMead::for_vqe())),
         ("l-bfgs", Box::new(nwq_opt::Lbfgs::default())),
-        // The π/2 parameter-shift rule is *wrong* for UCCSD excitation
-        // parameters (zero gradient at HF) — kept in the table because it
-        // demonstrates the silent failure the π/4 rule fixes.
-        (
-            "adam (pi/2 shift: stalls)",
-            Box::new(nwq_opt::Adam {
-                lr: 0.1,
-                ..Default::default()
-            }),
-        ),
         (
             "adam (finite-diff)",
             Box::new(nwq_opt::Adam {
                 lr: 0.1,
-                mode: nwq_opt::GradientMode::FiniteDifference(1e-6),
                 ..Default::default()
             }),
         ),
@@ -297,24 +287,39 @@ fn ablation() {
             r.evals
         );
     }
-    // Adjoint-differentiated rows: the full gradient costs ~4 evaluation
-    // equivalents regardless of the parameter count, so both optimizers
-    // land inside chemical accuracy within a 17-equivalent budget.
-    let grad_problem = nwq_core::vqe::VqeProblem {
+    // Gradient-source rows, 17-equivalent budget. Adjoint: the full
+    // gradient costs ~4 evaluation equivalents regardless of the parameter
+    // count, so both optimizers land inside chemical accuracy. The π/2
+    // shift rule is *wrong* for UCCSD excitation parameters (zero gradient
+    // at HF) — kept because it demonstrates the silent failure the π/4
+    // rule fixes.
+    let grad_problem = VqeProblem {
         hamiltonian: h2.clone(),
         ansatz: ansatz.clone(),
     };
-    let grad_opts: Vec<(&str, Box<dyn nwq_opt::GradOptimizer>)> = vec![
-        ("l-bfgs (adjoint)", Box::new(nwq_opt::Lbfgs::default())),
-        ("adam (adjoint)", Box::new(nwq_opt::Adam::default())),
+    let grad_opts: Vec<(&str, Box<dyn nwq_opt::GradOptimizer>, GradSource)> = vec![
+        (
+            "l-bfgs (adjoint)",
+            Box::new(nwq_opt::Lbfgs::default()),
+            GradSource::Adjoint,
+        ),
+        (
+            "adam (adjoint)",
+            Box::new(nwq_opt::Adam::default()),
+            GradSource::Adjoint,
+        ),
+        (
+            "adam (pi/2 shift: stalls)",
+            Box::new(nwq_opt::Adam::default()),
+            GradSource::shift_rotations(),
+        ),
     ];
-    for (label, mut opt) in grad_opts {
-        let mut backend = DirectBackend::new();
-        let r = nwq_core::vqe::run_vqe_grad(
+    for (label, mut opt, source) in grad_opts {
+        let r = run_vqe_grad(
             &grad_problem,
-            &mut backend,
+            &mut DirectBackend::new(),
             &mut *opt,
-            nwq_core::vqe::GradSource::Adjoint,
+            source,
             &vec![0.0; grad_problem.ansatz.n_params()],
             17,
         )

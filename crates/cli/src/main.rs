@@ -53,7 +53,7 @@ use nwq_core::resilience::{
     RetryPolicy,
 };
 use nwq_core::vqe::{GradSource, VqeProblem};
-use nwq_opt::{Adam, GradOptimizer, Lbfgs, NelderMead, Optimizer, Spsa};
+use nwq_opt::{Adam, GradOptimizer, Lbfgs, NelderMead, Optimizer, Spsa, FD_STEP};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -150,7 +150,7 @@ fn grad_source_from(args: &Args) -> Result<Option<GradSource>, String> {
         None => None,
         Some("adjoint") => Some(GradSource::Adjoint),
         Some("shift") => Some(GradSource::shift_excitations()),
-        Some("fd") => Some(GradSource::FiniteDifference(1e-6)),
+        Some("fd") => Some(GradSource::FiniteDifference(FD_STEP)),
         Some(other) => {
             return Err(format!(
                 "unknown gradient source {other:?} (expected adjoint|shift|fd)"
@@ -246,10 +246,7 @@ fn cmd_vqe(args: &Args) -> Result<(), String> {
             println!(
                 "grad    : {} source, {} equivalents per fused gradient",
                 source.name(),
-                match source {
-                    GradSource::Adjoint => 4,
-                    _ => 2 * problem.ansatz.n_params() + 1,
-                }
+                source.cost(problem.ansatz.n_params())
             );
             let r = nwq_core::resilience::run_vqe_grad_with(
                 &problem,

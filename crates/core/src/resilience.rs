@@ -36,15 +36,17 @@ use crate::vqe::{GradSource, VqeProblem, VqeResult};
 use nwq_circuit::Circuit;
 use nwq_common::{Error, Result};
 use nwq_dist::FaultInjector;
-use nwq_opt::{GradObjective, GradOptimizer, Optimizer};
+use nwq_opt::{shift_rule_gradient, GradObjective, GradOptimizer, Optimizer};
 use nwq_pauli::PauliOp;
 use nwq_telemetry::JsonValue;
 use std::path::{Path, PathBuf};
 
 pub use nwq_dist::{FaultSpec, FaultStats};
 
-/// Checkpoint schema version; bumped on incompatible layout changes.
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// Checkpoint schema version; bumped on incompatible layout changes and
+/// whenever an optimizer's trajectory changes, since replay feeds logged
+/// energies back to the points the optimizer visits now.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// Bounded-retry policy for transient evaluation failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -864,8 +866,8 @@ fn vqe_grad_fingerprint(
 /// [`GradOptimizer`]: fused adjoint evaluations go through
 /// [`ResilientEvaluator::eval_grad`] (and the checkpoint gradient log);
 /// shift-rule and finite-difference gradients ride the *batched* energy
-/// path — one backend batch of all `2·n` probes — and replay via
-/// the ordinary evaluation log.
+/// path — one backend batch of `x` and its `2·n` probes, through
+/// [`shift_rule_gradient`] — and replay via the ordinary evaluation log.
 struct VqeGradObjective<'a, 'b> {
     ev: &'b mut ResilientEvaluator<'a>,
     problem: &'b VqeProblem,
@@ -877,8 +879,7 @@ struct VqeGradObjective<'a, 'b> {
 }
 
 impl VqeGradObjective<'_, '_> {
-    /// Best-so-far bookkeeping per *candidate point* (gradient probes are
-    /// not candidates and are excluded).
+    /// Best-so-far bookkeeping per evaluation, as on the energy-only path.
     fn note(&mut self, e: f64, grad_norm: Option<f64>) {
         let prev_best = self.history.last().copied().unwrap_or(f64::INFINITY);
         let best = prev_best.min(e);
@@ -897,20 +898,24 @@ impl VqeGradObjective<'_, '_> {
         }
     }
 
-    /// Evaluates the `2·n` two-term probes `x ± s·e_i` as one resilient
-    /// batch, in the interleaved (+, −) order per parameter.
-    fn shifted_energies(&mut self, x: &[f64], s: f64) -> Result<Vec<f64>> {
-        let mut probes = Vec::with_capacity(2 * x.len());
-        for i in 0..x.len() {
-            let mut plus = x.to_vec();
-            plus[i] += s;
-            probes.push(plus);
-            let mut minus = x.to_vec();
-            minus[i] -= s;
-            probes.push(minus);
+    /// Energy and two-term shift-rule gradient at `x`: `x` and its `2·n`
+    /// probes ride one resilient batch, and every energy in it joins the
+    /// history in batch order — the points an energy-only run of the
+    /// same optimizer records.
+    fn shift_rule(&mut self, x: &[f64], s: f64, denom: f64) -> Result<(f64, Vec<f64>)> {
+        let (ev, problem) = (&mut *self.ev, self.problem);
+        let mut energies = Vec::new();
+        let mut batch = |xs: &[Vec<f64>]| {
+            energies = ev.eval_batch(&problem.ansatz, xs, &problem.hamiltonian)?;
+            Ok(energies.clone())
+        };
+        let (e, g) = shift_rule_gradient(&mut batch, x, s, denom)?;
+        let gnorm = g.iter().fold(0.0f64, |a: f64, v: &f64| a.max(v.abs()));
+        self.note(e, Some(gnorm));
+        for &probe in &energies[1..] {
+            self.note(probe, None);
         }
-        self.ev
-            .eval_batch(&self.problem.ansatz, &probes, &self.problem.hamiltonian)
+        Ok((e, g))
     }
 }
 
@@ -929,26 +934,8 @@ impl GradObjective for VqeGradObjective<'_, '_> {
                 self.ev
                     .eval_grad(&self.problem.ansatz, x, &self.problem.hamiltonian)?
             }
-            GradSource::ParameterShift { shift, denom } => {
-                let e = self
-                    .ev
-                    .eval(&self.problem.ansatz, x, &self.problem.hamiltonian)?;
-                let es = self.shifted_energies(x, shift)?;
-                let g = (0..x.len())
-                    .map(|i| (es[2 * i] - es[2 * i + 1]) / denom)
-                    .collect();
-                (e, g)
-            }
-            GradSource::FiniteDifference(eps) => {
-                let e = self
-                    .ev
-                    .eval(&self.problem.ansatz, x, &self.problem.hamiltonian)?;
-                let es = self.shifted_energies(x, eps)?;
-                let g = (0..x.len())
-                    .map(|i| (es[2 * i] - es[2 * i + 1]) / (2.0 * eps))
-                    .collect();
-                (e, g)
-            }
+            GradSource::ParameterShift { shift, denom } => return self.shift_rule(x, shift, denom),
+            GradSource::FiniteDifference(eps) => return self.shift_rule(x, eps, 2.0 * eps),
         };
         let gnorm = g.iter().fold(0.0f64, |a: f64, v: &f64| a.max(v.abs()));
         self.note(e, Some(gnorm));
@@ -966,7 +953,7 @@ impl GradObjective for VqeGradObjective<'_, '_> {
 /// wrapped in [`Error::Interrupted`].
 ///
 /// `max_evals` is a budget in *energy-evaluation equivalents*: a fused
-/// gradient costs `GradSource::cost` (≈ 4 for adjoint, `2·n + 1` for
+/// gradient costs [`GradSource::cost`] (≈ 4 for adjoint, `2·n + 1` for
 /// shift rules), which keeps gradient-driven and derivative-free runs
 /// directly comparable.
 pub fn run_vqe_grad_with(
@@ -1434,16 +1421,20 @@ mod tests {
 
     #[test]
     fn version_1_checkpoint_is_rejected_by_version() {
-        // Version 1 stored content fingerprints of a retired encoding.
-        let path = tmp_checkpoint("v1");
-        std::fs::write(&path, r#"{"version": 1, "kind": "vqe"}"#).unwrap();
-        let err = ResumeState::load(&path).unwrap_err();
-        assert!(matches!(err, Error::Invalid(_)), "{err}");
-        assert!(
-            err.to_string().contains("unsupported checkpoint version"),
-            "{err}"
-        );
-        std::fs::remove_file(&path).ok();
+        // Version 1 stored content fingerprints of a retired encoding;
+        // version 2 logged energy-only Adam and L-BFGS trajectories that
+        // the central-difference gradient loop no longer visits.
+        for version in [1, 2] {
+            let path = tmp_checkpoint(&format!("v{version}"));
+            std::fs::write(&path, format!(r#"{{"version": {version}, "kind": "vqe"}}"#)).unwrap();
+            let err = ResumeState::load(&path).unwrap_err();
+            assert!(matches!(err, Error::Invalid(_)), "{err}");
+            assert!(
+                err.to_string().contains("unsupported checkpoint version"),
+                "{err}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -1538,6 +1529,9 @@ mod tests {
             r.energy,
             r.evaluations
         );
+        // The adjoint trajectory is pinned exactly.
+        assert_eq!(r.evaluations, 15);
+        assert_eq!(r.energy.to_bits(), 0xbff2_3258_ab16_c7ff, "{}", r.energy);
     }
 
     #[test]
@@ -1561,6 +1555,42 @@ mod tests {
             r.energy,
             r.evaluations
         );
+        // The adjoint trajectory is pinned exactly.
+        assert_eq!(r.evaluations, 400);
+        assert_eq!(r.energy.to_bits(), 0xbff2_3258_c237_29df, "{}", r.energy);
+    }
+
+    #[test]
+    fn energy_only_runs_match_the_finite_difference_grad_path() {
+        // Energy-only Adam and L-BFGS are their gradient loop on central
+        // differences: the same points, in the same order, as a
+        // `GradSource::FiniteDifference` run — so the same energy bits,
+        // evaluation count and history. Both reach chemical accuracy on
+        // UCCSD, where a π/2 shift rule reads a zero gradient at HF.
+        let (problem, exact) = h2_grad_problem();
+        let x0 = vec![0.0; problem.ansatz.n_params()];
+        let optimizers: [fn() -> Box<dyn GradOptimizer>; 2] = [
+            || Box::new(nwq_opt::Lbfgs::default()),
+            || Box::new(nwq_opt::Adam::default()),
+        ];
+        for make in optimizers {
+            let mut backend = DirectBackend::new();
+            let energy_only =
+                crate::vqe::run_vqe(&problem, &mut backend, &mut *make(), &x0, 4000).unwrap();
+            let grad = crate::vqe::run_vqe_grad(
+                &problem,
+                &mut DirectBackend::new(),
+                &mut *make(),
+                GradSource::FiniteDifference(nwq_opt::FD_STEP),
+                &x0,
+                4000,
+            )
+            .unwrap();
+            assert!((energy_only.energy - exact).abs() < 1.6e-3);
+            assert_eq!(energy_only.energy.to_bits(), grad.energy.to_bits());
+            assert_eq!(energy_only.evaluations, grad.evaluations);
+            assert_eq!(energy_only.history, grad.history);
+        }
     }
 
     #[test]

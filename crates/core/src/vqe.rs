@@ -41,7 +41,8 @@ pub enum GradSource {
     /// [`GradientBackend`].
     Adjoint,
     /// Two-term shift rule `∂E/∂θ_j = [E(θ+s·e_j) − E(θ−s·e_j)] / denom`,
-    /// evaluated as one backend batch of all `2·n` probes. Exact
+    /// evaluated with `E(θ)` as one backend batch of `2·n + 1` points
+    /// ([`nwq_opt::shift_rule_gradient`]). Exact
     /// only when the shift matches the generator spectrum — see the
     /// constructors.
     ParameterShift {
@@ -88,7 +89,7 @@ impl GradSource {
 
     /// Cost of one fused value-and-gradient evaluation in
     /// energy-evaluation equivalents.
-    pub(crate) fn cost(&self, n_params: usize) -> usize {
+    pub fn cost(&self, n_params: usize) -> usize {
         match self {
             GradSource::Adjoint => 4,
             _ => 2 * n_params + 1,

@@ -3,12 +3,12 @@
 //! The quasi-Newton workhorse for smooth, exactly-evaluated objectives —
 //! the regime the paper's direct-expectation backend creates (no shot
 //! noise), where it converges in far fewer energy evaluations than
-//! simplex or SPSA methods.
+//! simplex or SPSA methods. The energy-only entry points run the gradient
+//! loop on central differences of step [`FD_STEP`](crate::FD_STEP).
 
-use crate::gradient::{try_finite_difference_gradient, try_finite_difference_gradient_batched};
+use crate::gradient::CentralDifference;
 use crate::traits::{
-    single, state_f64, state_u64, BatchedObjective, GradObjective, GradOptimizer, OptResult,
-    Optimizer,
+    state_f64, state_u64, BatchedObjective, GradObjective, GradOptimizer, OptResult, Optimizer,
 };
 use nwq_common::Result;
 use nwq_telemetry::JsonValue;
@@ -19,8 +19,6 @@ use std::collections::VecDeque;
 pub struct Lbfgs {
     /// History length (m). 5–10 is standard.
     pub memory: usize,
-    /// Finite-difference step for gradients.
-    pub fd_eps: f64,
     /// Terminate when the gradient ∞-norm falls below this.
     pub g_tol: f64,
     /// Armijo sufficient-decrease constant.
@@ -35,7 +33,6 @@ impl Default for Lbfgs {
     fn default() -> Self {
         Lbfgs {
             memory: 8,
-            fd_eps: 1e-6,
             g_tol: 1e-7,
             c1: 1e-4,
             backtrack: 0.5,
@@ -52,7 +49,6 @@ impl Optimizer for Lbfgs {
     fn state_json(&self) -> JsonValue {
         JsonValue::Object(vec![
             ("memory".into(), JsonValue::Int(self.memory as u64)),
-            ("fd_eps".into(), JsonValue::Float(self.fd_eps)),
             ("g_tol".into(), JsonValue::Float(self.g_tol)),
             ("c1".into(), JsonValue::Float(self.c1)),
             ("backtrack".into(), JsonValue::Float(self.backtrack)),
@@ -62,7 +58,6 @@ impl Optimizer for Lbfgs {
 
     fn restore_state(&mut self, state: &JsonValue) -> Result<()> {
         self.memory = state_u64(state, "memory")? as usize;
-        self.fd_eps = state_f64(state, "fd_eps")?;
         self.g_tol = state_f64(state, "g_tol")?;
         self.c1 = state_f64(state, "c1")?;
         self.backtrack = state_f64(state, "backtrack")?;
@@ -76,175 +71,21 @@ impl Optimizer for Lbfgs {
         x0: &[f64],
         max_evals: usize,
     ) -> Result<OptResult> {
-        let n = x0.len();
-        let mut evals = 0usize;
-        let mut x = x0.to_vec();
-        let mut fx = f(&x)?;
-        evals += 1;
-        if n == 0 {
-            return Ok(OptResult {
-                params: x,
-                value: fx,
-                evals,
-                converged: true,
-            });
-        }
-        let grad_cost = 2 * n;
-        let mut history: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::new(); // (s, y, 1/yᵀs)
-        let mut g = try_finite_difference_gradient(f, &x, self.fd_eps)?;
-        evals += grad_cost;
-        let mut converged = false;
-
-        while evals + grad_cost + 2 <= max_evals {
-            let gnorm = g.iter().fold(0.0f64, |a, v| a.max(v.abs()));
-            if gnorm < self.g_tol {
-                converged = true;
-                break;
-            }
-            let d = two_loop_direction(&history, &g);
-            let slope = dot(&g, &d);
-            if slope >= 0.0 {
-                // Not a descent direction (stale curvature) — reset.
-                history.clear();
-                let d: Vec<f64> = g.iter().map(|v| -v).collect();
-                let (nx, nfx, used, ok) = self.line_search(f, &x, fx, &g, &d, max_evals - evals)?;
-                evals += used;
-                if !ok {
-                    break;
-                }
-                x = nx;
-                fx = nfx;
-            } else {
-                let (nx, nfx, used, ok) = self.line_search(f, &x, fx, &g, &d, max_evals - evals)?;
-                evals += used;
-                if !ok {
-                    break;
-                }
-                let s: Vec<f64> = nx.iter().zip(&x).map(|(a, b)| a - b).collect();
-                x = nx;
-                fx = nfx;
-                if evals + grad_cost > max_evals {
-                    break;
-                }
-                let new_g = try_finite_difference_gradient(f, &x, self.fd_eps)?;
-                evals += grad_cost;
-                let y: Vec<f64> = new_g.iter().zip(&g).map(|(a, b)| a - b).collect();
-                let ys = dot(&y, &s);
-                if ys > 1e-12 {
-                    if history.len() == self.memory {
-                        history.pop_front();
-                    }
-                    history.push_back((s, y, 1.0 / ys));
-                }
-                g = new_g;
-                continue;
-            }
-            if evals + grad_cost > max_evals {
-                break;
-            }
-            g = try_finite_difference_gradient(f, &x, self.fd_eps)?;
-            evals += grad_cost;
-        }
-        Ok(OptResult {
-            params: x,
-            value: fx,
-            evals,
-            converged,
-        })
+        let mut batched = |xs: &[Vec<f64>]| xs.iter().map(|x| f(x)).collect();
+        self.try_minimize_batched(&mut batched, x0, max_evals)
     }
 
-    /// Batched override: every finite-difference gradient's `2·n` probe
-    /// evaluations ride ONE multi-vector call (one parallel map on
-    /// backends that batch). Line-search trials stay
-    /// sequential — each depends on the previous trial's outcome. The
-    /// trajectory is identical to [`Optimizer::try_minimize`] — same
-    /// points, same order, same eval count.
+    /// Energy-only entry: the gradient loop
+    /// ([`GradOptimizer::try_minimize_grad`]) on central differences, each
+    /// one batch of `2·n + 1` points; line-search trials stay width-1
+    /// calls, since each depends on the previous trial's outcome.
     fn try_minimize_batched(
         &mut self,
         f: &mut BatchedObjective<'_>,
         x0: &[f64],
         max_evals: usize,
     ) -> Result<OptResult> {
-        let n = x0.len();
-        let mut evals = 0usize;
-        let mut x = x0.to_vec();
-        let mut fx = single(f, &x)?;
-        evals += 1;
-        if n == 0 {
-            return Ok(OptResult {
-                params: x,
-                value: fx,
-                evals,
-                converged: true,
-            });
-        }
-        let grad_cost = 2 * n;
-        let mut history: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::new();
-        let mut g = try_finite_difference_gradient_batched(f, &x, self.fd_eps)?;
-        evals += grad_cost;
-        let mut converged = false;
-
-        while evals + grad_cost + 2 <= max_evals {
-            let gnorm = g.iter().fold(0.0f64, |a, v| a.max(v.abs()));
-            if gnorm < self.g_tol {
-                converged = true;
-                break;
-            }
-            let d = two_loop_direction(&history, &g);
-            let slope = dot(&g, &d);
-            if slope >= 0.0 {
-                history.clear();
-                let d: Vec<f64> = g.iter().map(|v| -v).collect();
-                let (nx, nfx, used, ok) = {
-                    let mut sf = |p: &[f64]| single(f, p);
-                    self.line_search(&mut sf, &x, fx, &g, &d, max_evals - evals)?
-                };
-                evals += used;
-                if !ok {
-                    break;
-                }
-                x = nx;
-                fx = nfx;
-            } else {
-                let (nx, nfx, used, ok) = {
-                    let mut sf = |p: &[f64]| single(f, p);
-                    self.line_search(&mut sf, &x, fx, &g, &d, max_evals - evals)?
-                };
-                evals += used;
-                if !ok {
-                    break;
-                }
-                let s: Vec<f64> = nx.iter().zip(&x).map(|(a, b)| a - b).collect();
-                x = nx;
-                fx = nfx;
-                if evals + grad_cost > max_evals {
-                    break;
-                }
-                let new_g = try_finite_difference_gradient_batched(f, &x, self.fd_eps)?;
-                evals += grad_cost;
-                let y: Vec<f64> = new_g.iter().zip(&g).map(|(a, b)| a - b).collect();
-                let ys = dot(&y, &s);
-                if ys > 1e-12 {
-                    if history.len() == self.memory {
-                        history.pop_front();
-                    }
-                    history.push_back((s, y, 1.0 / ys));
-                }
-                g = new_g;
-                continue;
-            }
-            if evals + grad_cost > max_evals {
-                break;
-            }
-            g = try_finite_difference_gradient_batched(f, &x, self.fd_eps)?;
-            evals += grad_cost;
-        }
-        Ok(OptResult {
-            params: x,
-            value: fx,
-            evals,
-            converged,
-        })
+        self.try_minimize_grad(&mut CentralDifference(f), x0, max_evals)
     }
 }
 
@@ -253,7 +94,7 @@ impl GradOptimizer for Lbfgs {
     /// [`GradObjective::value_and_grad`] call costing
     /// [`GradObjective::grad_cost`] evaluation-equivalents (≈ 4 for an
     /// adjoint-backed objective, independent of the parameter count),
-    /// versus `2·n` finite-difference probes in the black-box loops.
+    /// versus `2·n + 1` for a central-difference gradient.
     /// Line-search trials use [`GradObjective::value`] at cost 1 each.
     fn try_minimize_grad(
         &mut self,
@@ -492,13 +333,13 @@ mod tests {
     fn state_json_round_trip() {
         let src = Lbfgs {
             memory: 12,
-            fd_eps: 1e-5,
+            g_tol: 1e-5,
             ..Default::default()
         };
         let mut dst = Lbfgs::default();
         dst.restore_state(&src.state_json()).unwrap();
         assert_eq!(dst.memory, 12);
-        assert_eq!(dst.fd_eps, 1e-5);
+        assert_eq!(dst.g_tol, 1e-5);
         assert_eq!(src.name(), "lbfgs");
     }
 
@@ -537,8 +378,8 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(serial_pts, batched_pts);
         assert_eq!(serial_pts.len(), r1.evals);
-        // The FD probes actually ride multi-vector calls (2·n wide).
-        assert_eq!(widths.iter().max(), Some(&4), "{widths:?}");
+        // Each gradient rides one multi-vector call (x and its 2·n probes).
+        assert_eq!(widths.iter().max(), Some(&5), "{widths:?}");
     }
 
     struct Quad {
@@ -590,7 +431,7 @@ mod tests {
 
     #[test]
     fn analytic_gradients_converge_within_flat_budget() {
-        // 6 parameters: an FD gradient costs 12 evals, so a 100-eval
+        // 6 parameters: an FD gradient costs 13 evals, so a 100-eval
         // budget allows only ~7 iterations. The analytic objective's flat
         // cost of 4 buys three times as many — enough to drive the
         // quadratic's gradient ∞-norm below g_tol and set the flag.

@@ -3,8 +3,10 @@
 //! Classical optimizers for variational quantum algorithms — step 4 of the
 //! XACC co-processing loop (paper §3.1): derivative-free Nelder–Mead (the
 //! default VQE inner loop), SPSA for noisy/shot-based objectives, and Adam
-//! and L-BFGS with exact gradients — parameter-shift, finite-difference,
-//! or analytic adjoint gradients supplied through [`GradObjective`].
+//! and L-BFGS, each written once as a gradient loop over a
+//! [`GradObjective`] (analytic adjoint or [`shift_rule_gradient`]
+//! gradients). Their energy-only entry points feed that loop central
+//! differences of step [`FD_STEP`].
 
 #![warn(missing_docs)]
 
@@ -14,10 +16,7 @@ pub mod nelder_mead;
 pub mod spsa;
 pub mod traits;
 
-pub use gradient::{
-    try_finite_difference_gradient_batched, try_parameter_shift_gradient_batched, Adam,
-    GradientMode,
-};
+pub use gradient::{shift_rule_gradient, Adam, FD_STEP};
 pub use lbfgs::Lbfgs;
 pub use nelder_mead::NelderMead;
 pub use spsa::Spsa;

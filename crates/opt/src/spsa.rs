@@ -73,61 +73,14 @@ impl Optimizer for Spsa {
         x0: &[f64],
         max_evals: usize,
     ) -> Result<OptResult> {
-        let n = x0.len();
-        // Re-seeding at the start of every run makes the perturbation
-        // sequence a pure function of the configuration: a resumed run
-        // replaying a logged energy prefix reconstructs the RNG exactly.
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut x = x0.to_vec();
-        let mut evals = 0usize;
-        let mut best = (f(&x)?, x.clone());
-        evals += 1;
-        if n == 0 {
-            return Ok(OptResult {
-                params: x,
-                value: best.0,
-                evals,
-                converged: true,
-            });
-        }
-        let mut k = 0usize;
-        while evals + 2 <= max_evals {
-            let ak = self.a / ((k as f64) + 1.0 + self.big_a).powf(self.alpha);
-            let ck = self.c / ((k as f64) + 1.0).powf(self.gamma);
-            // Rademacher perturbation.
-            let delta: Vec<f64> = (0..n)
-                .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
-                .collect();
-            let xp: Vec<f64> = x.iter().zip(&delta).map(|(v, d)| v + ck * d).collect();
-            let xm: Vec<f64> = x.iter().zip(&delta).map(|(v, d)| v - ck * d).collect();
-            let fp = f(&xp)?;
-            let fm = f(&xm)?;
-            evals += 2;
-            let diff = (fp - fm) / (2.0 * ck);
-            for (v, d) in x.iter_mut().zip(&delta) {
-                *v -= ak * diff / d;
-            }
-            let fx = f(&x)?;
-            evals += 1;
-            if fx < best.0 {
-                best = (fx, x.clone());
-            }
-            k += 1;
-        }
-        Ok(OptResult {
-            params: best.1,
-            value: best.0,
-            evals,
-            converged: false,
-        })
+        let mut batched = |xs: &[Vec<f64>]| xs.iter().map(|x| f(x)).collect();
+        self.try_minimize_batched(&mut batched, x0, max_evals)
     }
 
     /// SPSA's two perturbed evaluations per iteration are independent of
     /// each other, so they go out as one width-2 batch — a batching
-    /// backend evaluates both `θ±c·Δ` states in one call. The
-    /// evaluation points, their order, and the eval count are identical to
-    /// [`try_minimize`](Optimizer::try_minimize): `f([x])`, then per
-    /// iteration `f([x+cΔ, x−cΔ])` followed by `f([x'])`.
+    /// backend evaluates both `θ±c·Δ` states in one call: `f([x])`, then
+    /// per iteration `f([x+cΔ, x−cΔ])` followed by `f([x'])`.
     fn try_minimize_batched(
         &mut self,
         f: &mut BatchedObjective<'_>,
@@ -135,6 +88,9 @@ impl Optimizer for Spsa {
         max_evals: usize,
     ) -> Result<OptResult> {
         let n = x0.len();
+        // Re-seeding at the start of every run makes the perturbation
+        // sequence a pure function of the configuration: a resumed run
+        // replaying a logged energy prefix reconstructs the RNG exactly.
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut x = x0.to_vec();
         let mut evals = 0usize;
@@ -152,6 +108,7 @@ impl Optimizer for Spsa {
         while evals + 2 <= max_evals {
             let ak = self.a / ((k as f64) + 1.0 + self.big_a).powf(self.alpha);
             let ck = self.c / ((k as f64) + 1.0).powf(self.gamma);
+            // Rademacher perturbation.
             let delta: Vec<f64> = (0..n)
                 .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
                 .collect();

@@ -42,8 +42,9 @@ pub trait Optimizer {
     /// Minimizes using a *batched* objective: one call evaluates every
     /// parameter vector in the slice and returns one value per vector, in
     /// input order. Optimizers whose iterations contain structurally
-    /// independent evaluations (SPSA's `θ±c·Δ` pair) override this to
-    /// group them into multi-vector calls, letting batching backends
+    /// independent evaluations (SPSA's `θ±c·Δ` pair, the `2·n + 1` points
+    /// of a central-difference gradient) override this to group them into
+    /// multi-vector calls, letting batching backends
     /// evaluate all of them in one call. The trajectory
     /// must be *identical* to [`try_minimize`](Self::try_minimize) — same
     /// evaluation points, same order, same eval count — so the two entry
@@ -105,7 +106,7 @@ pub trait GradObjective {
     /// Cost of one [`value_and_grad`](GradObjective::value_and_grad) call
     /// in energy-evaluation equivalents, used for `max_evals` budget
     /// accounting (adjoint: ~4 independent of `n_params`;
-    /// parameter-shift: `2·n_params`).
+    /// shift rules and central differences: `2·n_params + 1`).
     fn grad_cost(&self, n_params: usize) -> usize;
 }
 

@@ -7,9 +7,33 @@ use nwq_chem::uccsd::uccsd_ansatz;
 use nwq_circuit::hea::hardware_efficient_ansatz;
 use nwq_core::backend::{Backend, DirectBackend};
 use nwq_core::exact::ground_energy_default;
-use nwq_core::vqe::{run_vqe, VqeProblem};
-use nwq_opt::{NelderMead, Optimizer};
-use nwq_statevec::batch::{batched_excitation_gradient, batched_parameter_shift_gradient};
+use nwq_core::vqe::{run_vqe, run_vqe_grad, GradSource, VqeProblem, VqeResult};
+use nwq_opt::{Adam, NelderMead, Optimizer};
+
+/// Library Adam on shift-rule gradients, with a budget of exactly
+/// `gradients` fused evaluations.
+fn adam_shift_rule(
+    problem: &VqeProblem,
+    source: GradSource,
+    lr: f64,
+    x0: &[f64],
+    gradients: usize,
+) -> VqeResult {
+    let mut adam = Adam {
+        lr,
+        ..Default::default()
+    };
+    let budget = gradients * source.cost(problem.ansatz.n_params());
+    run_vqe_grad(
+        problem,
+        &mut DirectBackend::new(),
+        &mut adam,
+        source,
+        x0,
+        budget,
+    )
+    .unwrap()
+}
 
 #[test]
 fn hea_vqe_solves_toy_hamiltonian() {
@@ -57,26 +81,14 @@ fn hea_vqe_on_h2_beats_hartree_fock() {
     let h = mol.to_qubit_hamiltonian().unwrap();
     let exact = ground_energy_default(&h).unwrap();
     let ansatz = hardware_efficient_ansatz(4, 2).unwrap();
-    let mut theta: Vec<f64> = (0..ansatz.n_params())
+    let x0: Vec<f64> = (0..ansatz.n_params())
         .map(|k| 0.3 + 0.17 * (k as f64) * (if k % 2 == 0 { 1.0 } else { -1.0 }))
         .collect();
-    let mut m = vec![0.0; theta.len()];
-    let mut v = vec![0.0; theta.len()];
-    let (lr, b1, b2, eps) = (0.08, 0.9, 0.999, 1e-8);
-    for t in 1..=250 {
-        let grad = batched_parameter_shift_gradient(&ansatz, &theta, &h).unwrap();
-        for i in 0..theta.len() {
-            m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
-            v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
-            let mh = m[i] / (1.0 - b1_pow(b1, t));
-            let vh = v[i] / (1.0 - b1_pow(b2, t));
-            theta[i] -= lr * mh / (vh.sqrt() + eps);
-        }
-    }
-    let e = nwq_statevec::simulate(&ansatz.bind(&theta).unwrap(), &[])
-        .unwrap()
-        .energy(&h)
-        .unwrap();
+    let problem = VqeProblem {
+        hamiltonian: h,
+        ansatz,
+    };
+    let e = adam_shift_rule(&problem, GradSource::shift_rotations(), 0.08, &x0, 250).energy;
     assert!(
         e < mol.hf_total_energy() - 1e-3,
         "{e} vs HF {}",
@@ -95,39 +107,22 @@ fn batched_gradient_descent_matches_nelder_mead_optimum() {
     let ansatz = uccsd_ansatz(4, 2).unwrap();
     let exact = ground_energy_default(&h).unwrap();
 
-    let mut theta = vec![0.0; ansatz.n_params()];
-    let mut m = vec![0.0; theta.len()];
-    let mut v = vec![0.0; theta.len()];
-    let (lr, b1, b2, eps) = (0.1, 0.9, 0.999, 1e-8);
-    for t in 1..=120 {
-        // UCCSD parameters need the π/4 excitation rule: the π/2 rule
-        // returns an exactly zero gradient at the HF point.
-        let grad = batched_excitation_gradient(&ansatz, &theta, &h).unwrap();
-        for i in 0..theta.len() {
-            m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
-            v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
-            let mh = m[i] / (1.0 - b1_pow(b1, t));
-            let vh = v[i] / (1.0 - b1_pow(b2, t));
-            theta[i] -= lr * mh / (vh.sqrt() + eps);
-        }
-    }
-    let e = nwq_statevec::simulate(&ansatz.bind(&theta).unwrap(), &[])
-        .unwrap()
-        .energy(&h)
-        .unwrap();
+    // UCCSD parameters need the π/4 excitation rule: the π/2 rule
+    // returns an exactly zero gradient at the HF point.
+    let problem = VqeProblem {
+        hamiltonian: h,
+        ansatz,
+    };
+    let x0 = vec![0.0; problem.ansatz.n_params()];
+    let e = adam_shift_rule(&problem, GradSource::shift_excitations(), 0.1, &x0, 120).energy;
     assert!(
         (e - exact).abs() < 1.6e-3,
         "batched-gradient VQE {e} vs {exact}"
     );
 
     // Cross-check against the derivative-free optimum.
-    let problem = VqeProblem {
-        hamiltonian: h,
-        ansatz,
-    };
     let mut backend = DirectBackend::new();
     let mut nm = NelderMead::for_vqe();
-    let x0 = vec![0.0; problem.ansatz.n_params()];
     let mut objective = |x: &[f64]| {
         backend
             .energy(&problem.ansatz, x, &problem.hamiltonian)
@@ -135,8 +130,4 @@ fn batched_gradient_descent_matches_nelder_mead_optimum() {
     };
     let nm_result = nm.minimize(&mut objective, &x0, 4000);
     assert!((e - nm_result.value).abs() < 2e-3);
-}
-
-fn b1_pow(b: f64, t: usize) -> f64 {
-    b.powi(t as i32)
 }
