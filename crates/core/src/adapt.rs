@@ -7,7 +7,7 @@
 //! until the largest gradient or the energy improvement stalls.
 
 use crate::backend::Backend;
-use crate::resilience::{prepare_resume, snapshot_header, ResilienceOptions, ResilientEvaluator};
+use crate::resilience::{drive, ResilienceOptions, ResilientEvaluator};
 use nwq_chem::pool::OperatorPool;
 use nwq_chem::uccsd::{append_generator_exponential, append_hf_state};
 use nwq_circuit::Circuit;
@@ -130,23 +130,9 @@ pub fn run_adapt_vqe_with(
     }
     let _span = nwq_telemetry::span!("adapt.run");
     let fingerprint = adapt_fingerprint(hamiltonian, pool, n_electrons, config);
-    let resumed_log = prepare_resume(opts, "adapt", &fingerprint, optimizer)?;
-    let header = snapshot_header("adapt", fingerprint, optimizer);
-    let mut ev = ResilientEvaluator::new(backend, opts, header, resumed_log);
-    match adapt_loop(hamiltonian, pool, n_electrons, optimizer, config, &mut ev) {
-        Ok((energy, params, ansatz, iterations, stop_reason)) => {
-            ev.checkpoint_final()?;
-            Ok(AdaptResult {
-                energy,
-                params,
-                ansatz,
-                iterations,
-                stop_reason,
-                total_evaluations: ev.total_evals(),
-            })
-        }
-        Err(cause) => Err(ev.interrupt(cause)),
-    }
+    drive("adapt", fingerprint, backend, optimizer, opts, |ev, opt| {
+        adapt_loop(hamiltonian, pool, n_electrons, opt, config, ev)
+    })
 }
 
 fn adapt_fingerprint(
@@ -185,16 +171,14 @@ fn adapt_fingerprint(
     ])
 }
 
-type AdaptLoopOutput = (f64, Vec<f64>, Circuit, Vec<AdaptIteration>, StopReason);
-
-fn adapt_loop(
+fn adapt_loop<B: Backend + ?Sized>(
     hamiltonian: &PauliOp,
     pool: &OperatorPool,
     n_electrons: usize,
     optimizer: &mut dyn Optimizer,
     config: &AdaptConfig,
-    ev: &mut ResilientEvaluator<'_>,
-) -> Result<AdaptLoopOutput> {
+    ev: &mut ResilientEvaluator<'_, B>,
+) -> Result<AdaptResult> {
     let n_qubits = hamiltonian.n_qubits();
     let mut ansatz = Circuit::new(n_qubits);
     append_hf_state(&mut ansatz, n_electrons)?;
@@ -264,7 +248,14 @@ fn adapt_loop(
             }
         }
     }
-    Ok((energy, params, ansatz, iterations, stop_reason))
+    Ok(AdaptResult {
+        energy,
+        params,
+        ansatz,
+        iterations,
+        stop_reason,
+        total_evaluations: ev.total_evals(),
+    })
 }
 
 #[cfg(test)]

@@ -34,12 +34,6 @@ pub struct BackendStats {
     pub ansatz_runs: u64,
 }
 
-/// An owned, thread-movable backend — the form worker pools hold. Every
-/// backend in this module is `Send` (plain owned data, no interior
-/// mutability), so boxing with the bound costs nothing and lets a server
-/// hand each worker thread its own engine.
-pub type BoxedBackend = Box<dyn Backend + Send>;
-
 /// An energy-evaluation engine for variational algorithms.
 pub trait Backend {
     /// Evaluates `⟨ψ(θ)|H|ψ(θ)⟩`.
@@ -449,10 +443,9 @@ mod tests {
         assert_send_sync::<nwq_statevec::stats::ExecStats>();
         // Workers share one ansatz, whose memoised shape fills lazily.
         assert_send_sync::<Circuit>();
-        // The boxed trait-object path workers own must be movable.
+        // The fault decorator over a worker's backend must stay movable.
         fn assert_send<T: Send + ?Sized>() {}
-        assert_send::<BoxedBackend>();
-        assert_send::<crate::resilience::FaultyBackend>();
+        assert_send::<crate::resilience::FaultyBackend<DirectBackend>>();
     }
 
     fn toy() -> (Circuit, PauliOp) {

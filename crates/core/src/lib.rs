@@ -9,8 +9,6 @@
 //! - [`vqe`] — the variational loop (§3.1);
 //! - [`adapt`] — ADAPT-VQE with pool-gradient screening (§5.3, Fig 5);
 //! - [`qpe`] — Trotterized quantum phase estimation;
-//! - [`workflow`] — the Fig 2 pipeline: coupled-cluster downfolding →
-//!   qubit Hamiltonian → VQE/ADAPT on the optimized simulator;
 //! - [`accounting`] — the Fig 3 gate-cost model (caching vs non-caching);
 //! - [`exact`] — matrix-free Lanczos reference energies.
 //!
@@ -43,11 +41,10 @@ pub mod exact;
 pub mod qpe;
 pub mod resilience;
 pub mod vqe;
-pub mod workflow;
 
 pub use adapt::{run_adapt_vqe, run_adapt_vqe_with, AdaptConfig, AdaptResult};
 pub use backend::{
-    Backend, BackendStats, BoxedBackend, CachedMeasureBackend, DirectBackend, DistributedBackend,
+    Backend, BackendStats, CachedMeasureBackend, DirectBackend, DistributedBackend,
     GradientBackend, NonCachingBackend, SamplingBackend,
 };
 pub use exact::{ground_energy_sector_default, Sector};
@@ -57,4 +54,3 @@ pub use resilience::{
     CheckpointConfig, FaultyBackend, ResilienceOptions, ResumeState, RetryPolicy,
 };
 pub use vqe::{run_vqe, run_vqe_grad, GradSource, VqeProblem, VqeResult};
-pub use workflow::{run_vqe_workflow, WorkflowConfig, WorkflowResult};

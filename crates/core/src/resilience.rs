@@ -18,6 +18,11 @@
 //!   seeded evaluation failures and NaN energies from
 //!   [`nwq_dist::FaultSpec`].
 //!
+//! Every driver ([`run_vqe_with`], [`run_vqe_grad_with`],
+//! [`crate::adapt::run_adapt_vqe_with`]) runs the same skeleton — resume,
+//! snapshot header, evaluation, final checkpoint or interrupt — and every
+//! backend call goes through one retry loop.
+//!
 //! ## Restart semantics: evaluation-log replay
 //!
 //! A checkpoint stores the ordered energies of every *successful*
@@ -31,12 +36,12 @@
 //! stopped, and its final energy and evaluation count match an
 //! uninterrupted run exactly.
 
-use crate::backend::{Backend, BoxedBackend, GradientBackend};
+use crate::backend::{Backend, GradientBackend};
 use crate::vqe::{GradSource, VqeProblem, VqeResult};
 use nwq_circuit::Circuit;
 use nwq_common::{Error, Result};
 use nwq_dist::FaultInjector;
-use nwq_opt::{shift_rule_gradient, GradObjective, GradOptimizer, Optimizer};
+use nwq_opt::{shift_rule_gradient, GradObjective, GradOptimizer, OptResult, Optimizer};
 use nwq_pauli::PauliOp;
 use nwq_telemetry::JsonValue;
 use std::path::{Path, PathBuf};
@@ -108,6 +113,11 @@ pub struct ResilienceOptions {
     pub abort_after_evals: Option<usize>,
 }
 
+/// The logs a resumed run replays: every successful energy, in order, and
+/// beside each the gradient of a fused adjoint evaluation (`None` for a
+/// plain energy).
+type ReplayLogs = (Vec<f64>, Vec<Option<Vec<f64>>>);
+
 /// A loaded checkpoint, ready to hand to a `*_with` driver.
 #[derive(Clone, Debug)]
 pub struct ResumeState {
@@ -130,7 +140,8 @@ impl ResumeState {
         }
     }
 
-    /// The run kind recorded in the checkpoint (`"vqe"` or `"adapt"`).
+    /// The run kind recorded in the checkpoint (`"vqe"`, `"vqe-grad"` or
+    /// `"adapt"`).
     pub fn kind(&self) -> &str {
         self.doc
             .get("kind")
@@ -151,62 +162,51 @@ impl ResumeState {
             .map_or(0, <[JsonValue]>::len)
     }
 
-    /// The per-evaluation gradient log, parallel to `eval_log`: `None`
-    /// for plain energy evaluations, `Some(∂E/∂θ)` for fused adjoint
-    /// evaluations. Checkpoints written by gradient-free runs have no
-    /// `grad_log` field; that reads as all-`None`.
-    fn grad_log(&self) -> Result<Vec<Option<Vec<f64>>>> {
-        let Some(items) = self.doc.get("grad_log").and_then(JsonValue::as_array) else {
-            return Ok(vec![None; self.evaluations()]);
+    /// The energy log and the gradient log parallel to it. Checkpoints
+    /// written without a fused evaluation have no `grad_log` field; that
+    /// reads as all-`None`.
+    fn logs(&self) -> Result<ReplayLogs> {
+        let floats = |v: &JsonValue, log: &str| -> Result<Vec<f64>> {
+            let bad = || Error::Invalid(format!("non-numeric entry in checkpoint {log}"));
+            let items = v.as_array().ok_or_else(bad)?;
+            items.iter().map(|x| x.as_f64().ok_or_else(bad)).collect()
         };
-        items
-            .iter()
-            .map(|v| {
-                if matches!(v, JsonValue::Null) {
-                    return Ok(None);
-                }
-                let entries = v.as_array().ok_or_else(|| {
-                    Error::Invalid("non-array entry in checkpoint grad_log".into())
-                })?;
-                entries
-                    .iter()
-                    .map(|g| {
-                        g.as_f64().ok_or_else(|| {
-                            Error::Invalid("non-numeric entry in checkpoint grad_log".into())
-                        })
-                    })
-                    .collect::<Result<Vec<f64>>>()
-                    .map(Some)
-            })
-            .collect()
-    }
-
-    /// The ordered successful-energy log to replay.
-    fn eval_log(&self) -> Result<Vec<f64>> {
-        let items = self
+        let energies = self
             .doc
             .get("eval_log")
-            .and_then(JsonValue::as_array)
             .ok_or_else(|| Error::Invalid("checkpoint is missing eval_log".into()))?;
-        items
-            .iter()
-            .map(|v| {
-                v.as_f64().ok_or_else(|| {
-                    Error::Invalid("non-numeric entry in checkpoint eval_log".into())
+        let energies = floats(energies, "eval_log")?;
+        let grads: Vec<Option<Vec<f64>>> = match self.doc.get("grad_log") {
+            None => vec![None; energies.len()],
+            Some(log) => log
+                .as_array()
+                .ok_or_else(|| Error::Invalid("checkpoint grad_log is not an array".into()))?
+                .iter()
+                .map(|g| match g {
+                    JsonValue::Null => Ok(None),
+                    g => floats(g, "grad_log").map(Some),
                 })
-            })
-            .collect()
+                .collect::<Result<_>>()?,
+        };
+        if grads.len() != energies.len() {
+            return Err(Error::Invalid(format!(
+                "checkpoint grad_log length {} does not match eval_log length {}",
+                grads.len(),
+                energies.len()
+            )));
+        }
+        Ok((energies, grads))
     }
 
     /// Verifies the checkpoint matches this run (kind, problem
     /// fingerprint, optimizer), restores the optimizer configuration, and
-    /// returns the evaluation log to replay.
-    fn prepare(
+    /// returns the logs to replay.
+    fn prepare<O: Optimizer + ?Sized>(
         &self,
         kind: &str,
         fingerprint: &JsonValue,
-        optimizer: &mut dyn Optimizer,
-    ) -> Result<Vec<f64>> {
+        optimizer: &mut O,
+    ) -> Result<ReplayLogs> {
         if self.kind() != kind {
             return Err(Error::Invalid(format!(
                 "checkpoint kind {:?} cannot resume a {kind} run",
@@ -235,7 +235,7 @@ impl ResumeState {
             )));
         }
         optimizer.restore_state(opt.get("state").unwrap_or(&JsonValue::Null))?;
-        self.eval_log()
+        self.logs()
     }
 }
 
@@ -252,29 +252,16 @@ fn write_atomic(path: &Path, doc: &JsonValue) -> Result<()> {
     Ok(())
 }
 
-/// The shared evaluation engine behind [`run_vqe_with`] and
-/// [`crate::adapt::run_adapt_vqe_with`]: replays the resumed prefix,
-/// retries transient failures with cache invalidation, enforces the kill
-/// switch, tracks the best point, and writes checkpoints.
-/// The execution engine a [`ResilientEvaluator`] drives: a plain energy
-/// backend for derivative-free loops, a gradient-capable one when the
-/// optimizer consumes fused adjoint evaluations.
-pub(crate) enum Engine<'a> {
-    Plain(&'a mut dyn Backend),
-    Grad(&'a mut dyn GradientBackend),
-}
+const NONFINITE_ENERGY: &str = "non-finite energy returned by backend";
 
-impl Engine<'_> {
-    fn plain(&mut self) -> &mut dyn Backend {
-        match self {
-            Engine::Plain(b) => *b,
-            Engine::Grad(g) => g.as_backend(),
-        }
-    }
-}
-
-pub(crate) struct ResilientEvaluator<'a> {
-    engine: Engine<'a>,
+/// The evaluation engine behind every resilient driver: replays the
+/// resumed prefix, retries transient failures with cache invalidation,
+/// enforces the kill switch, tracks the best point, and writes
+/// checkpoints. `B` is `dyn Backend` for derivative-free loops and
+/// `dyn GradientBackend` when the optimizer consumes fused adjoint
+/// evaluations ([`eval_grad`](Self::eval_grad)).
+pub(crate) struct ResilientEvaluator<'a, B: ?Sized> {
+    backend: &'a mut B,
     retry: RetryPolicy,
     checkpoint: Option<CheckpointConfig>,
     abort_after_evals: Option<usize>,
@@ -300,60 +287,23 @@ pub(crate) struct ResilientEvaluator<'a> {
     improvements_since_ckpt: usize,
 }
 
-impl<'a> ResilientEvaluator<'a> {
-    pub(crate) fn new(
-        backend: &'a mut dyn Backend,
+impl<'a, B: Backend + ?Sized> ResilientEvaluator<'a, B> {
+    fn new(
+        backend: &'a mut B,
         opts: &ResilienceOptions,
         header: Vec<(String, JsonValue)>,
-        resumed_log: Vec<f64>,
+        (eval_log, grad_log): ReplayLogs,
     ) -> Self {
-        let resumed_grads = vec![None; resumed_log.len()];
-        Self::with_engine(
-            Engine::Plain(backend),
-            opts,
-            header,
-            resumed_log,
-            resumed_grads,
-        )
-    }
-
-    /// A gradient-capable evaluator: like [`new`](Self::new) but driving a
-    /// [`GradientBackend`] and replaying `resumed_grads` (parallel to
-    /// `resumed_log`) for fused evaluations.
-    pub(crate) fn new_grad(
-        backend: &'a mut dyn GradientBackend,
-        opts: &ResilienceOptions,
-        header: Vec<(String, JsonValue)>,
-        resumed_log: Vec<f64>,
-        resumed_grads: Vec<Option<Vec<f64>>>,
-    ) -> Self {
-        Self::with_engine(
-            Engine::Grad(backend),
-            opts,
-            header,
-            resumed_log,
-            resumed_grads,
-        )
-    }
-
-    fn with_engine(
-        engine: Engine<'a>,
-        opts: &ResilienceOptions,
-        header: Vec<(String, JsonValue)>,
-        resumed_log: Vec<f64>,
-        resumed_grads: Vec<Option<Vec<f64>>>,
-    ) -> Self {
-        debug_assert_eq!(resumed_log.len(), resumed_grads.len());
-        let replay_until = resumed_log.len();
+        let replay_until = eval_log.len();
         ResilientEvaluator {
-            engine,
+            backend,
             retry: opts.retry,
             checkpoint: opts.checkpoint.clone(),
             abort_after_evals: opts.abort_after_evals,
             header,
             extra: Vec::new(),
-            eval_log: resumed_log,
-            grad_log: resumed_grads,
+            eval_log,
+            grad_log,
             cursor: 0,
             replay_until,
             fresh_evals: 0,
@@ -377,128 +327,91 @@ impl<'a> ResilientEvaluator<'a> {
         }
     }
 
-    /// One resilient objective evaluation at `theta`.
-    pub(crate) fn eval(&mut self, ansatz: &Circuit, theta: &[f64], h: &PauliOp) -> Result<f64> {
-        if self.cursor < self.replay_until {
-            let e = self.eval_log[self.cursor];
-            self.cursor += 1;
-            nwq_telemetry::counter_add("resilience.evals_replayed", 1);
-            self.note_success(e, theta);
-            return Ok(e);
-        }
-        if let Some(limit) = self.abort_after_evals {
-            if self.fresh_evals >= limit {
-                return Err(Error::Invalid(format!(
-                    "kill switch tripped after {limit} fresh evaluations"
-                )));
-            }
+    fn replaying(&self) -> bool {
+        self.cursor < self.replay_until
+    }
+
+    /// Answers the next objective call from the resumed log.
+    fn replay(&mut self, theta: &[f64]) -> f64 {
+        let e = self.eval_log[self.cursor];
+        self.cursor += 1;
+        nwq_telemetry::counter_add("resilience.evals_replayed", 1);
+        self.note_success(e, theta);
+        e
+    }
+
+    /// The kill-switch limit, when `n` more fresh evaluations would
+    /// cross it.
+    fn kill_due(&self, n: usize) -> Option<usize> {
+        self.abort_after_evals
+            .filter(|&limit| self.fresh_evals + n > limit)
+    }
+
+    /// The one retry loop every fresh backend call runs through: trip the
+    /// kill switch if `n` more evaluations would cross it, then call until
+    /// the result is `healthy` (a non-finite one is a transient
+    /// [`Error::Numerical`] named by `unhealthy`), dropping the backend's
+    /// cache before each of at most `max_retries` re-attempts of a
+    /// transient failure.
+    fn attempt<T>(
+        &mut self,
+        n: usize,
+        mut call: impl FnMut(&mut B) -> Result<T>,
+        healthy: impl Fn(&T) -> bool,
+        unhealthy: &str,
+    ) -> Result<T> {
+        if let Some(limit) = self.kill_due(n) {
+            return Err(Error::Invalid(format!(
+                "kill switch tripped after {limit} fresh evaluations"
+            )));
         }
         let mut attempt = 0;
         loop {
-            let outcome = self.engine.plain().energy(ansatz, theta, h).and_then(|e| {
-                if e.is_finite() {
-                    Ok(e)
+            let outcome = call(&mut *self.backend).and_then(|v| {
+                if healthy(&v) {
+                    Ok(v)
                 } else {
                     nwq_telemetry::counter_add("resilience.nonfinite_detected", 1);
-                    Err(Error::Numerical(
-                        "non-finite energy returned by backend".into(),
-                    ))
+                    Err(Error::Numerical(unhealthy.into()))
                 }
             });
             match outcome {
-                Ok(e) => {
-                    self.cursor += 1;
-                    self.fresh_evals += 1;
-                    self.eval_log.push(e);
-                    self.grad_log.push(None);
-                    let improved = self.note_success(e, theta);
-                    if improved {
-                        self.maybe_checkpoint()?;
-                    }
-                    return Ok(e);
-                }
                 Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
                     attempt += 1;
                     nwq_telemetry::counter_add("resilience.retries", 1);
                     // A transient fault may have poisoned cached derived
                     // state; drop it so the retry recomputes from scratch.
-                    self.engine.plain().invalidate_cache();
+                    self.backend.invalidate_cache();
                 }
-                Err(e) => return Err(e),
+                outcome => return outcome,
             }
         }
     }
 
-    /// One resilient *fused* energy-and-gradient evaluation at `theta`
-    /// (gradient engines only). Resumed prefixes are answered from the
-    /// checkpoint's parallel gradient log without touching the backend —
-    /// a replayed position recorded without a gradient means the resumed
-    /// trajectory diverged and is an error.
-    pub(crate) fn eval_grad(
-        &mut self,
-        ansatz: &Circuit,
-        theta: &[f64],
-        h: &PauliOp,
-    ) -> Result<(f64, Vec<f64>)> {
-        if self.cursor < self.replay_until {
-            let e = self.eval_log[self.cursor];
-            let g = self.grad_log[self.cursor].clone().ok_or_else(|| {
-                Error::Invalid(
-                    "checkpoint replay diverged: gradient requested at an \
-                     evaluation recorded without one"
-                        .into(),
-                )
-            })?;
-            self.cursor += 1;
-            nwq_telemetry::counter_add("resilience.evals_replayed", 1);
-            self.note_success(e, theta);
-            return Ok((e, g));
+    /// Logs one fresh success; true when it improved the best energy.
+    fn record(&mut self, e: f64, grad: Option<Vec<f64>>, theta: &[f64]) -> bool {
+        self.cursor += 1;
+        self.fresh_evals += 1;
+        self.eval_log.push(e);
+        self.grad_log.push(grad);
+        self.note_success(e, theta)
+    }
+
+    /// One resilient objective evaluation at `theta`.
+    pub(crate) fn eval(&mut self, ansatz: &Circuit, theta: &[f64], h: &PauliOp) -> Result<f64> {
+        if self.replaying() {
+            return Ok(self.replay(theta));
         }
-        if let Some(limit) = self.abort_after_evals {
-            if self.fresh_evals >= limit {
-                return Err(Error::Invalid(format!(
-                    "kill switch tripped after {limit} fresh evaluations"
-                )));
-            }
+        let e = self.attempt(
+            1,
+            |b| b.energy(ansatz, theta, h),
+            |e| e.is_finite(),
+            NONFINITE_ENERGY,
+        )?;
+        if self.record(e, None, theta) {
+            self.maybe_checkpoint()?;
         }
-        let mut attempt = 0;
-        loop {
-            let outcome = match &mut self.engine {
-                Engine::Grad(b) => b.energy_and_gradient(ansatz, theta, h),
-                Engine::Plain(_) => Err(Error::Invalid(
-                    "fused gradient evaluation requires a gradient-capable backend".into(),
-                )),
-            }
-            .and_then(|(e, g)| {
-                if e.is_finite() && g.iter().all(|v| v.is_finite()) {
-                    Ok((e, g))
-                } else {
-                    nwq_telemetry::counter_add("resilience.nonfinite_detected", 1);
-                    Err(Error::Numerical(
-                        "non-finite energy or gradient returned by backend".into(),
-                    ))
-                }
-            });
-            match outcome {
-                Ok((e, g)) => {
-                    self.cursor += 1;
-                    self.fresh_evals += 1;
-                    self.eval_log.push(e);
-                    self.grad_log.push(Some(g.clone()));
-                    let improved = self.note_success(e, theta);
-                    if improved {
-                        self.maybe_checkpoint()?;
-                    }
-                    return Ok((e, g));
-                }
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                    attempt += 1;
-                    nwq_telemetry::counter_add("resilience.retries", 1);
-                    self.engine.plain().invalidate_cache();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        Ok(e)
     }
 
     /// One resilient *batched* objective evaluation: all of `thetas` in
@@ -514,52 +427,23 @@ impl<'a> ResilientEvaluator<'a> {
         thetas: &[Vec<f64>],
         h: &PauliOp,
     ) -> Result<Vec<f64>> {
-        let replaying = self.cursor < self.replay_until;
-        let kill_mid_batch = self
-            .abort_after_evals
-            .is_some_and(|limit| self.fresh_evals + thetas.len() > limit);
-        if thetas.len() < 2 || replaying || kill_mid_batch {
+        if thetas.len() < 2 || self.replaying() || self.kill_due(thetas.len()).is_some() {
             return thetas.iter().map(|t| self.eval(ansatz, t, h)).collect();
         }
-        let mut attempt = 0;
-        loop {
-            let outcome = self
-                .engine
-                .plain()
-                .energy_batch(ansatz, thetas, h)
-                .and_then(|es| {
-                    if es.iter().all(|e| e.is_finite()) {
-                        Ok(es)
-                    } else {
-                        nwq_telemetry::counter_add("resilience.nonfinite_detected", 1);
-                        Err(Error::Numerical(
-                            "non-finite energy returned by backend".into(),
-                        ))
-                    }
-                });
-            match outcome {
-                Ok(es) => {
-                    let mut improved = false;
-                    for (e, theta) in es.iter().zip(thetas) {
-                        self.cursor += 1;
-                        self.fresh_evals += 1;
-                        self.eval_log.push(*e);
-                        self.grad_log.push(None);
-                        improved |= self.note_success(*e, theta);
-                    }
-                    if improved {
-                        self.maybe_checkpoint()?;
-                    }
-                    return Ok(es);
-                }
-                Err(e) if e.is_transient() && attempt < self.retry.max_retries => {
-                    attempt += 1;
-                    nwq_telemetry::counter_add("resilience.retries", 1);
-                    self.engine.plain().invalidate_cache();
-                }
-                Err(e) => return Err(e),
-            }
+        let es = self.attempt(
+            thetas.len(),
+            |b| b.energy_batch(ansatz, thetas, h),
+            |es| es.iter().all(|e| e.is_finite()),
+            NONFINITE_ENERGY,
+        )?;
+        let mut improved = false;
+        for (&e, theta) in es.iter().zip(thetas) {
+            improved |= self.record(e, None, theta);
         }
+        if improved {
+            self.maybe_checkpoint()?;
+        }
+        Ok(es)
     }
 
     fn note_success(&mut self, e: f64, theta: &[f64]) -> bool {
@@ -574,42 +458,24 @@ impl<'a> ResilientEvaluator<'a> {
     }
 
     fn snapshot(&self) -> JsonValue {
+        let floats = |v: &[f64]| JsonValue::Array(v.iter().map(|&x| JsonValue::Float(x)).collect());
         let mut fields = self.header.clone();
         fields.extend(self.extra.iter().cloned());
-        fields.push((
-            "eval_log".into(),
-            JsonValue::Array(self.eval_log.iter().map(|&e| JsonValue::Float(e)).collect()),
-        ));
+        fields.push(("eval_log".into(), floats(&self.eval_log)));
         if self.grad_log.iter().any(Option::is_some) {
-            fields.push((
-                "grad_log".into(),
-                JsonValue::Array(
-                    self.grad_log
-                        .iter()
-                        .map(|g| match g {
-                            None => JsonValue::Null,
-                            Some(v) => {
-                                JsonValue::Array(v.iter().map(|&x| JsonValue::Float(x)).collect())
-                            }
-                        })
-                        .collect(),
-                ),
-            ));
+            let grads = self
+                .grad_log
+                .iter()
+                .map(|g| g.as_deref().map_or(JsonValue::Null, floats))
+                .collect();
+            fields.push(("grad_log".into(), JsonValue::Array(grads)));
         }
         let best = if self.best_params.is_empty() {
             JsonValue::Null
         } else {
             JsonValue::Object(vec![
                 ("energy".into(), JsonValue::Float(self.best_energy)),
-                (
-                    "params".into(),
-                    JsonValue::Array(
-                        self.best_params
-                            .iter()
-                            .map(|&p| JsonValue::Float(p))
-                            .collect(),
-                    ),
-                ),
+                ("params".into(), floats(&self.best_params)),
                 (
                     "evaluations".into(),
                     JsonValue::Int(self.eval_log.len() as u64),
@@ -639,27 +505,96 @@ impl<'a> ResilientEvaluator<'a> {
         Ok(())
     }
 
-    /// Final snapshot after a successful run (propagates write errors).
-    pub(crate) fn checkpoint_final(&mut self) -> Result<()> {
-        self.write_checkpoint()
-    }
-
-    /// Best-effort snapshot on the way down; returns the path on success
-    /// for embedding in [`Error::Interrupted`].
-    pub(crate) fn checkpoint_on_failure(&mut self) -> Option<String> {
-        let path = self.checkpoint.as_ref()?.path.display().to_string();
-        self.write_checkpoint().ok()?;
-        Some(path)
-    }
-
-    /// Wraps `cause` in [`Error::Interrupted`] after attempting a final
-    /// checkpoint.
-    pub(crate) fn interrupt(&mut self, cause: Error) -> Error {
+    /// Wraps `cause` in [`Error::Interrupted`] after a best-effort final
+    /// checkpoint, whose path it names when the write succeeded.
+    fn interrupt(&mut self, cause: Error) -> Error {
         nwq_telemetry::counter_add("resilience.interrupted", 1);
+        let path = self
+            .checkpoint
+            .as_ref()
+            .map(|c| c.path.display().to_string());
         Error::Interrupted {
-            checkpoint: self.checkpoint_on_failure(),
+            checkpoint: path.filter(|_| self.write_checkpoint().is_ok()),
             cause: Box::new(cause),
         }
+    }
+}
+
+impl<B: GradientBackend + ?Sized> ResilientEvaluator<'_, B> {
+    /// One resilient *fused* energy-and-gradient evaluation at `theta`.
+    /// Resumed prefixes are answered from the checkpoint's parallel
+    /// gradient log without touching the backend — a replayed position
+    /// recorded without a gradient means the resumed trajectory diverged
+    /// and is an error.
+    pub(crate) fn eval_grad(
+        &mut self,
+        ansatz: &Circuit,
+        theta: &[f64],
+        h: &PauliOp,
+    ) -> Result<(f64, Vec<f64>)> {
+        if self.replaying() {
+            let g = self.grad_log[self.cursor].clone().ok_or_else(|| {
+                Error::Invalid(
+                    "checkpoint replay diverged: gradient requested at an \
+                     evaluation recorded without one"
+                        .into(),
+                )
+            })?;
+            return Ok((self.replay(theta), g));
+        }
+        let (e, g) = self.attempt(
+            1,
+            |b| b.energy_and_gradient(ansatz, theta, h),
+            |(e, g)| e.is_finite() && g.iter().all(|v| v.is_finite()),
+            "non-finite energy or gradient returned by backend",
+        )?;
+        if self.record(e, Some(g.clone()), theta) {
+            self.maybe_checkpoint()?;
+        }
+        Ok((e, g))
+    }
+}
+
+/// The skeleton of every resilient driver: verify `opts.resume` against
+/// `kind` and `fingerprint` and restore the optimizer from it, build the
+/// snapshot header from the optimizer as it will run, run `body` on a
+/// fresh evaluator, then write the final checkpoint — or, when `body`
+/// fails, wrap the cause in [`Error::Interrupted`] after a last one.
+pub(crate) fn drive<B, O, T>(
+    kind: &str,
+    fingerprint: JsonValue,
+    backend: &mut B,
+    optimizer: &mut O,
+    opts: &ResilienceOptions,
+    body: impl FnOnce(&mut ResilientEvaluator<'_, B>, &mut O) -> Result<T>,
+) -> Result<T>
+where
+    B: Backend + ?Sized,
+    O: Optimizer + ?Sized,
+{
+    let logs = match &opts.resume {
+        Some(state) => state.prepare(kind, &fingerprint, optimizer)?,
+        None => ReplayLogs::default(),
+    };
+    let header = vec![
+        ("version".into(), JsonValue::Int(CHECKPOINT_VERSION)),
+        ("kind".into(), JsonValue::Str(kind.into())),
+        ("fingerprint".into(), fingerprint),
+        (
+            "optimizer".into(),
+            JsonValue::Object(vec![
+                ("name".into(), JsonValue::Str(optimizer.name().into())),
+                ("state".into(), optimizer.state_json()),
+            ]),
+        ),
+    ];
+    let mut ev = ResilientEvaluator::new(backend, opts, header, logs);
+    match body(&mut ev, optimizer) {
+        Ok(out) => {
+            ev.write_checkpoint()?;
+            Ok(out)
+        }
+        Err(cause) => Err(ev.interrupt(cause)),
     }
 }
 
@@ -699,72 +634,104 @@ pub fn problem_content_fingerprint(hamiltonian: &PauliOp, ansatz: &Circuit) -> u
 
 /// Builds the VQE problem fingerprint stored in (and verified against)
 /// checkpoints: resuming is only sound when the objective and the start
-/// point are exactly those of the interrupted run.
-fn vqe_fingerprint(problem: &VqeProblem, x0: &[f64], max_evals: usize) -> JsonValue {
-    JsonValue::Object(vec![
+/// point are exactly those of the interrupted run — and, for a
+/// gradient-driven run, when the gradients are computed the same way.
+fn vqe_fingerprint(
+    problem: &VqeProblem,
+    x0: &[f64],
+    max_evals: usize,
+    source: Option<&GradSource>,
+) -> JsonValue {
+    let (h, ansatz) = (&problem.hamiltonian, &problem.ansatz);
+    let mut fields = vec![
         (
             "content_fp".into(),
-            JsonValue::Int(problem_content_fingerprint(
-                &problem.hamiltonian,
-                &problem.ansatz,
-            )),
+            JsonValue::Int(problem_content_fingerprint(h, ansatz)),
         ),
-        (
-            "n_qubits".into(),
-            JsonValue::Int(problem.ansatz.n_qubits() as u64),
-        ),
-        (
-            "n_params".into(),
-            JsonValue::Int(problem.ansatz.n_params() as u64),
-        ),
-        (
-            "ansatz_gates".into(),
-            JsonValue::Int(problem.ansatz.len() as u64),
-        ),
-        (
-            "h_terms".into(),
-            JsonValue::Int(problem.hamiltonian.terms().len() as u64),
-        ),
+        ("n_qubits".into(), JsonValue::Int(ansatz.n_qubits() as u64)),
+        ("n_params".into(), JsonValue::Int(ansatz.n_params() as u64)),
+        ("ansatz_gates".into(), JsonValue::Int(ansatz.len() as u64)),
+        ("h_terms".into(), JsonValue::Int(h.terms().len() as u64)),
         (
             "x0".into(),
             JsonValue::Array(x0.iter().map(|&x| JsonValue::Float(x)).collect()),
         ),
         ("max_evals".into(), JsonValue::Int(max_evals as u64)),
-    ])
+    ];
+    if let Some(source) = source {
+        fields.push(("grad_source".into(), source.fingerprint_json()));
+    }
+    JsonValue::Object(fields)
 }
 
-/// Builds the snapshot header shared by both run kinds. Call *after*
-/// restoring the optimizer so the stored state reflects what actually ran.
-pub(crate) fn snapshot_header(
-    kind: &str,
-    fingerprint: JsonValue,
-    optimizer: &dyn Optimizer,
-) -> Vec<(String, JsonValue)> {
-    vec![
-        ("version".into(), JsonValue::Int(CHECKPOINT_VERSION)),
-        ("kind".into(), JsonValue::Str(kind.into())),
-        ("fingerprint".into(), fingerprint),
-        (
-            "optimizer".into(),
-            JsonValue::Object(vec![
-                ("name".into(), JsonValue::Str(optimizer.name().into())),
-                ("state".into(), optimizer.state_json()),
-            ]),
-        ),
-    ]
+/// Rejects a start point shorter than the ansatz's parameter list and a
+/// non-Hermitian observable.
+fn check_vqe(problem: &VqeProblem, x0: &[f64]) -> Result<()> {
+    if x0.len() < problem.ansatz.n_params() {
+        return Err(Error::ParameterMismatch {
+            expected: problem.ansatz.n_params(),
+            got: x0.len(),
+        });
+    }
+    if !problem.hamiltonian.is_hermitian(1e-9) {
+        return Err(Error::Invalid("VQE observable must be Hermitian".into()));
+    }
+    Ok(())
 }
 
-/// Verifies and applies `opts.resume` (when present), returning the
-/// evaluation log to replay.
-pub(crate) fn prepare_resume(
-    opts: &ResilienceOptions,
-    kind: &str,
-    fingerprint: &JsonValue,
-    optimizer: &mut dyn Optimizer,
-) -> Result<Vec<f64>> {
-    match &opts.resume {
-        Some(state) => state.prepare(kind, fingerprint, optimizer),
-        None => Ok(Vec::new()),
+/// The best-so-far energy after each evaluation of a VQE run, plus one
+/// telemetry [`nwq_telemetry::IterationRecord`] per *improvement* (not
+/// per evaluation, which keeps the artifact bounded for long runs).
+struct Recorder {
+    history: Vec<f64>,
+    telemetry: bool,
+    ansatz_gates: u64,
+    last_mark: std::time::Instant,
+}
+
+impl Recorder {
+    fn new(ansatz: &Circuit) -> Self {
+        Recorder {
+            history: Vec::new(),
+            telemetry: nwq_telemetry::enabled(),
+            ansatz_gates: ansatz.len() as u64,
+            last_mark: std::time::Instant::now(),
+        }
+    }
+
+    /// Adds `energies`, which became known together (one evaluation, or
+    /// a gradient's `x` and its probes), to the history. Each improvement
+    /// is recorded with the evaluation count once all of them are known;
+    /// `grad_norm` belongs to the first.
+    fn note(&mut self, energies: &[f64], grad_norm: Option<f64>) {
+        let evaluations = (self.history.len() + energies.len()) as u64;
+        for (k, &e) in energies.iter().enumerate() {
+            let prev_best = self.history.last().copied().unwrap_or(f64::INFINITY);
+            let best = prev_best.min(e);
+            self.history.push(best);
+            if self.telemetry && best < prev_best {
+                nwq_telemetry::record_iteration(nwq_telemetry::IterationRecord {
+                    iteration: self.history.len() - 1,
+                    energy: best,
+                    grad_norm: grad_norm.filter(|_| k == 0),
+                    evaluations,
+                    gates: self.ansatz_gates,
+                    wall_ms: self.last_mark.elapsed().as_secs_f64() * 1e3,
+                    label: None,
+                });
+                self.last_mark = std::time::Instant::now();
+            }
+        }
+    }
+
+    fn finish(self, r: OptResult) -> VqeResult {
+        VqeResult {
+            energy: r.value,
+            params: r.params,
+            evaluations: r.evals,
+            converged: r.converged,
+            history: self.history,
+        }
     }
 }
 
@@ -779,26 +746,11 @@ pub fn run_vqe_with(
     max_evals: usize,
     opts: &ResilienceOptions,
 ) -> Result<VqeResult> {
-    if x0.len() < problem.ansatz.n_params() {
-        return Err(Error::ParameterMismatch {
-            expected: problem.ansatz.n_params(),
-            got: x0.len(),
-        });
-    }
-    if !problem.hamiltonian.is_hermitian(1e-9) {
-        return Err(Error::Invalid("VQE observable must be Hermitian".into()));
-    }
+    check_vqe(problem, x0)?;
     let _span = nwq_telemetry::span!("vqe.run");
-    let fingerprint = vqe_fingerprint(problem, x0, max_evals);
-    let resumed_log = prepare_resume(opts, "vqe", &fingerprint, optimizer)?;
-    let header = snapshot_header("vqe", fingerprint, optimizer);
-    let mut ev = ResilientEvaluator::new(backend, opts, header, resumed_log);
-
-    let mut history: Vec<f64> = Vec::new();
-    let telemetry = nwq_telemetry::enabled();
-    let ansatz_gates = problem.ansatz.len() as u64;
-    let mut last_mark = std::time::Instant::now();
-    let result = {
+    let fingerprint = vqe_fingerprint(problem, x0, max_evals, None);
+    drive("vqe", fingerprint, backend, optimizer, opts, |ev, opt| {
+        let mut rec = Recorder::new(&problem.ansatz);
         // The driver feeds the optimizer through its *batched* entry
         // point: optimizers that group independent evaluations (SPSA's
         // ±perturbation pair) send them as one multi-θ batch, which a
@@ -806,60 +758,14 @@ pub fn run_vqe_with(
         // is identical to the scalar entry either way.
         let mut objective = |thetas: &[Vec<f64>]| -> Result<Vec<f64>> {
             let es = ev.eval_batch(&problem.ansatz, thetas, &problem.hamiltonian)?;
-            for &e in &es {
-                let prev_best = history.last().copied().unwrap_or(f64::INFINITY);
-                let best = prev_best.min(e);
-                history.push(best);
-                // One record per *improvement*, not per evaluation — keeps
-                // the artifact bounded for long optimizer runs.
-                if telemetry && best < prev_best {
-                    nwq_telemetry::record_iteration(nwq_telemetry::IterationRecord {
-                        iteration: history.len() - 1,
-                        energy: best,
-                        grad_norm: None,
-                        evaluations: history.len() as u64,
-                        gates: ansatz_gates,
-                        wall_ms: last_mark.elapsed().as_secs_f64() * 1e3,
-                        label: None,
-                    });
-                    last_mark = std::time::Instant::now();
-                }
+            for e in &es {
+                rec.note(std::slice::from_ref(e), None);
             }
             Ok(es)
         };
-        optimizer.try_minimize_batched(&mut objective, x0, max_evals)
-    };
-    match result {
-        Ok(r) => {
-            ev.checkpoint_final()?;
-            Ok(VqeResult {
-                energy: r.value,
-                params: r.params,
-                evaluations: r.evals,
-                converged: r.converged,
-                history,
-            })
-        }
-        Err(cause) => Err(ev.interrupt(cause)),
-    }
-}
-
-/// The VQE problem fingerprint for gradient-driven runs: the plain VQE
-/// fingerprint plus the gradient source, since replaying a trajectory is
-/// only sound when the gradients are computed the same way.
-fn vqe_grad_fingerprint(
-    problem: &VqeProblem,
-    x0: &[f64],
-    max_evals: usize,
-    source: &GradSource,
-) -> JsonValue {
-    match vqe_fingerprint(problem, x0, max_evals) {
-        JsonValue::Object(mut fields) => {
-            fields.push(("grad_source".into(), source.fingerprint_json()));
-            JsonValue::Object(fields)
-        }
-        other => other,
-    }
+        let r = opt.try_minimize_batched(&mut objective, x0, max_evals)?;
+        Ok(rec.finish(r))
+    })
 }
 
 /// The gradient-consuming VQE objective fed to a
@@ -868,77 +774,49 @@ fn vqe_grad_fingerprint(
 /// shift-rule and finite-difference gradients ride the *batched* energy
 /// path — one backend batch of `x` and its `2·n` probes, through
 /// [`shift_rule_gradient`] — and replay via the ordinary evaluation log.
-struct VqeGradObjective<'a, 'b> {
-    ev: &'b mut ResilientEvaluator<'a>,
-    problem: &'b VqeProblem,
+struct VqeGradObjective<'e, 'a, B: ?Sized> {
+    ev: &'e mut ResilientEvaluator<'a, B>,
+    problem: &'e VqeProblem,
     source: GradSource,
-    history: &'b mut Vec<f64>,
-    telemetry: bool,
-    ansatz_gates: u64,
-    last_mark: std::time::Instant,
+    rec: Recorder,
 }
 
-impl VqeGradObjective<'_, '_> {
-    /// Best-so-far bookkeeping per evaluation, as on the energy-only path.
-    fn note(&mut self, e: f64, grad_norm: Option<f64>) {
-        let prev_best = self.history.last().copied().unwrap_or(f64::INFINITY);
-        let best = prev_best.min(e);
-        self.history.push(best);
-        if self.telemetry && best < prev_best {
-            nwq_telemetry::record_iteration(nwq_telemetry::IterationRecord {
-                iteration: self.history.len() - 1,
-                energy: best,
-                grad_norm,
-                evaluations: self.ev.total_evals() as u64,
-                gates: self.ansatz_gates,
-                wall_ms: self.last_mark.elapsed().as_secs_f64() * 1e3,
-                label: None,
-            });
-            self.last_mark = std::time::Instant::now();
-        }
-    }
-
-    /// Energy and two-term shift-rule gradient at `x`: `x` and its `2·n`
-    /// probes ride one resilient batch, and every energy in it joins the
-    /// history in batch order — the points an energy-only run of the
-    /// same optimizer records.
-    fn shift_rule(&mut self, x: &[f64], s: f64, denom: f64) -> Result<(f64, Vec<f64>)> {
-        let (ev, problem) = (&mut *self.ev, self.problem);
-        let mut energies = Vec::new();
-        let mut batch = |xs: &[Vec<f64>]| {
-            energies = ev.eval_batch(&problem.ansatz, xs, &problem.hamiltonian)?;
-            Ok(energies.clone())
-        };
-        let (e, g) = shift_rule_gradient(&mut batch, x, s, denom)?;
-        let gnorm = g.iter().fold(0.0f64, |a: f64, v: &f64| a.max(v.abs()));
-        self.note(e, Some(gnorm));
-        for &probe in &energies[1..] {
-            self.note(probe, None);
-        }
-        Ok((e, g))
-    }
+fn max_abs(g: &[f64]) -> f64 {
+    g.iter().fold(0.0f64, |a, v| a.max(v.abs()))
 }
 
-impl GradObjective for VqeGradObjective<'_, '_> {
+impl<B: GradientBackend + ?Sized> GradObjective for VqeGradObjective<'_, '_, B> {
     fn value(&mut self, x: &[f64]) -> Result<f64> {
         let e = self
             .ev
             .eval(&self.problem.ansatz, x, &self.problem.hamiltonian)?;
-        self.note(e, None);
+        self.rec.note(&[e], None);
         Ok(e)
     }
 
     fn value_and_grad(&mut self, x: &[f64]) -> Result<(f64, Vec<f64>)> {
-        let (e, g) = match self.source {
+        let problem = self.problem;
+        let (ansatz, h) = (&problem.ansatz, &problem.hamiltonian);
+        let (s, denom) = match self.source {
             GradSource::Adjoint => {
-                self.ev
-                    .eval_grad(&self.problem.ansatz, x, &self.problem.hamiltonian)?
+                let (e, g) = self.ev.eval_grad(ansatz, x, h)?;
+                self.rec.note(&[e], Some(max_abs(&g)));
+                return Ok((e, g));
             }
-            GradSource::ParameterShift { shift, denom } => return self.shift_rule(x, shift, denom),
-            GradSource::FiniteDifference(eps) => return self.shift_rule(x, eps, 2.0 * eps),
+            GradSource::ParameterShift { shift, denom } => (shift, denom),
+            GradSource::FiniteDifference(eps) => (eps, 2.0 * eps),
         };
-        let gnorm = g.iter().fold(0.0f64, |a: f64, v: &f64| a.max(v.abs()));
-        self.note(e, Some(gnorm));
+        // `x` and its `2·n` probes ride one resilient batch, and every
+        // energy in it joins the history in batch order — the points an
+        // energy-only run of the same optimizer records.
+        let ev = &mut *self.ev;
+        let mut energies = Vec::new();
+        let mut batch = |xs: &[Vec<f64>]| {
+            energies = ev.eval_batch(ansatz, xs, h)?;
+            Ok(energies.clone())
+        };
+        let (e, g) = shift_rule_gradient(&mut batch, x, s, denom)?;
+        self.rec.note(&energies, Some(max_abs(&g)));
         Ok((e, g))
     }
 
@@ -965,88 +843,49 @@ pub fn run_vqe_grad_with(
     max_evals: usize,
     opts: &ResilienceOptions,
 ) -> Result<VqeResult> {
-    if x0.len() < problem.ansatz.n_params() {
-        return Err(Error::ParameterMismatch {
-            expected: problem.ansatz.n_params(),
-            got: x0.len(),
-        });
-    }
-    if !problem.hamiltonian.is_hermitian(1e-9) {
-        return Err(Error::Invalid("VQE observable must be Hermitian".into()));
-    }
+    check_vqe(problem, x0)?;
     let _span = nwq_telemetry::span!("vqe.grad.run");
-    let fingerprint = vqe_grad_fingerprint(problem, x0, max_evals, &source);
-    let resumed_log = prepare_resume(opts, "vqe-grad", &fingerprint, optimizer)?;
-    let resumed_grads = match &opts.resume {
-        Some(state) => {
-            let grads = state.grad_log()?;
-            if grads.len() != resumed_log.len() {
-                return Err(Error::Invalid(format!(
-                    "checkpoint grad_log length {} does not match eval_log length {}",
-                    grads.len(),
-                    resumed_log.len()
-                )));
-            }
-            grads
-        }
-        None => Vec::new(),
-    };
-    let header = snapshot_header("vqe-grad", fingerprint, optimizer);
-    let mut ev = ResilientEvaluator::new_grad(backend, opts, header, resumed_log, resumed_grads);
-
-    let mut history: Vec<f64> = Vec::new();
-    let telemetry = nwq_telemetry::enabled();
-    let ansatz_gates = problem.ansatz.len() as u64;
-    let result = {
-        let mut objective = VqeGradObjective {
-            ev: &mut ev,
-            problem,
-            source,
-            history: &mut history,
-            telemetry,
-            ansatz_gates,
-            last_mark: std::time::Instant::now(),
-        };
-        optimizer.try_minimize_grad(&mut objective, x0, max_evals)
-    };
-    match result {
-        Ok(r) => {
-            ev.checkpoint_final()?;
-            Ok(VqeResult {
-                energy: r.value,
-                params: r.params,
-                evaluations: r.evals,
-                converged: r.converged,
-                history,
-            })
-        }
-        Err(cause) => Err(ev.interrupt(cause)),
-    }
+    let fingerprint = vqe_fingerprint(problem, x0, max_evals, Some(&source));
+    drive(
+        "vqe-grad",
+        fingerprint,
+        backend,
+        optimizer,
+        opts,
+        |ev, opt| {
+            let mut objective = VqeGradObjective {
+                ev,
+                problem,
+                source,
+                rec: Recorder::new(&problem.ansatz),
+            };
+            let r = opt.try_minimize_grad(&mut objective, x0, max_evals)?;
+            Ok(objective.rec.finish(r))
+        },
+    )
 }
 
-/// Wraps any [`Backend`] with deterministic, seeded fault injection:
+/// Wraps a [`Backend`] with deterministic, seeded fault injection:
 /// evaluation failures surface as transient [`Error::Backend`] and
 /// NaN-amplitude faults as non-finite energies, exercising the retry and
-/// health-guard paths of the drivers above.
-pub struct FaultyBackend {
-    inner: BoxedBackend,
+/// health-guard paths of the drivers above. Energy-only: it decorates
+/// [`Backend`], not [`GradientBackend`].
+///
+/// Generic over the inner backend, which it owns: a caller holding a
+/// warmed backend (a server worker) moves it in for one run and takes it
+/// back with [`into_inner`](Self::into_inner).
+pub struct FaultyBackend<B> {
+    inner: B,
     injector: FaultInjector,
 }
 
-impl FaultyBackend {
-    /// Decorates `inner` with faults drawn from `spec`. The inner box is
-    /// `Send` so a fault-injecting backend can still be owned by a worker
-    /// thread.
-    pub fn new(inner: BoxedBackend, spec: FaultSpec) -> Self {
+impl<B: Backend> FaultyBackend<B> {
+    /// Decorates `inner` with faults drawn from `spec`.
+    pub fn wrap(inner: B, spec: FaultSpec) -> Self {
         FaultyBackend {
             inner,
             injector: FaultInjector::new(spec),
         }
-    }
-
-    /// Decorates a concrete backend (convenience over [`FaultyBackend::new`]).
-    pub fn wrap(inner: impl Backend + Send + 'static, spec: FaultSpec) -> Self {
-        FaultyBackend::new(Box::new(inner), spec)
     }
 
     /// Faults injected so far, by class.
@@ -1054,13 +893,14 @@ impl FaultyBackend {
         self.injector.stats()
     }
 
-    /// The wrapped backend.
-    pub fn inner(&self) -> &dyn Backend {
-        self.inner.as_ref()
+    /// Removes the decorator, returning the inner backend with whatever
+    /// state it cached.
+    pub fn into_inner(self) -> B {
+        self.inner
     }
 }
 
-impl Backend for FaultyBackend {
+impl<B: Backend> Backend for FaultyBackend<B> {
     fn energy(&mut self, ansatz: &Circuit, params: &[f64], observable: &PauliOp) -> Result<f64> {
         // Both draws happen before the inner call so the fault sequence is
         // a pure function of the seed, independent of inner behaviour.
@@ -1476,31 +1316,17 @@ mod tests {
     fn adjoint_gradient_matches_parameter_shift_rule() {
         // Acceptance bar: adjoint = analytic, parameter shift (π/4 rule,
         // exact for excitation generators) = analytic → agreement to 1e-10.
-        use crate::backend::GradientBackend;
         let (problem, _) = h2_grad_problem();
+        let (ansatz, h) = (&problem.ansatz, &problem.hamiltonian);
         let theta = [0.11, -0.23, 0.37];
         let mut backend = DirectBackend::new();
-        let (e, g) = backend
-            .energy_and_gradient(&problem.ansatz, &theta, &problem.hamiltonian)
-            .unwrap();
-        let e_plain = backend
-            .energy(&problem.ansatz, &theta, &problem.hamiltonian)
-            .unwrap();
-        assert!((e - e_plain).abs() < 1e-12, "{e} vs {e_plain}");
+        let (e, g) = backend.energy_and_gradient(ansatz, &theta, h).unwrap();
+        let mut batch = |xs: &[Vec<f64>]| backend.energy_batch(ansatz, xs, h);
         let s = std::f64::consts::FRAC_PI_4;
-        for (j, gj) in g.iter().enumerate() {
-            let mut plus = theta.to_vec();
-            plus[j] += s;
-            let mut minus = theta.to_vec();
-            minus[j] -= s;
-            let ep = backend
-                .energy(&problem.ansatz, &plus, &problem.hamiltonian)
-                .unwrap();
-            let em = backend
-                .energy(&problem.ansatz, &minus, &problem.hamiltonian)
-                .unwrap();
-            let shift = ep - em; // π/4 rule: denom 1
-            assert!((gj - shift).abs() < 1e-10, "param {j}: {gj} vs {shift}");
+        let (e_plain, shift) = shift_rule_gradient(&mut batch, &theta, s, 1.0).unwrap();
+        assert!((e - e_plain).abs() < 1e-12, "{e} vs {e_plain}");
+        for (j, (gj, sj)) in g.iter().zip(&shift).enumerate() {
+            assert!((gj - sj).abs() < 1e-10, "param {j}: {gj} vs {sj}");
         }
     }
 
@@ -1618,84 +1444,68 @@ mod tests {
         );
     }
 
+    /// Kills a gradient run from `source` after `kill_after` fresh
+    /// evaluations, resumes it from the checkpoint, and checks that it
+    /// ends bitwise where an uninterrupted run does.
+    fn grad_kill_and_resume(source: GradSource, kill_after: usize) {
+        let (problem, _) = h2_grad_problem();
+        let x0 = vec![0.0; problem.ansatz.n_params()];
+        let run = |opts: &ResilienceOptions| {
+            let mut backend = DirectBackend::new();
+            let mut opt = nwq_opt::Lbfgs::default();
+            run_vqe_grad_with(&problem, &mut backend, &mut opt, source, &x0, 60, opts)
+        };
+        let clean = run(&ResilienceOptions::default()).unwrap();
+        let path = tmp_checkpoint(&format!("grad-kill-{}-{kill_after}", source.name()));
+        let err = run(&ResilienceOptions {
+            checkpoint: Some(CheckpointConfig::new(&path)),
+            abort_after_evals: Some(kill_after),
+            ..Default::default()
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Interrupted {
+                    checkpoint: Some(_),
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let state = ResumeState::load(&path).unwrap();
+        assert_eq!(state.kind(), "vqe-grad");
+        assert_eq!(state.evaluations(), kill_after);
+        let resumed = run(&ResilienceOptions {
+            resume: Some(state),
+            ..Default::default()
+        })
+        .unwrap();
+        assert_same_run(&resumed, &clean);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn grad_kill_and_resume_is_bitwise_identical() {
         // The gradient log must checkpoint and replay alongside the energy
-        // log: a killed adjoint run resumed from disk retraces the exact
-        // fused-evaluation trajectory.
-        let (problem, _) = h2_grad_problem();
-        let x0 = vec![0.0; problem.ansatz.n_params()];
-        let max_evals = 60;
-        let clean = {
-            let mut backend = DirectBackend::new();
-            let mut opt = nwq_opt::Lbfgs::default();
-            crate::vqe::run_vqe_grad(
-                &problem,
-                &mut backend,
-                &mut opt,
-                GradSource::Adjoint,
-                &x0,
-                max_evals,
-            )
-            .unwrap()
-        };
-        let path = tmp_checkpoint("grad-kill");
-        {
-            let mut backend = DirectBackend::new();
-            let mut opt = nwq_opt::Lbfgs::default();
-            let opts = ResilienceOptions {
-                checkpoint: Some(CheckpointConfig::new(&path)),
-                abort_after_evals: Some(5),
-                ..Default::default()
-            };
-            let err = run_vqe_grad_with(
-                &problem,
-                &mut backend,
-                &mut opt,
-                GradSource::Adjoint,
-                &x0,
-                max_evals,
-                &opts,
-            )
-            .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    Error::Interrupted {
-                        checkpoint: Some(_),
-                        ..
-                    }
-                ),
-                "{err}"
-            );
+        // log for every gradient source: fused adjoint evaluations replay
+        // their gradients, shift-rule and finite-difference batches replay
+        // energy by energy. On H2 the two-term sources evaluate x and its
+        // probes as 7-point batches at evaluations 0–6 and 9–15, so both
+        // of their kill points land inside a batch.
+        let two_term = [5, 11];
+        for (source, kill_points) in [
+            (GradSource::Adjoint, &[5][..]),
+            (GradSource::shift_excitations(), &two_term[..]),
+            (
+                GradSource::FiniteDifference(nwq_opt::FD_STEP),
+                &two_term[..],
+            ),
+        ] {
+            for &kill_after in kill_points {
+                grad_kill_and_resume(source, kill_after);
+            }
         }
-        let state = ResumeState::load(&path).unwrap();
-        assert_eq!(state.kind(), "vqe-grad");
-        let resumed = {
-            let mut backend = DirectBackend::new();
-            let mut opt = nwq_opt::Lbfgs::default();
-            let opts = ResilienceOptions {
-                resume: Some(state),
-                ..Default::default()
-            };
-            run_vqe_grad_with(
-                &problem,
-                &mut backend,
-                &mut opt,
-                GradSource::Adjoint,
-                &x0,
-                max_evals,
-                &opts,
-            )
-            .unwrap()
-        };
-        assert_eq!(resumed.energy.to_bits(), clean.energy.to_bits());
-        assert_eq!(resumed.evaluations, clean.evaluations);
-        for (a, b) in resumed.params.iter().zip(&clean.params) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(resumed.history, clean.history);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1735,21 +1545,195 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A [`DirectBackend`] that logs the method and width of every call
+    /// it serves — `e` (energy), `b<n>` (energy batch of n), `g` (fused
+    /// energy and gradient) — and counts cache invalidations. When
+    /// `flaky`, its second fused evaluation fails transiently and its
+    /// third returns a NaN gradient component.
+    #[derive(Default)]
+    struct TestBackend {
+        inner: DirectBackend,
+        calls: Vec<String>,
+        invalidations: usize,
+        flaky: bool,
+    }
+
+    impl TestBackend {
+        /// The call log, run-length encoded: `e*3 b7 g*2 …`.
+        fn pattern(&self) -> String {
+            let mut runs: Vec<(&str, usize)> = Vec::new();
+            for c in &self.calls {
+                match runs.last_mut() {
+                    Some((last, n)) if *last == c => *n += 1,
+                    _ => runs.push((c, 1)),
+                }
+            }
+            let runs: Vec<String> = runs
+                .iter()
+                .map(|&(c, n)| match n {
+                    1 => c.to_string(),
+                    n => format!("{c}*{n}"),
+                })
+                .collect();
+            runs.join(" ")
+        }
+    }
+
+    impl Backend for TestBackend {
+        fn energy(&mut self, ansatz: &Circuit, params: &[f64], h: &PauliOp) -> Result<f64> {
+            self.calls.push("e".into());
+            self.inner.energy(ansatz, params, h)
+        }
+        fn energy_batch(
+            &mut self,
+            ansatz: &Circuit,
+            xs: &[Vec<f64>],
+            h: &PauliOp,
+        ) -> Result<Vec<f64>> {
+            self.calls.push(format!("b{}", xs.len()));
+            self.inner.energy_batch(ansatz, xs, h)
+        }
+        fn stats(&self) -> BackendStats {
+            self.inner.stats()
+        }
+        fn name(&self) -> &'static str {
+            "test"
+        }
+        fn invalidate_cache(&mut self) {
+            self.invalidations += 1;
+            self.inner.invalidate_cache();
+        }
+    }
+
+    impl GradientBackend for TestBackend {
+        fn energy_and_gradient(
+            &mut self,
+            ansatz: &Circuit,
+            params: &[f64],
+            h: &PauliOp,
+        ) -> Result<(f64, Vec<f64>)> {
+            self.calls.push("g".into());
+            let grad_calls = self.calls.iter().filter(|c| *c == "g").count();
+            let (e, mut g) = match (self.flaky, grad_calls) {
+                (true, 2) => return Err(Error::Backend("transient gradient failure".into())),
+                _ => self.inner.energy_and_gradient(ansatz, params, h)?,
+            };
+            if self.flaky && grad_calls == 3 {
+                g[0] = f64::NAN;
+            }
+            Ok((e, g))
+        }
+        fn as_backend(&mut self) -> &mut dyn Backend {
+            self
+        }
+    }
+
+    /// Asserts two runs ended bitwise alike: energy, evaluations,
+    /// parameters and history.
+    fn assert_same_run(a: &VqeResult, b: &VqeResult) {
+        assert_eq!(a.energy.to_bits(), b.energy.to_bits());
+        assert_eq!(a.evaluations, b.evaluations);
+        let bits = |r: &VqeResult| r.params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.history, b.history);
+    }
+
     #[test]
-    fn plain_engine_rejects_fused_gradient_evaluations() {
-        let problem = toy_problem();
-        let mut backend = DirectBackend::new();
-        let opt = NelderMead::default();
-        let fp = vqe_fingerprint(&problem, &[0.0, 0.0], 100);
-        let header = snapshot_header("vqe", fp, &opt);
-        let opts = ResilienceOptions::default();
-        let mut ev = ResilientEvaluator::new(&mut backend, &opts, header, Vec::new());
-        let err = ev
-            .eval_grad(&problem.ansatz, &[0.0, 0.0], &problem.hamiltonian)
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("gradient-capable"),
-            "unexpected error: {err}"
+    fn grad_retries_recover_from_transient_and_nan_gradients() {
+        let (problem, _) = h2_grad_problem();
+        let x0 = vec![0.0; problem.ansatz.n_params()];
+        let run = |backend: &mut dyn GradientBackend, retry: RetryPolicy| {
+            let opts = ResilienceOptions {
+                retry,
+                ..Default::default()
+            };
+            let mut opt = nwq_opt::Lbfgs::default();
+            let source = GradSource::Adjoint;
+            run_vqe_grad_with(&problem, backend, &mut opt, source, &x0, 60, &opts)
+        };
+        let clean = run(&mut DirectBackend::new(), RetryPolicy::default()).unwrap();
+        let flaky = || TestBackend {
+            flaky: true,
+            ..Default::default()
+        };
+        let mut backend = flaky();
+        let r = run(&mut backend, RetryPolicy::default()).unwrap();
+        // Both faults were retried after dropping the backend's cache,
+        // and the run retraced the clean trajectory.
+        assert_eq!(backend.invalidations, 2);
+        assert_same_run(&r, &clean);
+
+        let mut backend = flaky();
+        match run(&mut backend, RetryPolicy::none()).unwrap_err() {
+            Error::Interrupted { checkpoint, cause } => {
+                assert!(checkpoint.is_none());
+                assert!(cause.is_transient(), "{cause}");
+            }
+            other => panic!("expected Interrupted, got {other}"),
+        }
+        assert_eq!(backend.pattern(), "g e*2 g");
+        assert_eq!(backend.invalidations, 0);
+    }
+
+    #[test]
+    fn grad_and_energy_runs_send_pinned_backend_calls() {
+        // The backend sees the same calls, method and batch width, for
+        // every optimizer and gradient source. A resumed run sends only
+        // the fresh remainder, as scalar energies while a batch straddles
+        // the replay boundary.
+        let toy = toy_problem();
+        let energy_run = |opt: &mut dyn Optimizer, x0: &[f64], budget: usize| {
+            let mut b = TestBackend::default();
+            let opts = ResilienceOptions::default();
+            run_vqe_with(&toy, &mut b, opt, x0, budget, &opts).unwrap();
+            b.pattern()
+        };
+        assert_eq!(
+            energy_run(&mut NelderMead::default(), &[1.0, 2.5], 400),
+            "e*89"
         );
+        let mut spsa = Spsa {
+            a: 0.3,
+            ..Default::default()
+        };
+        assert_eq!(
+            energy_run(&mut spsa, &[0.9, 0.4], 16),
+            "e b2 e b2 e b2 e b2 e b2 e"
+        );
+
+        let (h2, _) = h2_grad_problem();
+        let x0 = vec![0.0; h2.ansatz.n_params()];
+        let path = tmp_checkpoint("pinned-calls");
+        let grad_run = |source: GradSource, opts: &ResilienceOptions| {
+            let mut b = TestBackend::default();
+            let mut opt = nwq_opt::Lbfgs::default();
+            let r = run_vqe_grad_with(&h2, &mut b, &mut opt, source, &x0, 60, opts);
+            (r, b.pattern())
+        };
+        let shift = GradSource::shift_excitations();
+        let clean = ResilienceOptions::default();
+        let (_, calls) = grad_run(shift, &clean);
+        assert_eq!(calls, "b7 e*2 b7 e b7 e b7 e b7");
+        let (_, calls) = grad_run(GradSource::Adjoint, &clean);
+        assert_eq!(calls, "g e*2 g e g e g e g");
+
+        // Killed after 11 fresh evaluations: inside the second 7-point
+        // batch (evaluations 10–16), which falls back to scalar energies.
+        let killed = ResilienceOptions {
+            checkpoint: Some(CheckpointConfig::new(&path)),
+            abort_after_evals: Some(11),
+            ..Default::default()
+        };
+        let (r, calls) = grad_run(shift, &killed);
+        assert!(r.is_err());
+        assert_eq!(calls, "b7 e*4");
+        let resumed = ResilienceOptions {
+            resume: Some(ResumeState::load(&path).unwrap()),
+            ..Default::default()
+        };
+        let (r, calls) = grad_run(shift, &resumed);
+        assert!(r.is_ok());
+        assert_eq!(calls, "e*6 b7 e b7 e b7");
+        std::fs::remove_file(&path).ok();
     }
 }

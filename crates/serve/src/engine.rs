@@ -33,8 +33,8 @@ use crate::job::{JobId, JobKind, JobOutcome, JobSpec, JobStatus};
 use crate::problem::{build_problem, ServeProblem};
 use crate::queue::{Admission, AdmissionQueue, QueueConfig, QueuedJob};
 use nwq_core::adapt::{run_adapt_vqe_with, AdaptConfig};
-use nwq_core::backend::{Backend, BackendStats, DirectBackend};
-use nwq_core::resilience::{run_vqe_with, ResilienceOptions, RetryPolicy};
+use nwq_core::backend::{Backend, DirectBackend};
+use nwq_core::resilience::{run_vqe_with, FaultyBackend, ResilienceOptions, RetryPolicy};
 use nwq_dist::{FaultInjector, FaultSpec};
 use nwq_opt::NelderMead;
 use nwq_statevec::batch::batched_energies;
@@ -599,59 +599,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A borrowing fault decorator — same semantics as
-/// [`nwq_core::FaultyBackend`], but over a worker's long-lived backend and
-/// injector, so the warmed backend survives across jobs.
-struct InjectingBackend<'a> {
-    inner: &'a mut DirectBackend,
-    injector: &'a mut FaultInjector,
-}
-
-impl Backend for InjectingBackend<'_> {
-    fn energy(
-        &mut self,
-        ansatz: &nwq_circuit::Circuit,
-        params: &[f64],
-        observable: &nwq_pauli::PauliOp,
-    ) -> nwq_common::Result<f64> {
-        let fail = self.injector.should_fail_eval();
-        let nan = self.injector.should_inject_nan();
-        if fail {
-            return Err(nwq_common::Error::Backend(
-                "injected evaluation failure".into(),
-            ));
-        }
-        if nan {
-            return Ok(f64::NAN);
-        }
-        self.inner.energy(ansatz, params, observable)
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.inner.stats()
-    }
-
-    fn name(&self) -> &'static str {
-        "serve-injecting"
-    }
-
-    fn invalidate_cache(&mut self) {
-        self.inner.invalidate_cache();
-    }
-}
-
-/// Derives the fault injector for one job. Streams are seeded per *job*,
+/// Derives the fault spec for one job. Streams are seeded per *job*,
 /// not per worker: which worker claims a job (a race) and what it ran
 /// before must not shift another job's fault sequence, so the injected
 /// pattern is a pure function of the configured seed and the job id
 /// regardless of scheduling. The multiplier is the splitmix64 increment,
 /// spreading consecutive ids across the seed space.
-fn injector_for(faults: Option<FaultSpec>, job: JobId) -> Option<FaultInjector> {
-    faults.map(|spec| {
-        FaultInjector::new(FaultSpec {
-            seed: spec.seed ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..spec
-        })
+fn job_faults(faults: Option<FaultSpec>, job: JobId) -> Option<FaultSpec> {
+    faults.map(|spec| FaultSpec {
+        seed: spec.seed ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ..spec
     })
 }
 
@@ -710,8 +667,7 @@ fn worker_loop(shared: Arc<Shared>, faults: Option<FaultSpec>) {
             } else {
                 debug_assert_eq!(live.len(), 1, "non-batchable jobs pop alone");
                 for job in &live {
-                    let mut injector = injector_for(faults, job.id);
-                    run_long_job(&shared, &mut backend, &mut injector, job);
+                    run_long_job(&shared, &mut backend, job_faults(faults, job.id), job);
                 }
             }
         }));
@@ -728,10 +684,13 @@ fn worker_loop(shared: Arc<Shared>, faults: Option<FaultSpec>) {
     }
 }
 
-/// Evaluates one energy with the PR 3 retry discipline. The first attempt
-/// may use `precomputed` (the value from the cross-job sweep); retries and
-/// later attempts recompute through the worker's backend — bitwise the
-/// same value, since both paths are the compiled-plan pipeline.
+/// Evaluates one energy with the resilient drivers' retry discipline
+/// (fault draws before the computation, non-finite energies rejected,
+/// cache dropped before each retry). It is a separate path from
+/// [`FaultyBackend`] under the library's retry loop because its first
+/// attempt uses `precomputed`, the value from the cross-job sweep;
+/// retries recompute through the worker's backend — bitwise the same
+/// value, since both paths are the compiled-plan pipeline.
 fn energy_with_retries(
     shared: &Shared,
     backend: &mut DirectBackend,
@@ -869,7 +828,7 @@ fn run_energy_group(
     match sweep {
         Ok(energies) => {
             for ((id, params, wait_ms), e) in misses.into_iter().zip(energies) {
-                let mut injector = injector_for(faults, id);
+                let mut injector = job_faults(faults, id).map(FaultInjector::new);
                 match energy_with_retries(
                     shared,
                     backend,
@@ -905,11 +864,12 @@ fn run_energy_group(
 }
 
 /// Runs one VQE or ADAPT job through the stock resilient drivers, lending
-/// the worker's warmed backend (optionally behind the fault decorator).
+/// the worker's warmed backend (behind the fault decorator when `faults`
+/// is set).
 fn run_long_job(
     shared: &Shared,
     backend: &mut DirectBackend,
-    injector: &mut Option<FaultInjector>,
+    faults: Option<FaultSpec>,
     job: &QueuedJob,
 ) {
     let Some((spec, wait_ms)) = shared.claim(job) else {
@@ -959,11 +919,13 @@ fn run_long_job(
             )),
         }
     };
-    let result = match injector.as_mut() {
-        Some(inj) => run(&mut InjectingBackend {
-            inner: backend,
-            injector: inj,
-        }),
+    let result = match faults {
+        Some(spec) => {
+            let mut faulty = FaultyBackend::wrap(std::mem::take(backend), spec);
+            let result = run(&mut faulty);
+            *backend = faulty.into_inner();
+            result
+        }
         None => run(backend),
     };
     match result {

@@ -321,7 +321,7 @@ pub fn energy_and_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{batched_excitation_gradient, batched_parameter_shift_gradient};
+    use crate::batch::tests::shift_gradient;
     use crate::executor::{simulate_plan, Executor};
     use crate::plan::ExecPlan;
     use crate::simd;
@@ -329,6 +329,7 @@ mod tests {
     use nwq_common::{Mat2, Mat4};
     use nwq_pauli::PauliString;
     use proptest::prelude::*;
+    use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
     fn fd_gradient(c: &Circuit, params: &[f64], h: &PauliOp) -> Vec<f64> {
         let eps = 1e-6;
@@ -489,7 +490,7 @@ mod tests {
         let h = PauliOp::parse("1.0 ZZI + 0.5 IXX + 0.25 ZIZ").unwrap();
         let theta = [0.4, -1.1, 0.75, 2.2];
         let adj = energy_and_gradient(&c, &theta, &h).unwrap();
-        let shift = batched_parameter_shift_gradient(&c, &theta, &h).unwrap();
+        let shift = shift_gradient(&c, &theta, &h, FRAC_PI_2, 2.0);
         let e = simulate_plan(&c, &theta).unwrap().energy(&h).unwrap();
         assert!((adj.energy - e).abs() < 1e-12, "{} vs {e}", adj.energy);
         for (a, s) in adj.gradient.iter().zip(&shift) {
@@ -525,7 +526,7 @@ mod tests {
         let h = PauliOp::parse("1.0 XX + 0.2 ZI").unwrap();
         for theta in [[0.0], [0.37], [-1.2]] {
             let adj = energy_and_gradient(&c, &theta, &h).unwrap();
-            let shift = batched_excitation_gradient(&c, &theta, &h).unwrap();
+            let shift = shift_gradient(&c, &theta, &h, FRAC_PI_4, 1.0);
             assert!(
                 (adj.gradient[0] - shift[0]).abs() < 1e-10,
                 "θ={theta:?}: {} vs {}",
@@ -712,7 +713,7 @@ mod tests {
             h in arb_observable(3),
         ) {
             let adj = energy_and_gradient(&c, &theta, &h).unwrap();
-            let shift = batched_parameter_shift_gradient(&c, &theta, &h).unwrap();
+            let shift = shift_gradient(&c, &theta, &h, FRAC_PI_2, 2.0);
             for (a, s) in adj.gradient.iter().zip(&shift) {
                 prop_assert!((a - s).abs() < 1e-10, "{} vs {}", a, s);
             }
@@ -745,7 +746,7 @@ mod tests {
                 }
             }
             let adj = energy_and_gradient(&c, &theta, &h).unwrap();
-            let shift = batched_excitation_gradient(&c, &theta, &h).unwrap();
+            let shift = shift_gradient(&c, &theta, &h, FRAC_PI_4, 1.0);
             for (a, s) in adj.gradient.iter().zip(&shift) {
                 prop_assert!((a - s).abs() < 1e-10, "{} vs {}", a, s);
             }

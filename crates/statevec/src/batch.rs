@@ -5,8 +5,9 @@
 //! a Rayon parallel map over parameter sets — each batch entry owns its
 //! statevector, so the batch scales across cores without synchronization
 //! (and runs as a plain serial loop on a one-thread pool). The headline
-//! consumer is the batched parameter-shift gradient: all `2·n_params`
-//! shifted energy evaluations of one gradient run as a single batch.
+//! consumer is the two-term shift-rule gradient
+//! (`nwq_opt::shift_rule_gradient`): `θ` and its `2·n_params` shifted
+//! points run as a single batch.
 
 use crate::executor::Executor;
 use crate::expval::energy_direct_batched;
@@ -37,78 +38,28 @@ pub fn batched_energies(
         .collect()
 }
 
-/// Generalized two-term parameter-shift gradient as one batch of `2·n`
-/// simulations: `∂E/∂θ_i ≈ [E(θ+s·e_i) − E(θ−s·e_i)] / denominator`.
-///
-/// Pick `(s, denominator)` by the generator's eigenvalue structure:
-/// - single Pauli rotations (RX/RY/RZ, eigenvalues ±1): `(π/2, 2)` —
-///   see [`batched_parameter_shift_gradient`];
-/// - fermionic excitation parameters (UCCSD/ADAPT generators with
-///   eigenvalues {0, ±i}, period-π energy curves): `(π/4, 1)` — see
-///   [`batched_excitation_gradient`].
-pub fn batched_parameter_shift_gradient_with(
-    circuit: &Circuit,
-    params: &[f64],
-    observable: &PauliOp,
-    shift: f64,
-    denominator: f64,
-) -> Result<Vec<f64>> {
-    let n = params.len();
-    let mut shifted: Vec<Vec<f64>> = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        let mut plus = params.to_vec();
-        plus[i] += shift;
-        shifted.push(plus);
-        let mut minus = params.to_vec();
-        minus[i] -= shift;
-        shifted.push(minus);
-    }
-    let energies = batched_energies(circuit, &shifted, observable)?;
-    Ok((0..n)
-        .map(|i| (energies[2 * i] - energies[2 * i + 1]) / denominator)
-        .collect())
-}
-
-/// Exact parameter-shift gradient for ±1-eigenvalue rotation generators
-/// (`∂E/∂θ_i = [E(θ+π/2·e_i) − E(θ−π/2·e_i)]/2`), e.g. every parameter of
-/// the hardware-efficient ansatz.
-pub fn batched_parameter_shift_gradient(
-    circuit: &Circuit,
-    params: &[f64],
-    observable: &PauliOp,
-) -> Result<Vec<f64>> {
-    batched_parameter_shift_gradient_with(
-        circuit,
-        params,
-        observable,
-        std::f64::consts::FRAC_PI_2,
-        2.0,
-    )
-}
-
-/// Exact parameter-shift gradient for fermionic excitation parameters
-/// (UCCSD-style `e^{θ(T−T†)}` blocks): the energy is `π`-periodic in θ, so
-/// the correct two-term rule is `E(θ+π/4) − E(θ−π/4)` with unit
-/// denominator. The naive `π/2` rule returns exactly zero at the HF point
-/// for these parameters — a classic silent failure.
-pub fn batched_excitation_gradient(
-    circuit: &Circuit,
-    params: &[f64],
-    observable: &PauliOp,
-) -> Result<Vec<f64>> {
-    batched_parameter_shift_gradient_with(
-        circuit,
-        params,
-        observable,
-        std::f64::consts::FRAC_PI_4,
-        1.0,
-    )
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nwq_circuit::ParamExpr;
+    use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
+
+    /// The two-term shift-rule gradient `[E(θ+s·e_i) − E(θ−s·e_i)] / denom`
+    /// through the optimizer crate's one implementation, over
+    /// [`batched_energies`]: `(π/2, 2)` is exact for ±1-eigenvalue
+    /// rotation generators, `(π/4, 1)` for fermionic excitations.
+    pub(crate) fn shift_gradient(
+        c: &Circuit,
+        theta: &[f64],
+        h: &PauliOp,
+        s: f64,
+        denom: f64,
+    ) -> Vec<f64> {
+        let mut energies = |xs: &[Vec<f64>]| batched_energies(c, xs, h);
+        nwq_opt::shift_rule_gradient(&mut energies, theta, s, denom)
+            .unwrap()
+            .1
+    }
 
     fn toy() -> (Circuit, PauliOp) {
         let mut c = Circuit::new(2);
@@ -136,7 +87,7 @@ mod tests {
         // verify against central-difference instead of deriving closed form.
         let (c, h) = toy();
         let theta = [0.4, -0.8];
-        let grad = batched_parameter_shift_gradient(&c, &theta, &h).unwrap();
+        let grad = shift_gradient(&c, &theta, &h, FRAC_PI_2, 2.0);
         let eps = 1e-6;
         for i in 0..2 {
             let mut p = theta.to_vec();
@@ -190,8 +141,8 @@ mod tests {
         }
         let h = PauliOp::parse("1.0 XX + 0.2 ZI").unwrap();
         let theta = [0.0];
-        let naive = batched_parameter_shift_gradient(&c, &theta, &h).unwrap();
-        let proper = batched_excitation_gradient(&c, &theta, &h).unwrap();
+        let naive = shift_gradient(&c, &theta, &h, FRAC_PI_2, 2.0);
+        let proper = shift_gradient(&c, &theta, &h, FRAC_PI_4, 1.0);
         let eps = 1e-6;
         let ep = crate::executor::simulate(&c, &[eps])
             .unwrap()
@@ -225,7 +176,7 @@ mod tests {
         let mut c = Circuit::new(1);
         c.h(0);
         let h = PauliOp::parse("1.0 Z").unwrap();
-        let g = batched_parameter_shift_gradient(&c, &[], &h).unwrap();
+        let g = shift_gradient(&c, &[], &h, FRAC_PI_2, 2.0);
         assert!(g.is_empty());
     }
 }

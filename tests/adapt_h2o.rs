@@ -2,12 +2,12 @@
 //! (the Fig 5 experiment at test-sized scale; the 12-qubit instance runs
 //! in the `figures` binary).
 
+use nwq_chem::downfold::downfold_to_active;
 use nwq_chem::molecules::water_model;
 use nwq_chem::pool::OperatorPool;
 use nwq_core::adapt::{run_adapt_vqe, AdaptConfig, StopReason};
 use nwq_core::backend::DirectBackend;
 use nwq_core::exact::{ground_energy_sector_default, Sector};
-use nwq_core::workflow::run_adapt_workflow;
 use nwq_opt::NelderMead;
 
 #[test]
@@ -56,7 +56,11 @@ fn adapt_workflow_downfolds_then_converges() {
     // Full §2 + §5.3 chain: 5-orbital model → 4-orbital active space
     // (8 qubits) → ADAPT.
     let mol = water_model(5, 4);
+    let (active, report) = downfold_to_active(&mol, 0, 4).expect("downfold");
+    let h = active.to_qubit_hamiltonian().expect("hamiltonian builds");
+    let pool = OperatorPool::singles_doubles(h.n_qubits(), active.n_electrons()).expect("pool");
     let mut backend = DirectBackend::new();
+    let mut opt = NelderMead::for_vqe();
     let config = AdaptConfig {
         max_iterations: 10,
         grad_tol: 1e-6,
@@ -64,8 +68,15 @@ fn adapt_workflow_downfolds_then_converges() {
         target_energy: None,
         accuracy: 1e-3,
     };
-    let (h, r, report) =
-        run_adapt_workflow(&mol, 0, 4, &mut backend, &config).expect("workflow runs");
+    let r = run_adapt_vqe(
+        &h,
+        &pool,
+        active.n_electrons(),
+        &mut backend,
+        &mut opt,
+        &config,
+    )
+    .expect("ADAPT");
     assert_eq!(h.n_qubits(), 8);
     assert_eq!(report.discarded_virtuals, 1);
     assert!(report.external_mp2_energy < 0.0);

@@ -1,13 +1,13 @@
 //! Integration: the full Fig 2 pipeline on H2/STO-3G, across backends.
 
+use nwq_chem::downfold::downfold_to_active;
 use nwq_chem::molecules::h2_sto3g;
 use nwq_chem::uccsd::uccsd_ansatz;
 use nwq_core::backend::{
     Backend, CachedMeasureBackend, DirectBackend, DistributedBackend, NonCachingBackend,
 };
-use nwq_core::exact::ground_energy_default;
+use nwq_core::exact::{ground_energy_default, ground_energy_sector_default, Sector};
 use nwq_core::vqe::{run_vqe, VqeProblem};
-use nwq_core::workflow::{run_vqe_workflow, WorkflowConfig};
 use nwq_opt::{NelderMead, Optimizer};
 use nwq_pauli::PauliOp;
 
@@ -64,22 +64,31 @@ fn all_exact_backends_agree_along_the_optimization_path() {
 
 #[test]
 fn workflow_and_manual_pipeline_agree() {
+    // The Fig 2 pipeline with nothing to fold: downfolding H2 to its own
+    // two orbitals reproduces the bare problem.
     let mol = h2_sto3g();
-    let cfg = WorkflowConfig {
-        n_frozen: 0,
-        n_active: 2,
-        max_evals: 4000,
-        compute_exact: true,
+    let (active, _) = downfold_to_active(&mol, 0, 2).expect("downfold");
+    let h = active.to_qubit_hamiltonian().expect("JW");
+    assert_eq!(h.n_qubits(), 4);
+    assert!(h.num_terms() > 4);
+    let folded_exact = ground_energy_sector_default(&h, Sector::closed_shell(active.n_electrons()))
+        .expect("Lanczos");
+    let folded = VqeProblem {
+        ansatz: uccsd_ansatz(h.n_qubits(), active.n_electrons()).expect("UCCSD"),
+        hamiltonian: h,
     };
-    let wf = run_vqe_workflow(&mol, &cfg).expect("workflow");
-    let (problem, exact, _) = h2_problem();
-    let mut backend = DirectBackend::new();
-    let mut opt = NelderMead::for_vqe();
-    let x0 = vec![0.0; problem.ansatz.n_params()];
-    let manual = run_vqe(&problem, &mut backend, &mut opt, &x0, 4000).expect("VQE");
-    assert!((wf.vqe.energy - manual.energy).abs() < 1e-6);
-    assert!((wf.exact_energy.unwrap() - exact).abs() < 1e-8);
-    assert_eq!(wf.n_qubits, 4);
+    let (problem, exact, hf) = h2_problem();
+    let run = |problem: &VqeProblem| {
+        let mut backend = DirectBackend::new();
+        let mut opt = NelderMead::for_vqe();
+        let x0 = vec![0.0; problem.ansatz.n_params()];
+        run_vqe(problem, &mut backend, &mut opt, &x0, 4000).expect("VQE")
+    };
+    let (wf, manual) = (run(&folded), run(&problem));
+    assert!((wf.energy - manual.energy).abs() < 1e-6);
+    assert!((folded_exact - exact).abs() < 1e-8);
+    assert!((wf.energy - folded_exact).abs() < 1.6e-3);
+    assert!(wf.energy < hf);
 }
 
 #[test]
