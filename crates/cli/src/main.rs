@@ -277,8 +277,10 @@ fn cmd_vqe(args: &Args) -> Result<(), String> {
         }
     };
     println!(
-        "E_VQE   : {:+.6} Ha  ({} evaluations)",
-        r.energy, r.evaluations
+        "E_VQE   : {:+.6} Ha  ({} evaluations)  bits {:#018x}",
+        r.energy,
+        r.evaluations,
+        r.energy.to_bits()
     );
     if let Some(ckpt) = &opts.checkpoint {
         println!("ckpt    : wrote {}", ckpt.path.display());

@@ -7,24 +7,25 @@ use std::ops::AddAssign;
 /// Counters for inter-rank communication. This is the quantity that
 /// dominates distributed statevector simulation (SV-Sim's PGAS design):
 /// gates on *global* qubits (those encoded in the rank id) force partner
-/// ranks to exchange partitions.
+/// ranks to exchange amplitudes. The executor's only message is the
+/// half-shard swap that makes a global qubit local.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommStats {
-    /// Point-to-point messages exchanged.
+    /// Point-to-point messages exchanged: one per rank per swap.
     pub messages: u64,
-    /// Payload bytes moved between ranks.
+    /// Payload bytes moved between ranks: half a shard per message.
     pub bytes: u64,
-    /// Gates that required communication (≥ 1 global qubit).
+    /// Gates on at least one qubit the canonical layout keeps global.
     pub global_gates: u64,
-    /// Gates that were entirely rank-local.
+    /// Gates on canonically local qubits only.
     pub local_gates: u64,
-    /// Messages the naive full-exchange pattern would have sent but the
-    /// θ-aware executor elided structurally: diagonal global gates
-    /// (local phase sweep), block-local application, and the skipped
-    /// sub-blocks of block-structured global-global gates.
+    /// Naive messages of the global gates served without any swap:
+    /// diagonal gates (a local phase sweep), block gates whose selector
+    /// is global (each rank applies its own sub-block), and gates whose
+    /// global qubits an earlier swap already made local.
     pub exchanges_elided: u64,
-    /// Naive payload bytes minus actually-moved bytes (covers elision
-    /// and half-shard payloads).
+    /// Naive payload bytes minus moved bytes, so `bytes + bytes_saved`
+    /// is the [`plan_communication_naive`] payload on a fault-free run.
     pub bytes_saved: u64,
 }
 
@@ -67,11 +68,12 @@ impl AddAssign for CommStats {
 /// rejects: `n_ranks` must be a power of two small enough that every rank
 /// keeps at least 2 local qubits.
 ///
-/// This is the θ-aware plan: it resolves every gate's bound matrix,
-/// classifies it against the PGAS layout (diagonal → elided, block →
-/// half-payload or sub-block exchange) — it compiles the very tape the
-/// executor replays, so "measured == planned" is a structural identity
-/// on fault-free runs. Symbolic (unbound)
+/// This is the θ-aware plan: it resolves every gate's bound matrix and
+/// compiles the very tape the executor replays — which qubits a gate needs
+/// local (none for a diagonal, all but the selector for a block gate),
+/// the swaps that bring them there, the steps that restore the layout —
+/// so "measured == planned" is a structural identity on fault-free runs.
+/// Symbolic (unbound)
 /// circuits are planned against a representative generic binding; pass
 /// concrete angles via [`plan_communication_with`] when you have them.
 pub fn plan_communication(circuit: &Circuit, n_ranks: usize) -> Result<CommStats> {
@@ -136,12 +138,16 @@ mod tests {
         let mut c = Circuit::new(4);
         c.h(3); // with 4 ranks, qubits 2,3 are global
         let s = plan_communication(&c, 4).unwrap();
-        // 2 groups of 2 ranks, each rank sends to 1 partner: 4 messages.
-        // H is dense, so the plan and the naive baseline agree.
-        assert_eq!(s.messages, 4);
-        assert_eq!(s.bytes, 4 * 16 * 4); // partitions of 2^2 amplitudes
+        // One swap brings qubit 3 in and one takes it home: each is 4
+        // messages (every rank to its partner) of half a partition.
+        assert_eq!(s.messages, 8);
+        assert_eq!(s.bytes, 8 * 16 * 2); // partitions of 2^2 amplitudes
         assert_eq!(s.global_gates, 1);
-        assert_eq!(s, plan_communication_naive(&c, 4).unwrap());
+        assert_eq!(s.exchanges_elided, 0);
+        assert_eq!(s.bytes_saved, 0);
+        // The naive plan sends 4 whole partitions: the same bytes.
+        let naive = plan_communication_naive(&c, 4).unwrap();
+        assert_eq!((naive.messages, naive.bytes), (4, 4 * 16 * 4));
     }
 
     #[test]
@@ -169,13 +175,14 @@ mod tests {
         assert_eq!(naive.messages, 12);
         assert_eq!(naive.global_gates, 1);
         assert_eq!(naive.exchanges_elided, 0);
-        // θ-aware: CX's control-off sub-block is the identity, so only
-        // the two control-on ranks pair-exchange across the target bit.
+        // Swap: CX's control selects a sub-block, so only the target
+        // comes local (one swap in, one home; 4 half-partition messages
+        // each) and every rank applies its own sub-block.
         let lean = plan_communication(&c, 4).unwrap();
-        assert_eq!(lean.messages, 2);
-        assert_eq!(lean.bytes, 2 * 16 * 4);
-        assert_eq!(lean.exchanges_elided, 10);
-        assert_eq!(lean.bytes_saved, 10 * 16 * 4);
+        assert_eq!(lean.messages, 8);
+        assert_eq!(lean.bytes, 8 * 16 * 2);
+        assert_eq!(lean.exchanges_elided, 0);
+        assert_eq!(lean.bytes_saved, 12 * 16 * 4 - 8 * 16 * 2);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl CostModel {
     ///
     /// The model consumes whatever planner produced the counters: feed
     /// it [`plan_communication`](crate::comm::plan_communication) (the
-    /// θ-aware lean plan — elided diagonals, half-shard payloads) and
+    /// swap plan — elided diagonals, half-shard payloads) and
     /// the smaller `bytes` shrink the β term directly, so halving the
     /// moved payload halves the bandwidth-bound share of the modeled
     /// time.

@@ -5,10 +5,10 @@
 //! Perlmutter/Summit. One way to run a circuit sharded:
 //!
 //! - [`shard`] — the execution core: one compile (circuit → tape of gate
-//!   steps, snapshot barriers and scheduled faults), one generation loop
-//!   (one OS worker thread per rank, true partner-exchange messages on
-//!   global-qubit gates, respawn-and-replay from the last consistent cut
-//!   on failure), one θ-aware exchange protocol. [`run_sharded`] is that
+//!   steps, the half-shard swaps that make global qubits local, snapshot
+//!   barriers and scheduled faults), one generation loop (one OS worker
+//!   thread per rank, the swap its only message, respawn-and-replay from
+//!   the last consistent cut on failure). [`run_sharded`] is that
 //!   loop with snapshots, faults and recovery all off; the result is
 //!   bitwise identical to [`nwq_statevec::simulate`], which is the
 //!   reference every parity test compares against;
@@ -54,12 +54,13 @@ pub use snapshot::SnapshotStore;
 mod proptests {
     use crate::comm::{plan_communication, plan_communication_naive};
     use crate::{run_sharded, run_sharded_resilient, FaultSchedule, RecoveryOptions, ShardOptions};
-    use nwq_circuit::Circuit;
+    use nwq_circuit::{Circuit, Gate};
+    use nwq_common::mat::{mat_cx, mat_rx, mat_ry};
     use nwq_statevec::StateVector;
     use proptest::prelude::*;
 
     fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
-        let gate = (0..8u8, 0..n, 1..n.max(2), -3.0..3.0f64);
+        let gate = (0..9u8, 0..n, 1..n.max(2), -3.0..3.0f64);
         proptest::collection::vec(gate, 0..max_len).prop_map(move |specs| {
             let mut c = Circuit::new(n);
             for (kind, q, dq, angle) in specs {
@@ -73,6 +74,12 @@ mod proptests {
                     5 if q2 != q => c.cz(q, q2),
                     6 if q2 != q => c.rzz(q, q2, angle),
                     7 if q2 != q => c.swap(q, q2),
+                    // A dense 4×4 unitary: with SWAP, the two-qubit kind whose
+                    // kernel sums depend on which qubit is the matrix high bit.
+                    8 if q2 != q => {
+                        let m = mat_cx() * mat_ry(angle).kron(&mat_rx(0.5 - angle));
+                        c.push(Gate::Fused2(q, q2, m)).expect("distinct qubits")
+                    }
                     _ => c.rx(q, angle),
                 };
             }

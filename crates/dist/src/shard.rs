@@ -1,33 +1,34 @@
-//! Real sharded execution: one OS worker thread per rank, true message
-//! exchange on global-qubit gates.
+//! Real sharded execution: one OS worker thread per rank, and one kind of
+//! inter-rank message — the half-shard swap.
 //!
-//! Each rank's shard is owned by its own thread, and a gate on a global
-//! qubit moves the partner shard (or the half of it the gate reads)
-//! through a channel — the in-process analog of an MPI sendrecv: same
-//! payload sizes, same message counts, same pairing.
+//! Each rank's shard is owned by its own thread. The tape compiler keeps a
+//! logical → physical qubit layout; before a gate that needs a global
+//! qubit local, it swaps that qubit with a local one by exchanging half of
+//! each shard with the partner rank (Häner & Steiger, arXiv:1704.01127).
+//! Every gate then runs with the single-node kernels at its physical
+//! positions; the exchange is a channel send, the in-process analog of an
+//! MPI sendrecv: same payload sizes, same message counts, same pairing.
 //!
 //! There is one way to run: [`run_sharded_resilient`] compiles the circuit
-//! once (`compile_tape`: every gate matrix resolved and classified
-//! against the PGAS layout, snapshot barriers inserted, the
-//! [`FaultSchedule`] translated to tape coordinates) and then spawns
-//! worker generations over that tape until one completes. [`run_sharded`]
-//! is the same loop with snapshots off, an empty schedule and no recovery
-//! budget. Workers run lock-free — the only cross-thread traffic is the
-//! amplitude payloads themselves.
+//! once (`compile_tape`: every gate matrix resolved, the layout tracked,
+//! swaps and snapshot barriers inserted, the [`FaultSchedule`] translated
+//! to tape coordinates) and then spawns worker generations over that tape
+//! until one completes. [`run_sharded`] is the same loop with snapshots
+//! off, an empty schedule and no recovery budget. Workers run lock-free —
+//! the only cross-thread traffic is the amplitude payloads themselves.
 //!
 //! Bitwise parity with [`nwq_statevec::simulate`] is a hard invariant
 //! (pinned by tests and proptests across 1/2/4/8 shards, fault-free and
-//! under injected rank death): the per-shard apply paths in
-//! [`nwq_statevec::kernels`] mirror the single-node kernels' arithmetic
-//! exactly, including the diagonal fast paths.
+//! under injected rank death): swaps and transpositions only move data,
+//! and every gate runs the single-node kernel on the same operands.
 
 use crate::comm::CommStats;
 use crate::faults::FaultSchedule;
 use crate::partition::DistStateVector;
 use crate::snapshot::SnapshotStore;
-use nwq_circuit::{Circuit, Gate, GateMatrix};
+use nwq_circuit::{Circuit, GateMatrix};
 use nwq_common::{Error, Mat2, Mat4, Result, C64, C_ONE, C_ZERO};
-use nwq_statevec::kernels::{self, Mat4Shape, SubKind};
+use nwq_statevec::kernels::{self, DiagFactor, Mat4Shape, SubKind};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -72,139 +73,47 @@ impl From<&ShardOptions> for ExchangeDeadline {
     }
 }
 
-/// One entry of the compiled, deterministic step list every worker replays.
+/// One entry of the compiled, deterministic step list every worker
+/// replays. Qubit positions are physical slots: slots below `n_local` index
+/// the shard, the rest are rank-id bits.
 #[derive(Clone, Debug)]
 enum Step {
-    /// Rank-local single-qubit gate.
+    /// Non-diagonal single-qubit gate on a local slot.
     Local1(usize, Mat2),
-    /// Rank-local two-qubit gate, original argument order (the kernel
-    /// normalizes exactly like the single-node path).
+    /// Non-diagonal two-qubit gate on two local slots, in the gate's
+    /// argument order (the kernel normalizes exactly like the single-node
+    /// path). A dense gate's slots are in the order of its logical qubits.
     Local2(usize, usize, Mat4),
-    /// Single-qubit gate on global (rank-id) bit `gbit`.
-    Global1 { gbit: usize, m: Mat2 },
-    /// Two-qubit gate, global bit `gbit` is the matrix high bit, `lo` is
-    /// rank-local.
-    GlobalLocal { gbit: usize, lo: usize, m: Mat4 },
-    /// Two-qubit gate on two global bits (`bhi` the matrix high bit).
-    GlobalGlobal { bhi: usize, blo: usize, m: Mat4 },
+    /// Diagonal gate: a phase sweep. Each rank reads the factor's global
+    /// slots off its own id, so no data moves.
+    Phase(DiagFactor),
+    /// Block gate whose selector sits on rank bit `gbit`: each rank applies
+    /// its own 2×2 sub-block to local slot `lo` (identity skipped).
+    LocalApply {
+        gbit: usize,
+        lo: usize,
+        sub: [(SubKind, Mat2); 2],
+    },
+    /// Swaps the qubit on rank bit `gbit` with the one in local slot `lo`:
+    /// each rank trades the half shard whose `lo` bit differs from its
+    /// `gbit` bit for its partner's matching half.
+    Swap { gbit: usize, lo: usize },
+    /// Transposes local slots `hi > lo` in place.
+    Transpose(usize, usize),
     /// Snapshot barrier: every rank deposits a bitwise copy of its shard
     /// as `version` of the consistent cut.
     Snapshot { version: usize },
 }
 
-/// Communication class of one tape step — a pure, deterministic function
-/// of the step's bound matrix and the PGAS layout, shared verbatim by the
-/// executing workers and the non-executing planner so "measured equals
-/// planned" stays a structural identity (and so recovery replay reproduces
-/// every elision decision bitwise).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CommClass {
-    /// Rank-local step (gates, snapshot barriers): no exchange.
-    Local,
-    /// Global gate with a diagonal matrix: a local phase sweep, zero
-    /// messages (each rank's bits select its diagonal entries).
-    Phase,
-    /// Global-local gate block-split on the *global* bit: each rank
-    /// applies its own 2×2 sub-block to the local qubit, zero messages.
-    LocalApply,
-    /// Dense pair exchange across global bit `gbit`: full-shard payload.
-    PairFull { gbit: usize },
-    /// Pair exchange across `gbit` where the partner's kernel reads only
-    /// the local-qubit-`lo` == `v` half of the shard: half payload.
-    PairHalf { gbit: usize, lo: usize, v: usize },
-    /// Global-global gate block-split on global bit `sel`: each rank's
-    /// `sel` bit picks a 2×2 sub-block acting across global bit `xbit`.
-    /// Identity sub-blocks are skipped, diagonal ones scale locally, and
-    /// only the `ndense` dense sub-blocks pair-exchange (full payload).
-    GlobalBlock {
-        sel: usize,
-        xbit: usize,
-        ndense: u32,
-    },
-    /// Dense global-global gate: full quad all-to-all.
-    Quad,
-}
-
-/// Per-step communication record: the class and the bound matrix's shape
-/// (for `Two` steps).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct StepComm {
-    pub(crate) class: CommClass,
-    /// Shape of the step's prenormalized matrix (`Dense` placeholder for
-    /// non-two-qubit steps).
-    pub(crate) shape: Mat4Shape,
-    /// Sends per rank the naive full-exchange pattern would make for this
-    /// step (1 pair / 3 quad / 0 local) — the `bytes_saved` baseline.
-    pub(crate) naive_sends: u8,
-}
-
-/// Classifies one step. The shape lattice comes from
-/// [`kernels::mat4_shape`]; the class decides the exchange *pattern* only
-/// — the executor picks arithmetic from the step + shape.
-fn classify_step(step: &Step) -> StepComm {
-    use kernels::mat4_shape;
-    let comm = |class, shape, naive_sends| StepComm {
-        class,
-        shape,
-        naive_sends,
-    };
-    match step {
-        Step::Local1(..) | Step::Local2(..) | Step::Snapshot { .. } => {
-            comm(CommClass::Local, Mat4Shape::Dense, 0)
-        }
-        Step::Global1 { gbit, m } => {
-            if kernels::mat2_is_diagonal(m) {
-                comm(CommClass::Phase, Mat4Shape::Dense, 1)
-            } else {
-                comm(CommClass::PairFull { gbit: *gbit }, Mat4Shape::Dense, 1)
-            }
-        }
-        Step::GlobalLocal { gbit, lo, m } => {
-            let shape = mat4_shape(m);
-            let class = match shape {
-                Mat4Shape::Diagonal => CommClass::Phase,
-                Mat4Shape::BlockHi { .. } => CommClass::LocalApply,
-                Mat4Shape::BlockLo { ka, kb, .. } => {
-                    match (ka == SubKind::Dense, kb == SubKind::Dense) {
-                        (true, false) => CommClass::PairHalf {
-                            gbit: *gbit,
-                            lo: *lo,
-                            v: 0,
-                        },
-                        (false, true) => CommClass::PairHalf {
-                            gbit: *gbit,
-                            lo: *lo,
-                            v: 1,
-                        },
-                        // Both dense needs the partner's both halves; both
-                        // non-dense cannot occur (that matrix is diagonal,
-                        // caught above) but the full exchange stays correct.
-                        _ => CommClass::PairFull { gbit: *gbit },
-                    }
-                }
-                Mat4Shape::Dense => CommClass::PairFull { gbit: *gbit },
-            };
-            comm(class, shape, 1)
-        }
-        Step::GlobalGlobal { bhi, blo, m } => {
-            let shape = mat4_shape(m);
-            let class = match shape {
-                Mat4Shape::Diagonal => CommClass::Phase,
-                Mat4Shape::BlockHi { ka, kb, .. } => CommClass::GlobalBlock {
-                    sel: *bhi,
-                    xbit: *blo,
-                    ndense: (ka == SubKind::Dense) as u32 + (kb == SubKind::Dense) as u32,
-                },
-                Mat4Shape::BlockLo { ka, kb, .. } => CommClass::GlobalBlock {
-                    sel: *blo,
-                    xbit: *bhi,
-                    ndense: (ka == SubKind::Dense) as u32 + (kb == SubKind::Dense) as u32,
-                },
-                Mat4Shape::Dense => CommClass::Quad,
-            };
-            comm(class, shape, 3)
-        }
-    }
+/// The naive full-exchange cost of the gate a step completes, per rank:
+/// the sends that pattern would make (1 for one global qubit, 3 for two,
+/// 0 for swaps, transpositions, barriers and local gates), and how many of
+/// those the step served without any swap. Booked by the workers and the
+/// planner alike, it gives `bytes_saved` and `exchanges_elided`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Naive {
+    sends: u8,
+    elided: u8,
 }
 
 /// The layout check every dist entry point shares: a power-of-two rank
@@ -224,47 +133,127 @@ pub(crate) fn validate_ranks(n_qubits: usize, n_ranks: usize) -> Result<usize> {
     Ok(n_qubits - n_global)
 }
 
-/// Classifies and resolves one gate against the PGAS layout.
-fn gate_step(gate: &Gate, params: &[f64], n_local: usize) -> Result<Step> {
-    Ok(match gate.matrix(params)? {
-        GateMatrix::One(q, m) => {
-            if q < n_local {
-                Step::Local1(q, m)
+/// The logical qubits of a gate (a one-qubit gate's twice).
+fn gate_qubits(gm: &GateMatrix) -> [usize; 2] {
+    match *gm {
+        GateMatrix::One(q, _) => [q, q],
+        GateMatrix::Two(a, b, _) => [a, b],
+    }
+}
+
+/// The logical qubits a gate needs in local slots: every qubit a
+/// non-diagonal gate mixes, which is all of them but a block gate's
+/// selector.
+fn needs_local(gm: &GateMatrix) -> [Option<usize>; 2] {
+    match gm {
+        GateMatrix::One(q, m) => [(!kernels::mat2_is_diagonal(m)).then_some(*q), None],
+        GateMatrix::Two(a, b, m) => match kernels::mat4_shape(m) {
+            Mat4Shape::Diagonal => [None, None],
+            Mat4Shape::BlockHi { .. } => [Some(*b), None],
+            Mat4Shape::BlockLo { .. } => [Some(*a), None],
+            Mat4Shape::Dense => [Some(*a), Some(*b)],
+        },
+    }
+}
+
+/// Where each logical qubit lives while the tape is compiled.
+struct Layout {
+    n_local: usize,
+    /// `slot[q]`: the physical slot of logical qubit `q`.
+    slot: Vec<usize>,
+    /// `qubit[s]`: the logical qubit in slot `s`.
+    qubit: Vec<usize>,
+}
+
+impl Layout {
+    fn canonical(n_qubits: usize, n_local: usize) -> Self {
+        Layout {
+            n_local,
+            slot: (0..n_qubits).collect(),
+            qubit: (0..n_qubits).collect(),
+        }
+    }
+
+    /// Exchanges the qubits of slots `s` and `t` (at least one local) and
+    /// returns the step that moves the data: a half-shard swap when one
+    /// slot is global, a local transposition otherwise.
+    fn exchange(&mut self, s: usize, t: usize) -> Step {
+        let (hi, lo) = (s.max(t), s.min(t));
+        debug_assert!(lo < self.n_local && hi > lo);
+        self.qubit.swap(hi, lo);
+        self.slot[self.qubit[hi]] = hi;
+        self.slot[self.qubit[lo]] = lo;
+        if hi >= self.n_local {
+            Step::Swap {
+                gbit: hi - self.n_local,
+                lo,
+            }
+        } else {
+            Step::Transpose(hi, lo)
+        }
+    }
+
+    /// The steps that return every qubit to its own slot: each misplaced
+    /// global slot takes its qubit back with one swap (one more first when
+    /// that qubit sits in another global slot), then local transpositions
+    /// sort the rest.
+    fn restore(&mut self) -> Vec<Step> {
+        let mut steps = Vec::new();
+        let n_local = self.n_local;
+        while let Some(g) = (n_local..self.qubit.len())
+            .filter(|&g| self.qubit[g] != g)
+            .min_by_key(|&g| self.slot[g] >= n_local)
+        {
+            let from = self.slot[g];
+            steps.push(if from < n_local {
+                self.exchange(g, from)
             } else {
-                Step::Global1 {
-                    gbit: q - n_local,
-                    m,
+                self.exchange(from, 0)
+            });
+        }
+        for l in 0..n_local {
+            if self.qubit[l] != l {
+                let from = self.slot[l];
+                steps.push(self.exchange(l, from));
+            }
+        }
+        steps
+    }
+
+    /// The step that runs a gate once every qubit it needs is local.
+    fn gate_step(&self, gm: &GateMatrix) -> Step {
+        match gm {
+            GateMatrix::One(q, m) if kernels::mat2_is_diagonal(m) => Step::Phase(DiagFactor::One {
+                q: self.slot[*q],
+                d: [m.0[0][0], m.0[1][1]],
+            }),
+            GateMatrix::One(q, m) => Step::Local1(self.slot[*q], *m),
+            GateMatrix::Two(a, b, m) => {
+                let (sa, sb) = (self.slot[*a], self.slot[*b]);
+                // Global slots sit above local ones, so `hi` is the global
+                // slot whenever there is one.
+                let (hi, lo, mh) = if sa > sb {
+                    (sa, sb, *m)
+                } else {
+                    (sb, sa, m.swap_qubits())
+                };
+                match kernels::mat4_shape(&mh) {
+                    Mat4Shape::Diagonal => Step::Phase(DiagFactor::Two {
+                        hi,
+                        lo,
+                        d: [mh.0[0][0], mh.0[1][1], mh.0[2][2], mh.0[3][3]],
+                    }),
+                    _ if hi < self.n_local => Step::Local2(sa, sb, *m),
+                    Mat4Shape::BlockHi { a, ka, b, kb } => Step::LocalApply {
+                        gbit: hi - self.n_local,
+                        lo,
+                        sub: [(ka, a), (kb, b)],
+                    },
+                    _ => unreachable!("every qubit but a block gate's selector is local"),
                 }
             }
         }
-        GateMatrix::Two(a, b, m) => match (a < n_local, b < n_local) {
-            (true, true) => Step::Local2(a, b, m),
-            (false, true) => Step::GlobalLocal {
-                gbit: a - n_local,
-                lo: b,
-                m,
-            },
-            (true, false) => Step::GlobalLocal {
-                gbit: b - n_local,
-                lo: a,
-                m: m.swap_qubits(),
-            },
-            (false, false) => {
-                // Normalize like the single-node kernel: numerically
-                // higher qubit becomes the matrix high bit.
-                let (hi, lo, m) = if a > b {
-                    (a, b, m)
-                } else {
-                    (b, a, m.swap_qubits())
-                };
-                Step::GlobalGlobal {
-                    bhi: hi - n_local,
-                    blo: lo - n_local,
-                    m,
-                }
-            }
-        },
-    })
+    }
 }
 
 /// One planned, fire-once fault in *tape* coordinates. The armed flag is
@@ -324,25 +313,41 @@ impl FaultPlan {
     }
 }
 
-/// Compiled execution: the shared step list, its tape-aligned
-/// communication plan, the armed faults, and the gate accounting
-/// (`plan_communication` must agree with what the workers measure; both
-/// are derived from the same per-step classification).
+/// Compiled execution: the shared step list with each step's naive cost,
+/// the armed faults, and the gate accounting (`plan_communication` must
+/// agree with what the workers measure; both read this tape).
 struct Tape {
     n_local: usize,
     steps: Vec<Step>,
-    comm: Vec<StepComm>,
+    naive: Vec<Naive>,
     faults: FaultPlan,
     snapshots_planned: usize,
+    /// Gates on canonically local qubits only.
     local_gates: u64,
+    /// Gates on at least one canonically global qubit.
     global_gates: u64,
 }
 
+impl Tape {
+    fn push(&mut self, step: Step, naive: Naive) {
+        self.steps.push(step);
+        self.naive.push(naive);
+    }
+}
+
 /// Resolves the circuit into the deterministic tape every worker replays:
-/// one step per gate (never fused — replay must be bitwise), a snapshot
-/// barrier every `snapshot_every` gates (0 = none), `schedule` translated
-/// from gate to tape coordinates and armed fire-once, then the per-step
-/// communication classes.
+/// per gate, the swaps that make its qubits local, then the gate itself
+/// (never fused — replay must be bitwise); a snapshot barrier every
+/// `snapshot_every` gates (0 = none); `schedule` translated from gate to
+/// tape coordinates and armed fire-once; and after the last gate the
+/// steps that restore the canonical layout.
+///
+/// A swap evicts the local qubit whose next use that needs it local comes
+/// furthest away (Belady's rule), never one of the gate's own; ties go to
+/// the qubit whose own slot is the vacated global one, then to the highest
+/// slot. A dense gate whose slots run opposite to its logical qubits gets
+/// one local transposition first, so the kernel sees the single node's
+/// matrix orientation and sums in the single node's order.
 fn compile_tape(
     circuit: &Circuit,
     params: &[f64],
@@ -351,92 +356,98 @@ fn compile_tape(
     schedule: &FaultSchedule,
 ) -> Result<Tape> {
     let n_local = validate_ranks(circuit.n_qubits(), n_ranks)?;
-    let mut steps = Vec::with_capacity(circuit.len() + 1);
-    let mut faults = FaultPlan::default();
-    let (mut local_gates, mut global_gates, mut snapshots_planned) = (0u64, 0u64, 0usize);
-    for (gate_idx, gate) in circuit.gates().iter().enumerate() {
-        if snapshot_every > 0 && gate_idx > 0 && gate_idx % snapshot_every == 0 {
-            steps.push(Step::Snapshot {
-                version: snapshots_planned,
-            });
-            snapshots_planned += 1;
+    let gates = circuit
+        .gates()
+        .iter()
+        .map(|g| g.matrix(params))
+        .collect::<Result<Vec<_>>>()?;
+    let needs: Vec<_> = gates.iter().map(needs_local).collect();
+    // Per qubit, the indices of the gates that need it local, ascending.
+    let mut uses = vec![Vec::new(); circuit.n_qubits()];
+    for (i, need) in needs.iter().enumerate() {
+        for &q in need.iter().flatten() {
+            uses[q].push(i);
         }
-        let at = steps.len();
+    }
+    let next_use = |q: usize, after: usize| {
+        let u = &uses[q];
+        u.get(u.partition_point(|&i| i <= after))
+            .copied()
+            .unwrap_or(usize::MAX)
+    };
+    let mut layout = Layout::canonical(circuit.n_qubits(), n_local);
+    let mut tape = Tape {
+        n_local,
+        steps: Vec::with_capacity(circuit.len() + 1),
+        naive: Vec::with_capacity(circuit.len() + 1),
+        faults: FaultPlan::default(),
+        snapshots_planned: 0,
+        local_gates: 0,
+        global_gates: 0,
+    };
+    for (gate_idx, (gm, need)) in gates.iter().zip(&needs).enumerate() {
+        if snapshot_every > 0 && gate_idx > 0 && gate_idx % snapshot_every == 0 {
+            let version = tape.snapshots_planned;
+            tape.push(Step::Snapshot { version }, Naive::default());
+            tape.snapshots_planned += 1;
+        }
+        let at = tape.steps.len();
         for d in schedule.deaths.iter().filter(|d| d.gate_step == gate_idx) {
-            faults
-                .deaths
-                .push((PlannedFault::new(at, d.rank), d.mid_exchange));
+            let fault = PlannedFault::new(at, d.rank);
+            tape.faults.deaths.push((fault, d.mid_exchange));
         }
         for d in schedule.drops.iter().filter(|d| d.gate_step == gate_idx) {
-            faults.drops.push(PlannedFault::new(at, d.rank));
+            tape.faults.drops.push(PlannedFault::new(at, d.rank));
         }
         for d in schedule.delays.iter().filter(|d| d.gate_step == gate_idx) {
-            faults
-                .delays
-                .push((PlannedFault::new(at, d.rank), d.delay_ms));
+            let fault = PlannedFault::new(at, d.rank);
+            tape.faults.delays.push((fault, d.delay_ms));
         }
-        let step = gate_step(gate, params, n_local)?;
-        if matches!(step, Step::Local1(..) | Step::Local2(..)) {
-            local_gates += 1;
+        let own = gate_qubits(gm);
+        let mut swapped = false;
+        for &q in need.iter().flatten() {
+            let g = layout.slot[q];
+            if g < n_local {
+                continue;
+            }
+            let victim = (0..n_local)
+                .filter(|&l| !own.contains(&layout.qubit[l]))
+                .max_by_key(|&l| {
+                    let v = layout.qubit[l];
+                    (next_use(v, gate_idx), v == g, l)
+                })
+                .expect("at least 2 local slots, at most 1 held by the gate");
+            tape.push(layout.exchange(g, victim), Naive::default());
+            swapped = true;
+        }
+        if let GateMatrix::Two(a, b, m) = gm {
+            let (sa, sb) = (layout.slot[*a], layout.slot[*b]);
+            if kernels::mat4_shape(m) == Mat4Shape::Dense && (a > b) != (sa > sb) {
+                tape.push(layout.exchange(sa, sb), Naive::default());
+            }
+        }
+        let sends = match (own[0] >= n_local, own[1] >= n_local) {
+            (false, false) => 0,
+            (true, true) if own[0] != own[1] => 3,
+            _ => 1,
+        };
+        if sends == 0 {
+            tape.local_gates += 1;
         } else {
-            global_gates += 1;
+            tape.global_gates += 1;
         }
-        steps.push(step);
+        let elided = if swapped { 0 } else { sends };
+        tape.push(layout.gate_step(gm), Naive { sends, elided });
     }
-    let comm = steps.iter().map(classify_step).collect();
-    Ok(Tape {
-        n_local,
-        steps,
-        comm,
-        faults,
-        snapshots_planned,
-        local_gates,
-        global_gates,
-    })
-}
-
-/// Accumulates one classified step into planner totals — what `n` ranks
-/// running that step's class function send, elide and save, so the
-/// planner and the summed per-rank worker counters reduce to the same
-/// numbers. `pb` is the full-shard payload size in bytes.
-fn accumulate_step(stats: &mut CommStats, sc: &StepComm, n: u64, pb: u64) {
-    match sc.class {
-        CommClass::Local => {}
-        CommClass::Phase => {
-            let msgs = sc.naive_sends as u64 * n;
-            stats.exchanges_elided += msgs;
-            stats.bytes_saved += msgs * pb;
-        }
-        CommClass::LocalApply => {
-            stats.exchanges_elided += n;
-            stats.bytes_saved += n * pb;
-        }
-        CommClass::PairFull { .. } => {
-            stats.messages += n;
-            stats.bytes += n * pb;
-        }
-        CommClass::PairHalf { .. } => {
-            stats.messages += n;
-            stats.bytes += n * pb / 2;
-            stats.bytes_saved += n * pb / 2;
-        }
-        CommClass::GlobalBlock { ndense, .. } => {
-            let msgs = ndense as u64 * n / 2;
-            stats.messages += msgs;
-            stats.bytes += msgs * pb;
-            stats.exchanges_elided += 3 * n - msgs;
-            stats.bytes_saved += (3 * n - msgs) * pb;
-        }
-        CommClass::Quad => {
-            stats.messages += 3 * n;
-            stats.bytes += 3 * n * pb;
-        }
+    for step in layout.restore() {
+        tape.push(step, Naive::default());
     }
+    Ok(tape)
 }
 
 /// θ-aware communication plan: compiles the very tape the executor would
-/// run (`compile_tape`, same classification) and sums what its workers
-/// will send. Backs [`crate::comm::plan_communication_with`].
+/// run (`compile_tape`) and sums what its workers will send. Backs
+/// [`crate::comm::plan_communication_with`].
 pub(crate) fn plan_lean(circuit: &Circuit, params: &[f64], n_ranks: usize) -> Result<CommStats> {
     // Symbolic circuits plan against a representative generic binding:
     // every standard gate's *shape* is angle-independent away from
@@ -451,20 +462,29 @@ pub(crate) fn plan_lean(circuit: &Circuit, params: &[f64], n_ranks: usize) -> Re
         params
     };
     let tape = compile_tape(circuit, params, n_ranks, 0, &FaultSchedule::none())?;
-    let mut stats = CommStats {
+    let n = n_ranks as u64;
+    let part_bytes = 16u64 << tape.n_local;
+    let swaps = tape
+        .steps
+        .iter()
+        .filter(|s| matches!(s, Step::Swap { .. }))
+        .count() as u64;
+    let naive_sends: u64 = tape.naive.iter().map(|c| u64::from(c.sends)).sum();
+    let elided: u64 = tape.naive.iter().map(|c| u64::from(c.elided)).sum();
+    let bytes = swaps * n * part_bytes / 2;
+    Ok(CommStats {
+        messages: swaps * n,
+        bytes,
         local_gates: tape.local_gates,
         global_gates: tape.global_gates,
-        ..CommStats::default()
-    };
-    for sc in &tape.comm {
-        accumulate_step(&mut stats, sc, n_ranks as u64, 16u64 << tape.n_local);
-    }
-    Ok(stats)
+        exchanges_elided: elided * n,
+        bytes_saved: (naive_sends * n * part_bytes).saturating_sub(bytes),
+    })
 }
 
-/// Exchange payload: the sending rank's shard (or packed half-shard),
-/// tagged with the step index so a desynchronized mesh is detected
-/// instead of silently mixing states.
+/// Exchange payload: the sending rank's packed half shard, tagged with the
+/// step index so a desynchronized mesh is detected instead of silently
+/// mixing states.
 type Msg = (usize, Vec<C64>);
 
 /// What one worker thread reports back.
@@ -472,11 +492,11 @@ struct WorkerReport {
     shard: Vec<C64>,
     messages: u64,
     bytes: u64,
-    /// Messages the naive pattern would have sent but the step's structure
-    /// (diagonal elision, block-local application) did not.
+    /// Naive sends of the global gates this rank served without a swap.
     elided: u64,
-    /// Naive payload bytes minus actually-sent bytes.
-    saved: u64,
+    /// Bytes the naive full-exchange pattern would have sent for the
+    /// steps this rank ran.
+    naive_bytes: u64,
     seconds: f64,
 }
 
@@ -512,10 +532,9 @@ impl Mesh {
     /// Receives the step-`step` payload from `from` under the exchange
     /// deadline: each missed wait doubles the next one (bounded backoff),
     /// and an exhausted budget reports the partner as missing its deadline
-    /// instead of blocking the worker forever. `expect_len` is the payload
-    /// length this step's exchange class calls for — the full shard for a
-    /// dense exchange, half of it for a [`CommClass::PairHalf`] step — so
-    /// a desynchronized or mis-packed mesh is caught at the boundary.
+    /// instead of blocking the worker forever. `expect_len` is the half
+    /// shard a swap carries, so a desynchronized or mis-packed mesh is
+    /// caught at the boundary.
     fn recv(
         &self,
         rank: usize,
@@ -557,62 +576,40 @@ impl Mesh {
     }
 }
 
-/// Reusable exchange-payload buffers. Sends draw their backing storage
-/// here and receives return theirs, so a steady-state exchange loop
-/// allocates nothing after warm-up. Two slots cover the worst case (a
-/// quad step returns three payloads but the pool only needs enough for
-/// the next step's sends; pair steps cycle one buffer).
-#[derive(Default)]
-struct BufPool(Vec<Vec<C64>>);
-
-impl BufPool {
-    fn take(&mut self) -> Vec<C64> {
-        self.0.pop().unwrap_or_default()
-    }
-
-    fn put(&mut self, mut buf: Vec<C64>) {
-        if self.0.len() < 2 {
-            buf.clear();
-            self.0.push(buf);
-        }
-    }
-}
-
-/// Per-worker exchange endpoint: the mesh, the reusable payload-buffer
-/// pool, the faults armed for the step in flight, and the measured /
-/// avoided traffic counters.
+/// Per-worker exchange endpoint: the mesh, a reusable payload buffer (each
+/// swap sends one buffer and keeps the one it receives, so a steady-state
+/// run allocates nothing per swap after warm-up), the faults armed for the
+/// step in flight, and the measured and naive traffic counters.
 struct ExchangeIo<'a> {
     mesh: &'a Mesh,
     rank: usize,
     deadline: ExchangeDeadline,
-    pool: BufPool,
-    /// Full-shard payload size in bytes.
-    part_bytes: u64,
+    spare: Vec<C64>,
     /// A message-drop fault is armed for this step: sends are skipped
     /// silently, so partners hit their receive deadline.
     skip_sends: bool,
     /// A mid-exchange death is armed for this step: the rank dies after
-    /// the step's sends (if it has any) and before its receives.
+    /// the swap's send and before its receive.
     die_mid_exchange: bool,
     messages: u64,
     bytes: u64,
     elided: u64,
-    saved: u64,
+    naive_bytes: u64,
 }
 
 impl ExchangeIo<'_> {
     /// Fires the faults `plan` holds for (`step`, this rank), in schedule
     /// order: a straggler stall, then a death — clean deaths (and
-    /// "mid-exchange" ones on a step that is not a global gate) return
-    /// the kill error right here — then a message drop. Planned faults
-    /// fire exactly once across all generations; `step` is absolute, so
-    /// replay walks the same schedule.
-    fn arm_faults(&mut self, plan: &FaultPlan, step: usize, global_gate: bool) -> Result<()> {
+    /// "mid-exchange" ones on a step that is not a swap) return the kill
+    /// error right here — then a message drop. Planned faults fire exactly
+    /// once across all generations; `step` is absolute, so replay walks
+    /// the same schedule.
+    fn arm_faults(&mut self, plan: &FaultPlan, step: usize, swap: bool) -> Result<()> {
         if let Some(ms) = plan.delay_at(step, self.rank) {
             std::thread::sleep(Duration::from_millis(ms));
         }
         self.die_mid_exchange = match plan.death_at(step, self.rank) {
-            Some(mid) if mid && global_gate => true,
+            Some(mid) if mid && swap => true,
             Some(_) => return Err(killed(self.rank, step, false)),
             None => false,
         };
@@ -620,246 +617,111 @@ impl ExchangeIo<'_> {
         Ok(())
     }
 
-    /// Books `sends` naive messages this rank did not have to send.
-    fn elide(&mut self, sends: u64) {
-        self.elided += sends;
-        self.saved += sends * self.part_bytes;
-    }
-
-    /// One symmetric exchange with `mates`: sends the shard — or, with
-    /// `half = Some((lo, v))`, its packed `lo`-bit == `v` half — to each
-    /// mate, then receives the same-shaped payload from each, in `mates`
-    /// order. Sends copy into pooled buffers; receives validate the step
-    /// tag and payload length. An armed mid-exchange death fires between
-    /// the two halves, so partners see the payload arrive and then the
-    /// channel close.
-    fn exchange<const N: usize>(
-        &mut self,
-        step: usize,
-        mates: [usize; N],
-        shard: &[C64],
-        half: Option<(usize, usize)>,
-    ) -> Result<[Vec<C64>; N]> {
-        let len = if half.is_some() {
-            shard.len() / 2
-        } else {
-            shard.len()
-        };
+    /// [`Step::Swap`]: sends the half of `shard` whose `lo` bit differs
+    /// from this rank's `gbit` bit to the partner across `gbit`, then
+    /// receives the partner's matching half into the same place. Data
+    /// moves; no amplitude is computed. An armed mid-exchange death fires
+    /// between send and receive, so the partner sees the payload arrive
+    /// and then the channel close.
+    fn swap(&mut self, step: usize, shard: &mut [C64], gbit: usize, lo: usize) -> Result<()> {
+        let partner = self.rank ^ (1 << gbit);
+        let v = 1 - ((self.rank >> gbit) & 1);
+        let mut buf = std::mem::take(&mut self.spare);
+        if buf.capacity() < shard.len() {
+            // A whole shard's capacity, half of it used: an allocation the
+            // size of the shards is mapped and unmapped like them, so a
+            // run's swap buffers go back to the system when it ends
+            // instead of staying in a thread's heap (32 MiB more peak RSS
+            // on a 22-qubit, 2-rank run, measured with glibc).
+            buf = Vec::with_capacity(shard.len());
+        }
+        buf.resize(shard.len() / 2, C_ZERO);
+        copy_half(shard, &mut buf, lo, v, true);
         if !self.skip_sends {
-            for &to in &mates {
-                let mut buf = self.pool.take();
-                match half {
-                    Some((lo, v)) => kernels::pack_lo_half(shard, lo, v, &mut buf),
-                    None => buf.extend_from_slice(shard),
-                }
-                self.mesh.send(self.rank, to, step, buf)?;
-                self.messages += 1;
-                self.bytes += (len * 16) as u64;
-            }
+            self.mesh.send(self.rank, partner, step, buf)?;
+            self.messages += 1;
+            self.bytes += (shard.len() * 8) as u64;
         }
         if self.die_mid_exchange {
             return Err(killed(self.rank, step, true));
         }
-        let mut payloads: [Vec<C64>; N] = std::array::from_fn(|_| Vec::new());
-        for (slot, &from) in payloads.iter_mut().zip(&mates) {
-            *slot = self.mesh.recv(self.rank, from, step, len, self.deadline)?;
-        }
-        Ok(payloads)
+        let mut theirs =
+            self.mesh
+                .recv(self.rank, partner, step, shard.len() / 2, self.deadline)?;
+        copy_half(shard, &mut theirs, lo, v, false);
+        self.spare = theirs;
+        Ok(())
     }
 }
 
-/// One rank's live state: its shard and its exchange endpoint. One method
-/// per [`CommClass`]; every method uses the exact per-amplitude
-/// expressions of the single-node kernels, so the exchange pattern is
-/// invisible bitwise.
-struct Rank<'a> {
-    shard: Vec<C64>,
-    io: ExchangeIo<'a>,
-    /// Parts each rank-local sweep is cut into: the pool's threads shared
-    /// among the rank threads ([`kernels::parts_per_caller`]), so R busy
-    /// ranks do not each dispatch the whole pool.
-    parts: usize,
+/// Copies between the `lo`-bit == `v` half of `shard` and `packed`, that
+/// half in ascending index order: into `packed` when `pack`, back into the
+/// shard otherwise.
+fn copy_half(shard: &mut [C64], packed: &mut [C64], lo: usize, v: usize, pack: bool) {
+    let s_lo = 1usize << lo;
+    let runs = shard
+        .chunks_exact_mut(s_lo << 1)
+        .map(|c| &mut c[v * s_lo..(v + 1) * s_lo]);
+    if s_lo == 1 {
+        // Runs of one amplitude: an element loop, not a copy call per run
+        // (2-3x faster on the 2-vCPU host).
+        for (run, p) in runs.zip(packed.iter_mut()) {
+            if pack {
+                *p = run[0];
+            } else {
+                run[0] = *p;
+            }
+        }
+    } else {
+        for (run, p) in runs.zip(packed.chunks_exact_mut(s_lo)) {
+            if pack {
+                p.copy_from_slice(run);
+            } else {
+                run.copy_from_slice(p);
+            }
+        }
+    }
 }
 
-impl Rank<'_> {
-    /// This rank's value of global (rank-id) bit `b`.
-    fn bit(&self, b: usize) -> usize {
-        (self.io.rank >> b) & 1
+/// [`Step::Transpose`]: exchanges bits `hi > lo` of every local index in
+/// place — amplitudes with `hi` set and `lo` clear trade places with their
+/// mirror. Data moves; no amplitude is computed.
+fn transpose(shard: &mut [C64], hi: usize, lo: usize) {
+    let (s_hi, s_lo) = (1usize << hi, 1usize << lo);
+    for block in shard.chunks_mut(s_hi << 1) {
+        let (h0, h1) = block.split_at_mut(s_hi);
+        for (a, b) in h0.chunks_mut(s_lo << 1).zip(h1.chunks_mut(s_lo << 1)) {
+            a[s_lo..].swap_with_slice(&mut b[..s_lo]);
+        }
     }
+}
 
-    /// [`CommClass::Local`]: a rank-local gate or a snapshot deposit.
-    fn local(&mut self, step: &Step, s: usize, snapshots: &SnapshotStore) -> Result<()> {
-        match step {
-            Step::Local1(q, m) => kernels::apply_mat2_parts(&mut self.shard, *q, m, self.parts),
-            Step::Local2(a, b, m) => {
-                kernels::apply_mat4_parts(&mut self.shard, *a, *b, m, self.parts)
-            }
-            Step::Snapshot { version } => {
-                return snapshots.deposit(*version, s, self.io.rank, &self.shard)
-            }
-            _ => unreachable!("Local classifies rank-local steps only"),
-        }
-        Ok(())
-    }
-
-    /// [`CommClass::Phase`]: a diagonal global gate is a local phase sweep
-    /// (this rank's bits pick the diagonal entries).
-    fn phase(&mut self, step: &Step, sc: &StepComm) {
-        match step {
-            Step::Global1 { gbit, m } => {
-                let own = self.bit(*gbit);
-                kernels::apply_global_phase1(&mut self.shard, own, m);
-            }
-            Step::GlobalLocal { gbit, lo, m } => {
-                let own = self.bit(*gbit);
-                kernels::apply_global_local_phase(&mut self.shard, own, *lo, m);
-            }
-            Step::GlobalGlobal { bhi, blo, m } => {
-                let pos = (self.bit(*bhi) << 1) | self.bit(*blo);
-                kernels::apply_global_global_phase(&mut self.shard, pos, m);
-            }
-            _ => unreachable!("Phase classifies global steps only"),
-        }
-        self.io.elide(sc.naive_sends as u64);
-    }
-
-    /// [`CommClass::LocalApply`]: a gate block-split on its global bit —
-    /// this rank applies its own 2×2 sub-block to the local qubit.
-    fn local_apply(&mut self, step: &Step, sc: &StepComm) {
-        let Step::GlobalLocal { gbit, lo, .. } = step else {
-            unreachable!("LocalApply is a global-local class");
-        };
-        let Mat4Shape::BlockHi { a, ka, b, kb } = sc.shape else {
-            unreachable!("LocalApply comes from a BlockHi shape");
-        };
-        let (k, km) = if self.bit(*gbit) == 1 {
-            (kb, b)
-        } else {
-            (ka, a)
-        };
-        if k != SubKind::Identity {
-            kernels::apply_mat2_parts(&mut self.shard, *lo, &km, self.parts);
-        }
-        self.io.elide(1);
-    }
-
-    /// [`CommClass::PairFull`]: dense single-qubit gate on a global bit,
-    /// or a two-qubit gate that reads both `lo` halves of the partner.
-    fn pair_full(&mut self, step: &Step, sc: &StepComm, s: usize, gbit: usize) -> Result<()> {
-        let own = self.bit(gbit);
-        let [theirs] = self
-            .io
-            .exchange(s, [self.io.rank ^ (1 << gbit)], &self.shard, None)?;
-        let mine = &mut self.shard;
-        match (step, sc.shape) {
-            (Step::Global1 { m, .. }, _) => kernels::apply_exchanged_mat2(mine, &theirs, own, m),
-            (Step::GlobalLocal { lo, .. }, Mat4Shape::BlockLo { .. }) => {
-                kernels::apply_exchanged_blocklo(mine, &theirs, own, *lo, &sc.shape)
-            }
-            (Step::GlobalLocal { lo, m, .. }, _) => {
-                kernels::apply_exchanged_mat4_global_local(mine, &theirs, own, *lo, m)
-            }
-            _ => unreachable!("PairFull classifies Global1 and GlobalLocal steps only"),
-        }
-        self.io.pool.put(theirs);
-        Ok(())
-    }
-
-    /// [`CommClass::PairHalf`]: a gate block-split on its local qubit with
-    /// one dense sub-block — only the `lo == v` half crosses the wire.
-    fn pair_half(
-        &mut self,
-        sc: &StepComm,
-        s: usize,
-        gbit: usize,
-        lo: usize,
-        v: usize,
-    ) -> Result<()> {
-        let Mat4Shape::BlockLo { a, ka, b, kb } = sc.shape else {
-            unreachable!("PairHalf comes from a BlockLo shape");
-        };
-        let own = self.bit(gbit);
-        let (dense_m, other_k, other_m) = if v == 0 { (a, kb, b) } else { (b, ka, a) };
-        // The non-exchanged `lo == 1-v` stripe applies its own
-        // identity/diagonal sub-block locally; the stripes are disjoint,
-        // so ordering against the pack is free.
-        if other_k != SubKind::Identity {
-            kernels::scale_lo_half(&mut self.shard, lo, 1 - v, other_m.0[own][own]);
-        }
-        let [theirs] =
-            self.io
-                .exchange(s, [self.io.rank ^ (1 << gbit)], &self.shard, Some((lo, v)))?;
-        self.io.saved += self.io.part_bytes / 2;
-        kernels::apply_exchanged_half(&mut self.shard, &theirs, own, lo, v, &dense_m);
-        self.io.pool.put(theirs);
-        Ok(())
-    }
-
-    /// [`CommClass::GlobalBlock`]: this rank's `sel` bit picks a 2×2
-    /// sub-block acting across global bit `xbit`; only a dense sub-block
-    /// exchanges, and its partner shares the `sel` bit, so it takes the
-    /// same arm and the exchange stays symmetric.
-    fn global_block(&mut self, sc: &StepComm, s: usize, sel: usize, xbit: usize) -> Result<()> {
-        let (Mat4Shape::BlockHi { a, ka, b, kb } | Mat4Shape::BlockLo { a, ka, b, kb }) = sc.shape
-        else {
-            unreachable!("GlobalBlock comes from a block shape");
-        };
-        let (k, km) = if self.bit(sel) == 1 { (kb, b) } else { (ka, a) };
-        let xv = self.bit(xbit);
-        match k {
-            SubKind::Identity => self.io.elide(3),
-            SubKind::Diag => {
-                kernels::scale_amps(&mut self.shard, km.0[xv][xv]);
-                self.io.elide(3);
-            }
-            SubKind::Dense => {
-                let [theirs] =
-                    self.io
-                        .exchange(s, [self.io.rank ^ (1 << xbit)], &self.shard, None)?;
-                kernels::apply_exchanged_mat2(&mut self.shard, &theirs, xv, &km);
-                self.io.pool.put(theirs);
-                self.io.elide(2);
+/// The factor one rank applies for a [`Step::Phase`]: the factor's global
+/// slots read off the rank id, so what is left acts on local slots only
+/// (a scalar rides as a factor with equal entries).
+fn local_factor(f: &DiagFactor, rank: usize, n_local: usize) -> DiagFactor {
+    let bit = |s: usize| (rank >> (s - n_local)) & 1;
+    let scalar = |d: C64| DiagFactor::One { q: 0, d: [d, d] };
+    match *f {
+        DiagFactor::One { q, d } if q >= n_local => scalar(d[bit(q)]),
+        DiagFactor::Two { hi, lo, d } if lo >= n_local => scalar(d[(bit(hi) << 1) | bit(lo)]),
+        DiagFactor::Two { hi, lo, d } if hi >= n_local => {
+            let h = bit(hi) << 1;
+            DiagFactor::One {
+                q: lo,
+                d: [d[h], d[h | 1]],
             }
         }
-        Ok(())
-    }
-
-    /// [`CommClass::Quad`]: dense gate on two global bits — all-to-all
-    /// within the quad of ranks that differ in those bits.
-    fn quad(&mut self, step: &Step, s: usize) -> Result<()> {
-        let Step::GlobalGlobal { bhi, blo, m } = step else {
-            unreachable!("Quad is a global-global class");
-        };
-        let pos = (self.bit(*bhi) << 1) | self.bit(*blo);
-        // Quad mates in ascending bit-position order, the payload order
-        // the kernel expects.
-        let base = self.io.rank & !(1 << bhi) & !(1 << blo);
-        let mut mates = [0usize; 3];
-        for (mate, p) in mates.iter_mut().zip((0..4).filter(|&p| p != pos)) {
-            *mate = base | ((p >> 1) << bhi) | ((p & 1) << blo);
-        }
-        let theirs = self.io.exchange(s, mates, &self.shard, None)?;
-        kernels::apply_exchanged_mat4_global_global(
-            &mut self.shard,
-            [&theirs[0], &theirs[1], &theirs[2]],
-            pos,
-            m,
-        );
-        for payload in theirs {
-            self.io.pool.put(payload);
-        }
-        Ok(())
+        local => local,
     }
 }
 
 /// The body of one rank's worker thread: replay the tape from
 /// `start_step` (0 for a fresh run, the restored cut's resume step after
-/// a recovery) against the owned shard — arm the step's faults, dispatch
-/// on its communication class, die if a mid-exchange death was armed and
-/// the class had no exchange to die in. Every channel failure and every
-/// exhausted exchange deadline maps to [`Error::Backend`] — a dead or
-/// wedged partner aborts this rank cleanly instead of deadlocking or
-/// panicking.
+/// a recovery) against the owned shard — arm the step's faults, run it,
+/// book its naive cost. Every channel failure and every exhausted exchange
+/// deadline maps to [`Error::Backend`] — a dead or wedged partner aborts
+/// this rank cleanly instead of deadlocking or panicking.
 fn worker(
     rank: usize,
     tape: &Tape,
@@ -870,8 +732,9 @@ fn worker(
     snapshots: &SnapshotStore,
 ) -> Result<WorkerReport> {
     let started = Instant::now();
-    let part_len = 1usize << tape.n_local;
-    let shard = init.unwrap_or_else(|| {
+    let n_local = tape.n_local;
+    let part_len = 1usize << n_local;
+    let mut shard = init.unwrap_or_else(|| {
         let mut zero = vec![C_ZERO; part_len];
         if rank == 0 {
             zero[0] = C_ONE;
@@ -879,45 +742,51 @@ fn worker(
         zero
     });
     debug_assert_eq!(shard.len(), part_len);
-    let mut w = Rank {
-        shard,
-        io: ExchangeIo {
-            mesh: &mesh,
-            rank,
-            deadline,
-            pool: BufPool::default(),
-            part_bytes: (part_len * 16) as u64,
-            skip_sends: false,
-            die_mid_exchange: false,
-            messages: 0,
-            bytes: 0,
-            elided: 0,
-            saved: 0,
-        },
-        parts: kernels::parts_per_caller(part_len, mesh.senders.len()),
+    // Each rank-local sweep gets the pool's threads shared among the rank
+    // threads, so R busy ranks do not each dispatch the whole pool.
+    let parts = kernels::parts_per_caller(part_len, mesh.senders.len());
+    let mut io = ExchangeIo {
+        mesh: &mesh,
+        rank,
+        deadline,
+        spare: Vec::new(),
+        skip_sends: false,
+        die_mid_exchange: false,
+        messages: 0,
+        bytes: 0,
+        elided: 0,
+        naive_bytes: 0,
     };
     for s in start_step..tape.steps.len() {
-        let (step, sc) = (&tape.steps[s], &tape.comm[s]);
-        w.io.arm_faults(&tape.faults, s, sc.class != CommClass::Local)?;
-        match sc.class {
-            CommClass::Local => w.local(step, s, snapshots)?,
-            CommClass::Phase => w.phase(step, sc),
-            CommClass::LocalApply => w.local_apply(step, sc),
-            CommClass::PairFull { gbit } => w.pair_full(step, sc, s, gbit)?,
-            CommClass::PairHalf { gbit, lo, v } => w.pair_half(sc, s, gbit, lo, v)?,
-            CommClass::GlobalBlock { sel, xbit, .. } => w.global_block(sc, s, sel, xbit)?,
-            CommClass::Quad => w.quad(step, s)?,
+        let step = &tape.steps[s];
+        io.arm_faults(&tape.faults, s, matches!(step, Step::Swap { .. }))?;
+        match step {
+            Step::Local1(q, m) => kernels::apply_mat2_parts(&mut shard, *q, m, parts),
+            Step::Local2(a, b, m) => kernels::apply_mat4_parts(&mut shard, *a, *b, m, parts),
+            Step::Phase(f) => {
+                let f = local_factor(f, rank, n_local);
+                kernels::apply_diag_sweep_parts(&mut shard, &[f], parts);
+            }
+            Step::LocalApply { gbit, lo, sub } => {
+                let (k, m) = sub[(rank >> gbit) & 1];
+                if k != SubKind::Identity {
+                    kernels::apply_mat2_parts(&mut shard, *lo, &m, parts);
+                }
+            }
+            Step::Swap { gbit, lo } => io.swap(s, &mut shard, *gbit, *lo)?,
+            Step::Transpose(hi, lo) => transpose(&mut shard, *hi, *lo),
+            Step::Snapshot { version } => snapshots.deposit(*version, s, rank, &shard)?,
         }
-        if w.io.die_mid_exchange {
-            return Err(killed(rank, s, true));
-        }
+        let naive = tape.naive[s];
+        io.elided += u64::from(naive.elided);
+        io.naive_bytes += u64::from(naive.sends) * (part_len * 16) as u64;
     }
     Ok(WorkerReport {
-        shard: w.shard,
-        messages: w.io.messages,
-        bytes: w.io.bytes,
-        elided: w.io.elided,
-        saved: w.io.saved,
+        shard,
+        messages: io.messages,
+        bytes: io.bytes,
+        elided: io.elided,
+        naive_bytes: io.naive_bytes,
         seconds: started.elapsed().as_secs_f64(),
     })
 }
@@ -1013,15 +882,19 @@ fn assemble(n_qubits: usize, tape: &Tape, reports: Vec<WorkerReport>) -> DistSta
         ..CommStats::default()
     };
     let mut partitions = Vec::with_capacity(n_ranks);
+    let mut naive_bytes = 0u64;
     for report in reports {
         stats.messages += report.messages;
         stats.bytes += report.bytes;
         stats.exchanges_elided += report.elided;
-        stats.bytes_saved += report.saved;
+        naive_bytes += report.naive_bytes;
         nwq_telemetry::histogram_record("dist.rank_seconds", report.seconds);
         nwq_telemetry::histogram_record("dist.rank_messages", report.messages as f64);
         partitions.push(report.shard);
     }
+    // A replayed suffix may hold the final swaps without the gates that
+    // paid for them, so the difference saturates.
+    stats.bytes_saved = naive_bytes.saturating_sub(stats.bytes);
     nwq_telemetry::counter_add("dist.messages", stats.messages);
     nwq_telemetry::counter_add("dist.bytes", stats.bytes);
     nwq_telemetry::counter_add("dist.local_gates", stats.local_gates);
@@ -1190,7 +1063,8 @@ pub fn run_sharded_resilient(
 mod tests {
     use super::*;
     use crate::comm::{plan_communication, plan_communication_naive};
-    use nwq_circuit::Circuit;
+    use nwq_circuit::{Circuit, Gate};
+    use nwq_common::mat::{mat_cx, mat_rx, mat_u3};
 
     fn sample_circuit(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
@@ -1258,10 +1132,8 @@ mod tests {
         assert_bitwise(&d, &single, "bound at run time");
     }
 
-    /// H sweep, then two half-exchange CX steps on the top qubit with
-    /// every global phase kind between them: `Global1` (rz), diagonal
-    /// `GlobalLocal` (cp), and — at ≥ 4 ranks — diagonal `GlobalGlobal`
-    /// (rzz).
+    /// H sweep, then two CX steps onto the top qubit with diagonal gates
+    /// between them (rz, cp, rzz), some of which meet a rank bit.
     fn apex_circuit(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         for q in 0..n {
@@ -1314,19 +1186,117 @@ mod tests {
 
     #[test]
     fn global_control_gates_apply_block_locally() {
-        // cx with a *global* control and local target: each rank applies
-        // I or X locally — zero messages, still bitwise.
+        // At 4 ranks, h(5) evicts qubit 4 (its next local use is never:
+        // it only ever selects) and ry(3) sends 5 back out, so cx(4, 0)
+        // meets a *global* control in superposition: each rank applies I
+        // or X to its local target, without a swap.
         let mut c = Circuit::new(6);
-        c.h(5).h(4).cx(5, 1).cx(4, 0);
+        c.h(4)
+            .h(5)
+            .ry(0, 0.3)
+            .ry(1, 0.5)
+            .ry(2, 0.7)
+            .ry(3, 0.9)
+            .cx(4, 0);
+        let tape = compile_tape(&c, &[], 4, 0, &FaultSchedule::none()).unwrap();
+        assert!(tape
+            .steps
+            .iter()
+            .any(|s| matches!(s, Step::LocalApply { gbit: 1, lo: 0, .. })));
         let single = nwq_statevec::simulate(&c, &[]).unwrap();
         for n_ranks in [4usize, 8] {
             let d = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).unwrap();
             let ctx = format!("blockhi ranks={n_ranks}");
             assert_bitwise(&d, &single, &ctx);
-            let stats = d.comm_stats();
-            // Only the two H's on global qubits exchange.
-            assert_eq!(stats.messages, 2 * n_ranks as u64, "{ctx}");
-            assert_eq!(stats, plan_communication(&c, n_ranks).unwrap(), "{ctx}");
+            assert_eq!(
+                d.comm_stats(),
+                plan_communication(&c, n_ranks).unwrap(),
+                "{ctx}"
+            );
+        }
+        // The cx is one of the global gates served without an exchange.
+        assert_eq!(plan_communication(&c, 4).unwrap().exchanges_elided, 4);
+    }
+
+    #[test]
+    fn dense_step_on_reversed_slots_transposes_first_and_moves_signed_zeros() {
+        // h(4) evicts qubit 0 (never needed local: z is diagonal), so the
+        // dense gate on logical (4, 1) finds 4 in slot 0, below 1: the
+        // tape transposes the two slots so the kernel sums in the single
+        // node's order (without it amplitude 2 is 2 ulp off). z(0) runs on
+        // a rank bit and leaves -0.0 in the zero amplitudes with bit 0
+        // set, which the transposition and the restoring swap must carry
+        // unchanged.
+        let dense = mat_cx() * mat_u3(0.8, 0.3, -0.5).kron(&mat_rx(-0.3));
+        let mut c = Circuit::new(5);
+        c.h(4)
+            .ry(1, 0.7)
+            .ry(2, -1.1)
+            .ry(3, 0.4)
+            .cx(2, 1)
+            .rz(4, 0.9)
+            .z(0);
+        c.push(Gate::Fused2(4, 1, dense)).unwrap();
+        c.z(0);
+        let single = nwq_statevec::simulate(&c, &[]).unwrap();
+        let neg_zero = single
+            .amplitudes()
+            .iter()
+            .flat_map(|a| [a.re, a.im])
+            .filter(|x| x.to_bits() == (-0.0f64).to_bits())
+            .count();
+        assert_eq!(neg_zero, 16);
+        for n_ranks in [2usize, 4] {
+            let tape = compile_tape(&c, &[], n_ranks, 0, &FaultSchedule::none()).unwrap();
+            let at = tape
+                .steps
+                .iter()
+                .rposition(|s| matches!(s, Step::Local2(..)))
+                .unwrap();
+            assert!(matches!(tape.steps[at - 1], Step::Transpose(1, 0)));
+            assert!(matches!(tape.steps[at], Step::Local2(1, 0, _)));
+            let d = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).unwrap();
+            assert_bitwise(&d, &single, &format!("reversed dense ranks={n_ranks}"));
+        }
+    }
+
+    /// `(swaps before the last gate, steps after it, of which swaps)`.
+    fn tape_shape(c: &Circuit, n_ranks: usize) -> (usize, usize, usize) {
+        let tape = compile_tape(c, &[], n_ranks, 0, &FaultSchedule::none()).unwrap();
+        let is_swap = |s: &&Step| matches!(s, Step::Swap { .. });
+        let last = tape
+            .steps
+            .iter()
+            .rposition(|s| !matches!(s, Step::Swap { .. } | Step::Transpose(..)))
+            .unwrap();
+        let (body, tail) = tape.steps.split_at(last + 1);
+        let tail_swaps = tail.iter().filter(is_swap).count();
+        (body.iter().filter(is_swap).count(), tail.len(), tail_swaps)
+    }
+
+    #[test]
+    fn hea_tapes_swap_then_restore_the_canonical_layout() {
+        // The ledger's and the CLI's layered HEA (H wall, RY layers, CX
+        // rings): (qubits, ranks, layers) → (triggered swaps, restore
+        // steps, restore swaps).
+        for (n, n_ranks, layers, want) in [
+            (22, 2, 2, (5, 3, 1)),
+            (14, 4, 2, (10, 6, 2)),
+            (24, 4, 1, (6, 2, 1)),
+        ] {
+            let mut c = Circuit::new(n);
+            for q in 0..n {
+                c.h(q);
+            }
+            for l in 0..layers {
+                for q in 0..n {
+                    c.ry(q, 0.3 + 0.1 * (l * n + q) as f64 / n as f64);
+                }
+                for q in 0..n {
+                    c.cx(q, (q + 1) % n);
+                }
+            }
+            assert_eq!(tape_shape(&c, n_ranks), want, "{n}q {n_ranks} ranks");
         }
     }
 

@@ -167,13 +167,14 @@ pub fn mat2_sub_kind(m: &Mat2) -> SubKind {
 /// Block structure of a prenormalized (`hi > lo`, high bit first)
 /// two-qubit matrix. Controlled gates are block-diagonal: CX with the
 /// control on the high bit is `BlockHi{I, X}`, with the control on the
-/// low bit `BlockLo{I, X}`. The sharded executor exploits this —
-/// `BlockHi` with a global high bit needs **no exchange at all** (each
-/// rank applies its own sub-block locally) and `BlockLo` with exactly one
-/// dense sub-block needs only **half** the shard from its partner — so
-/// the single-node kernels must take the *same* structural shortcuts to
-/// stay bitwise identical (an `Identity` sub-block is skipped, not
-/// multiplied; a 2-term MAC is not the 4-term MAC with zeros).
+/// low bit `BlockLo{I, X}`. The sharded executor exploits this — a block
+/// gate whose selector is a rank bit needs **no exchange at all** (each
+/// rank applies its own sub-block locally) — so the single-node kernels
+/// take the *same* structural shortcuts to stay bitwise identical (an
+/// `Identity` sub-block is skipped, not multiplied; a 2-term MAC is not
+/// the 4-term MAC with zeros). Both block shapes run the same 2-term
+/// update, so a block gate's bits do not depend on which of its qubits
+/// is the matrix high bit; a `Dense` gate's 4-term sums do.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Mat4Shape {
     /// Fully diagonal — handled by the diagonal fast path.
@@ -462,259 +463,6 @@ fn diag_parts(amps: &mut [C64], factors: &[DiagFactor], parts: usize) {
         window(base, lo);
         window(base + half, hi);
     });
-}
-
-/// Sharded single-qubit update for a *global* qubit (one whose bit lives
-/// in the rank id of a distributed run): every amplitude of `own` pairs
-/// with the amplitude at the same local index in `partner` (the exchanged
-/// shard of the partner rank), and `own_bit` says which half of each pair
-/// this shard holds. Mirrors [`apply_mat2`]'s arithmetic exactly — same
-/// diagonal fast path, same product/sum order — so a sharded run stays
-/// bitwise identical to the single-node kernel.
-pub fn apply_exchanged_mat2(own: &mut [C64], partner: &[C64], own_bit: usize, m: &Mat2) {
-    debug_assert_eq!(own.len(), partner.len());
-    debug_assert!(own_bit < 2);
-    nwq_telemetry::counter_add("kernels.amplitude_updates", own.len() as u64);
-    if mat2_is_diagonal(m) {
-        // Single-node takes the diagonal fast path (`amp *= d[bit]`,
-        // partner amplitude never read); replicate it or ±0.0 signs from
-        // `m00·x + 0·y` diverge bitwise.
-        return apply_global_phase1(own, own_bit, m);
-    }
-    if own_bit == 0 {
-        for (a, b) in own.iter_mut().zip(partner) {
-            *a = m.0[0][0] * *a + m.0[0][1] * *b;
-        }
-    } else {
-        for (a, b) in own.iter_mut().zip(partner) {
-            *a = m.0[1][0] * *b + m.0[1][1] * *a;
-        }
-    }
-}
-
-/// Sharded two-qubit update where the matrix's *high* bit is a global
-/// qubit (rank-id bit `own_hi_bit` for this shard) and its *low* bit is
-/// the rank-local qubit `lo`. `m` must be prenormalized (high bit first),
-/// exactly as [`apply_mat4_prenorm`] expects. Mirrors the dense quad
-/// update's row/column order (`simd::mat4_sweep`) bitwise.
-pub fn apply_exchanged_mat4_global_local(
-    own: &mut [C64],
-    partner: &[C64],
-    own_hi_bit: usize,
-    lo: usize,
-    m: &Mat4,
-) {
-    debug_assert_eq!(own.len(), partner.len());
-    debug_assert!(own_hi_bit < 2);
-    debug_assert!(1usize << lo < own.len());
-    nwq_telemetry::counter_add("kernels.amplitude_updates", own.len() as u64);
-    if mat4_is_diagonal(m) {
-        return apply_global_local_phase(own, own_hi_bit, lo, m);
-    }
-    let m = &{ *m };
-    let s_lo = 1usize << lo;
-    let lo_block = s_lo << 1;
-    for base in (0..own.len()).step_by(lo_block) {
-        for i in base..base + s_lo {
-            let j = i + s_lo;
-            // v indexed (hi bit << 1) | lo bit, matching the quad update.
-            let v = if own_hi_bit == 0 {
-                [own[i], own[j], partner[i], partner[j]]
-            } else {
-                [partner[i], partner[j], own[i], own[j]]
-            };
-            let rows = if own_hi_bit == 0 { [0, 1] } else { [2, 3] };
-            let r0 = &m.0[rows[0]];
-            let r1 = &m.0[rows[1]];
-            own[i] = r0[0] * v[0] + r0[1] * v[1] + r0[2] * v[2] + r0[3] * v[3];
-            own[j] = r1[0] * v[0] + r1[1] * v[1] + r1[2] * v[2] + r1[3] * v[3];
-        }
-    }
-}
-
-/// Sharded two-qubit update where BOTH qubits are global: four ranks form
-/// a quad, each holding one of the four bit positions. `pos` is this
-/// shard's position `(hi_bit << 1) | lo_bit`; `others` holds the three
-/// partner payloads for the remaining positions in ascending position
-/// order. `m` must be prenormalized (numerically higher qubit = matrix
-/// high bit). Bitwise-mirrors the dense quad update (`simd::mat4_sweep`).
-pub fn apply_exchanged_mat4_global_global(
-    own: &mut [C64],
-    others: [&[C64]; 3],
-    pos: usize,
-    m: &Mat4,
-) {
-    debug_assert!(pos < 4);
-    debug_assert!(others.iter().all(|o| o.len() == own.len()));
-    nwq_telemetry::counter_add("kernels.amplitude_updates", own.len() as u64);
-    if mat4_is_diagonal(m) {
-        return apply_global_global_phase(own, pos, m);
-    }
-    let m = &{ *m };
-    let row = &m.0[pos];
-    for (k, a) in own.iter_mut().enumerate() {
-        let mut v = [C64::default(); 4];
-        let mut oi = 0;
-        for (p, slot) in v.iter_mut().enumerate() {
-            if p == pos {
-                *slot = *a;
-            } else {
-                *slot = others[oi][k];
-                oi += 1;
-            }
-        }
-        *a = row[0] * v[0] + row[1] * v[1] + row[2] * v[2] + row[3] * v[3];
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lean-exchange kernels: phase elision and half-shard payloads for the
-// sharded executor. Every function here reduces to the
-// exact per-element expressions of the single-node kernels above, which
-// is what keeps exchange-lean distributed runs bitwise identical.
-// ---------------------------------------------------------------------
-
-/// Diagonal single-qubit gate on a *global* qubit: pure local phase, no
-/// exchange. Identical arithmetic to the diagonal arm of
-/// [`apply_exchanged_mat2`] (and thus to [`apply_mat2`]'s fast path).
-pub fn apply_global_phase1(own: &mut [C64], own_bit: usize, m: &Mat2) {
-    debug_assert!(own_bit < 2);
-    let d = if own_bit == 1 { m.0[1][1] } else { m.0[0][0] };
-    for a in own.iter_mut() {
-        *a *= d;
-    }
-}
-
-/// Diagonal two-qubit gate with a global high bit and local low qubit
-/// `lo`: pure local phase, no exchange.
-pub fn apply_global_local_phase(own: &mut [C64], own_hi_bit: usize, lo: usize, m: &Mat4) {
-    debug_assert!(own_hi_bit < 2);
-    let d = [m.0[0][0], m.0[1][1], m.0[2][2], m.0[3][3]];
-    for (k, a) in own.iter_mut().enumerate() {
-        *a *= d[(own_hi_bit << 1) | ((k >> lo) & 1)];
-    }
-}
-
-/// Diagonal two-qubit gate with both bits global (`pos` = this rank's
-/// `(hi_bit << 1) | lo_bit`): one scalar phase, no exchange.
-pub fn apply_global_global_phase(own: &mut [C64], pos: usize, m: &Mat4) {
-    debug_assert!(pos < 4);
-    let d = m.0[pos][pos];
-    for a in own.iter_mut() {
-        *a *= d;
-    }
-}
-
-/// Multiplies every amplitude by one scalar — the sub-block-diagonal arm
-/// of a block-structured global-global gate (the rank's whole shard sits
-/// on one diagonal entry of its sub-block).
-pub fn scale_amps(own: &mut [C64], d: C64) {
-    for a in own.iter_mut() {
-        *a *= d;
-    }
-}
-
-/// Packs the `lo`-bit == `v` half of a shard into `buf` (cleared first),
-/// in ascending index order — the payload layout of a half-shard
-/// exchange. The receiver walks the same order ([`apply_exchanged_half`]).
-pub fn pack_lo_half(shard: &[C64], lo: usize, v: usize, buf: &mut Vec<C64>) {
-    debug_assert!(v < 2);
-    let s_lo = 1usize << lo;
-    buf.clear();
-    buf.reserve(shard.len() / 2);
-    for c in shard.chunks(s_lo << 1) {
-        buf.extend_from_slice(&c[v * s_lo..(v + 1) * s_lo]);
-    }
-}
-
-/// Multiplies the `lo`-bit == `v` half of a shard by a scalar — the
-/// diagonal sub-block of a lo-block two-qubit gate whose high bit is
-/// global (the rank's high bit picks one diagonal entry).
-pub fn scale_lo_half(own: &mut [C64], lo: usize, v: usize, d: C64) {
-    let s_lo = 1usize << lo;
-    for c in own.chunks_mut(s_lo << 1) {
-        for a in c[v * s_lo..(v + 1) * s_lo].iter_mut() {
-            *a *= d;
-        }
-    }
-}
-
-/// Half-shard exchanged update: applies the dense 2×2 sub-block `m` of a
-/// lo-block-structured gate (global high bit, local low qubit `lo`)
-/// across the global bit, touching only elements with `lo`-bit == `v`.
-/// `packed` is the partner's matching half in [`pack_lo_half`] order.
-/// Mirrors the dense arm of [`simd::block_sweep`] bitwise.
-pub fn apply_exchanged_half(
-    own: &mut [C64],
-    packed: &[C64],
-    own_hi_bit: usize,
-    lo: usize,
-    v: usize,
-    m: &Mat2,
-) {
-    debug_assert!(own_hi_bit < 2);
-    debug_assert_eq!(packed.len(), own.len() / 2);
-    nwq_telemetry::counter_add("kernels.amplitude_updates", (own.len() / 2) as u64);
-    let s_lo = 1usize << lo;
-    let mut p = 0;
-    for c in own.chunks_mut(s_lo << 1) {
-        for a in c[v * s_lo..(v + 1) * s_lo].iter_mut() {
-            let b = packed[p];
-            p += 1;
-            *a = if own_hi_bit == 0 {
-                m.0[0][0] * *a + m.0[0][1] * b
-            } else {
-                m.0[1][0] * b + m.0[1][1] * *a
-            };
-        }
-    }
-}
-
-/// Full-payload exchanged update for a lo-block-structured gate with a
-/// global high bit: each `lo` stripe applies its own sub-block across the
-/// global bit (`Identity` skipped, `Diag` scaled, `Dense` paired with the
-/// partner's value at the same local index).
-pub fn apply_exchanged_blocklo(
-    own: &mut [C64],
-    partner: &[C64],
-    own_hi_bit: usize,
-    lo: usize,
-    shape: &Mat4Shape,
-) {
-    let Mat4Shape::BlockLo { a, ka, b, kb } = shape else {
-        panic!("apply_exchanged_blocklo needs a BlockLo shape");
-    };
-    debug_assert_eq!(own.len(), partner.len());
-    nwq_telemetry::counter_add("kernels.amplitude_updates", own.len() as u64);
-    let s_lo = 1usize << lo;
-    for (base, c) in own.chunks_mut(s_lo << 1).enumerate() {
-        let base = base * (s_lo << 1);
-        for (v, (k, m)) in [(ka, a), (kb, b)].iter().enumerate() {
-            match k {
-                SubKind::Identity => {}
-                SubKind::Diag => {
-                    let d = if own_hi_bit == 1 {
-                        m.0[1][1]
-                    } else {
-                        m.0[0][0]
-                    };
-                    for x in c[v * s_lo..(v + 1) * s_lo].iter_mut() {
-                        *x *= d;
-                    }
-                }
-                SubKind::Dense => {
-                    for (off, x) in c[v * s_lo..(v + 1) * s_lo].iter_mut().enumerate() {
-                        let bval = partner[base + v * s_lo + off];
-                        *x = if own_hi_bit == 0 {
-                            m.0[0][0] * *x + m.0[0][1] * bval
-                        } else {
-                            m.0[1][0] * bval + m.0[1][1] * *x
-                        };
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Probability that qubit `q` measures 1 (parallel reduction).
@@ -1007,15 +755,6 @@ mod tests {
         }
     }
 
-    /// Splits a full register into `2^n_global` rank shards.
-    fn shards(full: &[C64], n_global: usize) -> Vec<Vec<C64>> {
-        let n_ranks = 1usize << n_global;
-        let part = full.len() / n_ranks;
-        (0..n_ranks)
-            .map(|r| full[r * part..(r + 1) * part].to_vec())
-            .collect()
-    }
-
     fn assert_bitwise(sharded: &[Vec<C64>], full: &[C64], ctx: &str) {
         let part = sharded[0].len();
         for (r, shard) in sharded.iter().enumerate() {
@@ -1023,87 +762,6 @@ mod tests {
                 let b = full[r * part + k];
                 assert_eq!(a.re.to_bits(), b.re.to_bits(), "{ctx} rank={r} k={k}");
                 assert_eq!(a.im.to_bits(), b.im.to_bits(), "{ctx} rank={r} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn exchanged_mat2_bitwise_matches_single_node() {
-        let n = 4;
-        let n_local = 3; // 2 ranks, qubit 3 global
-        for m in [mat_h(), mat_x(), mat_y(), mat_rz(0.7)] {
-            let psi = rand_state(n, 17);
-            let mut full = psi.clone();
-            apply_mat2(&mut full, 3, &m);
-            let pre = shards(&psi, n - n_local);
-            let mut post = pre.clone();
-            for (r, shard) in post.iter_mut().enumerate() {
-                let own_bit = r & 1;
-                apply_exchanged_mat2(shard, &pre[r ^ 1], own_bit, &m);
-            }
-            assert_bitwise(&post, &full, "mat2");
-        }
-    }
-
-    #[test]
-    fn exchanged_mat4_global_local_bitwise_matches_single_node() {
-        let n = 4;
-        let n_local = 2; // 4 ranks, qubits 2,3 global
-        for (qa, qb) in [(3usize, 1usize), (1, 3)] {
-            for m in [mat_cx(), mat_swap(), mat_rzz(0.9), mat_cz()] {
-                let psi = rand_state(n, 23);
-                let mut full = psi.clone();
-                apply_mat4(&mut full, qa, qb, &m);
-                // Prenormalize exactly like apply_mat4: hi > lo, matrix
-                // swapped when the first argument is the low qubit.
-                let mat = if qa > qb { m } else { m.swap_qubits() };
-                let (hi, lo) = (qa.max(qb), qa.min(qb));
-                let gbit = hi - n_local;
-                let pre = shards(&psi, n - n_local);
-                let mut post = pre.clone();
-                for (r, shard) in post.iter_mut().enumerate() {
-                    let own_hi_bit = (r >> gbit) & 1;
-                    let partner = r ^ (1 << gbit);
-                    apply_exchanged_mat4_global_local(shard, &pre[partner], own_hi_bit, lo, &mat);
-                }
-                assert_bitwise(&post, &full, "mat4 gl");
-            }
-        }
-    }
-
-    #[test]
-    fn exchanged_mat4_global_global_bitwise_matches_single_node() {
-        let n = 4;
-        let n_local = 2; // 4 ranks, qubits 2,3 global
-        for (qa, qb) in [(2usize, 3usize), (3, 2)] {
-            for m in [mat_cx(), mat_swap(), mat_cz(), mat_cp(0.4)] {
-                let psi = rand_state(n, 31);
-                let mut full = psi.clone();
-                apply_mat4(&mut full, qa, qb, &m);
-                let mat = if qa > qb { m } else { m.swap_qubits() };
-                let (hi, lo) = (qa.max(qb), qa.min(qb));
-                let (bhi, blo) = (hi - n_local, lo - n_local);
-                let pre = shards(&psi, n - n_local);
-                let mut post = pre.clone();
-                for (r, shard) in post.iter_mut().enumerate() {
-                    let pos = (((r >> bhi) & 1) << 1) | ((r >> blo) & 1);
-                    let mates: Vec<&[C64]> = (0..4)
-                        .filter(|&p| p != pos)
-                        .map(|p| {
-                            let mut mate = r;
-                            mate = (mate & !(1 << bhi)) | (((p >> 1) & 1) << bhi);
-                            mate = (mate & !(1 << blo)) | ((p & 1) << blo);
-                            pre[mate].as_slice()
-                        })
-                        .collect();
-                    apply_exchanged_mat4_global_global(
-                        shard,
-                        [mates[0], mates[1], mates[2]],
-                        pos,
-                        &mat,
-                    );
-                }
-                assert_bitwise(&post, &full, "mat4 gg");
             }
         }
     }

@@ -4,7 +4,8 @@
 //! fault-free run, across shard counts. Stragglers that stay under the
 //! exchange deadline must never trip a spurious recovery.
 
-use nwq_circuit::Circuit;
+use nwq_circuit::{Circuit, Gate};
+use nwq_common::mat::{mat_cx, mat_rx, mat_ry};
 use nwq_dist::{
     distributed_energy, run_resilient_energy, run_sharded, run_sharded_resilient, FaultSchedule,
     RankDelay, RecoveryOptions, ShardOptions,
@@ -33,7 +34,7 @@ fn test_recovery(snapshot_every: usize) -> RecoveryOptions {
 /// Random circuits over the same gate alphabet the dist parity proptests
 /// sweep — every kind the sharded executor knows, local and global.
 fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
-    let gate = (0..8u8, 0..n, 1..n.max(2), -3.0..3.0f64);
+    let gate = (0..9u8, 0..n, 1..n.max(2), -3.0..3.0f64);
     proptest::collection::vec(gate, 1..max_len).prop_map(move |specs| {
         let mut c = Circuit::new(n);
         for (kind, q, dq, angle) in specs {
@@ -47,6 +48,12 @@ fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
                 5 if q2 != q => c.cz(q, q2),
                 6 if q2 != q => c.rzz(q, q2, angle),
                 7 if q2 != q => c.swap(q, q2),
+                // A dense 4×4 unitary: with SWAP, the two-qubit kind whose
+                // kernel sums depend on which qubit is the matrix high bit.
+                8 if q2 != q => {
+                    let m = mat_cx() * mat_ry(angle).kron(&mat_rx(0.5 - angle));
+                    c.push(Gate::Fused2(q, q2, m)).expect("distinct qubits")
+                }
                 _ => c.rx(q, angle),
             };
         }

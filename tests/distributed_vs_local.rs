@@ -75,11 +75,13 @@ fn planner_matches_execution_on_chemistry_circuits() {
 }
 
 #[test]
-fn lean_plan_halves_uccsd_payload_vs_naive() {
-    // The θ-aware plan (diagonal globals elided, half-shard payloads)
-    // moves at most half the bytes of the naive full-partition exchange
-    // on the 12-qubit UCCSD ansatz: naive/lean is 2.00 / 2.56 / 2.89 at
-    // 2 / 4 / 8 ranks, so the bound holds at equality on 2 ranks.
+fn swap_plan_moves_a_twentieth_of_naive_uccsd_payload() {
+    // UCCSD ladders reuse the same few qubits gate after gate: a swapped-in
+    // qubit stays local until evicted, so the swap plan moves under a
+    // twentieth of the naive full-partition exchange on the 12-qubit
+    // ansatz. naive/swap is 85 / 99 / 46 at 2 / 4 / 8 ranks (22 / 55 / 219
+    // swaps); the per-gate exchange plan it replaced sat at 2.00 / 2.56 /
+    // 2.89.
     let ansatz = uccsd_ansatz(12, 4).expect("UCCSD");
     let params: Vec<f64> = (0..ansatz.n_params())
         .map(|k| 0.05 + 0.02 * k as f64)
@@ -92,8 +94,8 @@ fn lean_plan_halves_uccsd_payload_vs_naive() {
             .bytes;
         assert!(lean > 0, "ranks={n_ranks}");
         assert!(
-            naive >= 2 * lean,
-            "ranks={n_ranks}: naive {naive} B < 2 x lean {lean} B"
+            naive >= 20 * lean,
+            "ranks={n_ranks}: naive {naive} B < 20 x swap {lean} B"
         );
     }
 }
@@ -101,8 +103,8 @@ fn lean_plan_halves_uccsd_payload_vs_naive() {
 #[test]
 fn lean_plan_keeps_layered_hea_payload_under_055_of_naive() {
     // Layered hardware-efficient circuit (RY sweep, CX ring crossing the
-    // global/local boundary, RZZ ladder): at 4 and 8 ranks the lean plan
-    // moves at most 0.55x the naive payload (2 ranks sit at 4/7).
+    // global/local boundary, RZZ ladder): at 4 and 8 ranks the swap plan
+    // moves at most 0.55x the naive payload (0.26-0.31x today).
     for (n, layers) in [(12usize, 1usize), (24, 2)] {
         let mut c = nwq_circuit::Circuit::new(n);
         for q in 0..n {
@@ -157,12 +159,12 @@ fn plan_pins_the_hea_traffic_of_the_ledger_and_ci_runs() {
             2,
             2,
             CommStats {
-                messages: 10,
-                bytes: 268_435_456,
+                messages: 12,
+                bytes: 201_326_592,
                 global_gates: 7,
                 local_gates: 103,
-                exchanges_elided: 4,
-                bytes_saved: 201_326_592,
+                exchanges_elided: 8,
+                bytes_saved: 268_435_456,
             },
         ),
         (
@@ -170,12 +172,12 @@ fn plan_pins_the_hea_traffic_of_the_ledger_and_ci_runs() {
             4,
             2,
             CommStats {
-                messages: 36,
-                bytes: 2_097_152,
+                messages: 48,
+                bytes: 1_572_864,
                 global_gates: 12,
                 local_gates: 58,
-                exchanges_elided: 28,
-                bytes_saved: 2_097_152,
+                exchanges_elided: 40,
+                bytes_saved: 2_621_440,
             },
         ),
         (
@@ -183,12 +185,12 @@ fn plan_pins_the_hea_traffic_of_the_ledger_and_ci_runs() {
             4,
             1,
             CommStats {
-                messages: 22,
-                bytes: 1_342_177_280,
+                messages: 28,
+                bytes: 939_524_096,
                 global_gates: 7,
                 local_gates: 65,
-                exchanges_elided: 14,
-                bytes_saved: 1_073_741_824,
+                exchanges_elided: 20,
+                bytes_saved: 1_476_395_008,
             },
         ),
     ];
