@@ -9,8 +9,12 @@
 //!
 //! For a flip-mask `m`, rank `r`'s partner shard is `r ⊕ (m >> n_local)` —
 //! each rank reads exactly one remote shard per group, the distributed
-//! analog of one exchanged message per rank. The per-rank partials are
-//! summed in rank order, so the reduction is deterministic.
+//! analog of one exchanged message per rank. A group's value is
+//! [`group_value`]'s fixed tree over aligned leaves in global index
+//! order: rank subtrees are added pairwise in rank order, and shards
+//! smaller than a leaf are chained inside it. So the energy is bitwise
+//! [`nwq_statevec::expval::energy_direct_batched`]'s on the gathered
+//! state, at every rank count and pool width.
 //!
 //! The expectation-phase traffic is recorded in telemetry
 //! (`dist.expval_messages` / `dist.expval_bytes`) but *not* folded into
@@ -19,10 +23,9 @@
 //! is pinned by tests.
 
 use crate::partition::DistStateVector;
-use nwq_common::{Error, Result};
+use nwq_common::{Error, Result, C64};
 use nwq_pauli::PauliOp;
-use nwq_statevec::expval::{shard_group_partial, GroupPhase};
-use rayon::prelude::*;
+use nwq_statevec::expval::{group_value, GroupPhase};
 
 /// Evaluates `Re⟨ψ|H|ψ⟩` on a sharded register without gathering.
 pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> {
@@ -36,6 +39,7 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
     let n_local = state.n_local();
     let n_ranks = state.n_ranks();
     let part_bytes = (state.partition_len() * 16) as u64;
+    let shards: Vec<&[C64]> = (0..n_ranks).map(|r| state.partition(r)).collect();
     let mut expval_messages = 0u64;
     let mut total = 0.0;
     for phase in GroupPhase::of(op.prepared()) {
@@ -54,23 +58,7 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
             // One cross-rank shard read per rank, mirroring an exchange.
             expval_messages += n_ranks as u64;
         }
-        // Per-rank partials computed in parallel, folded in rank order so
-        // the result is deterministic run-to-run.
-        let partials: Vec<_> = (0..n_ranks)
-            .into_par_iter()
-            .map(|r| {
-                shard_group_partial(
-                    state.partition(r),
-                    state.partition(r ^ global_flip),
-                    r,
-                    n_local,
-                    phase,
-                )
-            })
-            .collect();
-        for p in partials {
-            total += p;
-        }
+        total += group_value(&shards, n_local, phase);
     }
     nwq_telemetry::counter_add("dist.expval_messages", expval_messages);
     nwq_telemetry::counter_add("dist.expval_bytes", expval_messages * part_bytes);
@@ -108,6 +96,7 @@ mod tests {
     use super::*;
     use crate::shard::{run_sharded, ShardOptions};
     use nwq_circuit::Circuit;
+    use nwq_statevec::expval::shard_group_partial;
 
     fn sample_circuit(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
@@ -168,6 +157,54 @@ mod tests {
             let e = distributed_energy(&d, &h).unwrap();
             assert_eq!(e.to_bits(), streamed.to_bits(), "ranks={n_ranks}");
             assert!((e - per_term).abs() < 1e-12, "ranks={n_ranks}: {e}");
+        }
+    }
+
+    /// Above one readout leaf the energy is still bitwise the single
+    /// node's: at one leaf above the dispatch floor every shard of 2 ranks
+    /// is a leaf and 4 and 8 ranks chain their shards inside one; at two
+    /// leaves above it, 8-rank shards are still below a leaf.
+    #[test]
+    fn streamed_readout_is_bitwise_the_single_node_at_every_rank_count() {
+        use nwq_pauli::PauliString;
+        let floor = nwq_common::PAR_MIN_AMPS.trailing_zeros() as usize;
+        for n in [floor + 1, floor + 2] {
+            let mut c = Circuit::new(n);
+            for q in 0..n {
+                c.h(q);
+            }
+            c.ry(0, 0.3)
+                .cx(0, n - 1)
+                .ry(n - 1, -0.7)
+                .cx(n - 1, 1)
+                .rz(2, 0.4);
+            c.ry(n - 2, 1.1).cx(n - 2, 3);
+            // Complex coefficients keep every group off the phase tables;
+            // the flip masks reach rank bits at every rank count.
+            let top = 1u64 << (n - 1);
+            let terms = [
+                (C64::new(0.5, 0.1), 0, top | 0b11),
+                (C64::new(-0.3, 0.2), 0, 0b1010),
+                (C64::new(0.25, -0.05), top | 1, 0b100),
+                (C64::new(0.4, 0.3), top | 1, top | 0b10),
+                (C64::new(-0.2, 0.0), (top >> 1) | 0b10, 0b10),
+                (C64::new(0.15, 0.5), 0b1100, 0b0100),
+            ]
+            .map(|(c, x, z)| (c, PauliString::from_masks(n, x, z).unwrap()));
+            let h = PauliOp::from_terms(n, terms.to_vec());
+            assert_eq!(h.prepared().num_tables(), 0);
+            let single = nwq_statevec::simulate(&c, &[]).unwrap();
+            let expected = nwq_statevec::expval::energy_direct_batched(&single, &h).unwrap();
+            let reference = single.expectation(&h).unwrap().re;
+            assert!(
+                (expected - reference).abs() < 1e-12,
+                "{expected} vs {reference}"
+            );
+            for n_ranks in [1usize, 2, 4, 8] {
+                let d = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).unwrap();
+                let e = distributed_energy(&d, &h).unwrap();
+                assert_eq!(e.to_bits(), expected.to_bits(), "n={n} ranks={n_ranks}");
+            }
         }
     }
 

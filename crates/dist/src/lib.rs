@@ -51,7 +51,7 @@ pub use shard::{
 pub use snapshot::SnapshotStore;
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use crate::comm::{plan_communication, plan_communication_naive};
     use crate::{run_sharded, run_sharded_resilient, FaultSchedule, RecoveryOptions, ShardOptions};
     use nwq_circuit::{Circuit, Gate};
@@ -59,7 +59,7 @@ mod proptests {
     use nwq_statevec::StateVector;
     use proptest::prelude::*;
 
-    fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
+    pub(crate) fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
         let gate = (0..9u8, 0..n, 1..n.max(2), -3.0..3.0f64);
         proptest::collection::vec(gate, 0..max_len).prop_map(move |specs| {
             let mut c = Circuit::new(n);
@@ -87,7 +87,7 @@ mod proptests {
         })
     }
 
-    fn same_bits(a: &StateVector, b: &StateVector) -> bool {
+    pub(crate) fn same_bits(a: &StateVector, b: &StateVector) -> bool {
         a.amplitudes()
             .iter()
             .zip(b.amplitudes())

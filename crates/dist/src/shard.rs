@@ -17,18 +17,27 @@
 //! off, an empty schedule and no recovery budget. Workers run lock-free —
 //! the only cross-thread traffic is the amplitude payloads themselves.
 //!
+//! A rank does not sweep its shard once per step. The compiler groups each
+//! maximal run of steps that act only below the tile width
+//! ([`nwq_common::TILE_AMPS`]) into one tiled pass: the worker finishes
+//! every step of the run on one aligned tile before it touches the next,
+//! so the run streams the shard once, with each tile hot in L2.
+//!
 //! Bitwise parity with [`nwq_statevec::simulate`] is a hard invariant
-//! (pinned by tests and proptests across 1/2/4/8 shards, fault-free and
-//! under injected rank death): swaps and transpositions only move data,
-//! and every gate runs the single-node kernel on the same operands.
+//! (pinned by tests and proptests across 1/2/4/8 shards and every tile
+//! width, fault-free and under injected rank death): swaps and
+//! transpositions only move data, and every gate runs the single-node
+//! kernel on the same operands, in the same order per amplitude.
 
 use crate::comm::CommStats;
 use crate::faults::FaultSchedule;
 use crate::partition::DistStateVector;
 use crate::snapshot::SnapshotStore;
 use nwq_circuit::{Circuit, GateMatrix};
-use nwq_common::{Error, Mat2, Mat4, Result, C64, C_ONE, C_ZERO};
+use nwq_common::{Error, Mat2, Mat4, Result, C64, C_ONE, C_ZERO, TILE_AMPS};
 use nwq_statevec::kernels::{self, DiagFactor, Mat4Shape, SubKind};
+use rayon::prelude::*;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -103,6 +112,48 @@ enum Step {
     /// Snapshot barrier: every rank deposits a bitwise copy of its shard
     /// as `version` of the consistent cut.
     Snapshot { version: usize },
+}
+
+impl Step {
+    /// The highest shard slot a rank-local step acts on, as a rank sees it
+    /// (a phase factor's rank bits are read off the rank id, so a factor
+    /// on rank bits only acts on slot 0); `None` for the steps that move
+    /// data or cut a snapshot.
+    fn local_top(&self, n_local: usize) -> Option<usize> {
+        match self {
+            Step::Local1(q, _) => Some(*q),
+            Step::Local2(a, b, _) => Some(*a.max(b)),
+            Step::LocalApply { lo, .. } => Some(*lo),
+            Step::Phase(f) => Some(match local_factor(f, 0, n_local) {
+                DiagFactor::One { q, .. } => q,
+                DiagFactor::Two { hi, .. } => hi,
+            }),
+            Step::Swap { .. } | Step::Transpose(..) | Step::Snapshot { .. } => None,
+        }
+    }
+}
+
+/// The tile width of production tapes, in index bits.
+const TILE_BITS: usize = TILE_AMPS.trailing_zeros() as usize;
+
+/// Cuts `steps` into passes, the sweeps a rank makes over its shard: each
+/// maximal run of two or more steps whose slots all lie below `tile_bits`
+/// is one tiled pass, every other step a pass of its own. Swaps,
+/// transpositions and snapshots end a run, so a snapshot's resume step
+/// always starts a pass.
+fn group_passes(steps: &[Step], n_local: usize, tile_bits: usize) -> Vec<Range<usize>> {
+    let below = |s: &Step| s.local_top(n_local).is_some_and(|top| top < tile_bits);
+    let mut passes = Vec::new();
+    let mut start = 0;
+    while start < steps.len() {
+        let mut end = start + 1;
+        if below(&steps[start]) {
+            end += steps[end..].iter().take_while(|s| below(s)).count();
+        }
+        passes.push(start..end);
+        start = end;
+    }
+    passes
 }
 
 /// The naive full-exchange cost of the gate a step completes, per rank:
@@ -314,12 +365,16 @@ impl FaultPlan {
 }
 
 /// Compiled execution: the shared step list with each step's naive cost,
-/// the armed faults, and the gate accounting (`plan_communication` must
-/// agree with what the workers measure; both read this tape).
+/// the passes that cover it, the armed faults, and the gate accounting
+/// (`plan_communication` must agree with what the workers measure; both
+/// read this tape).
 struct Tape {
     n_local: usize,
     steps: Vec<Step>,
     naive: Vec<Naive>,
+    /// Step ranges, one per pass; a pass of more than one step is tiled.
+    passes: Vec<Range<usize>>,
+    tile_bits: usize,
     faults: FaultPlan,
     snapshots_planned: usize,
     /// Gates on canonically local qubits only.
@@ -340,7 +395,8 @@ impl Tape {
 /// (never fused — replay must be bitwise); a snapshot barrier every
 /// `snapshot_every` gates (0 = none); `schedule` translated from gate to
 /// tape coordinates and armed fire-once; and after the last gate the
-/// steps that restore the canonical layout.
+/// steps that restore the canonical layout. The steps are then cut into
+/// passes at `tile_bits` (0 tiles nothing).
 ///
 /// A swap evicts the local qubit whose next use that needs it local comes
 /// furthest away (Belady's rule), never one of the gate's own; ties go to
@@ -354,6 +410,7 @@ fn compile_tape(
     n_ranks: usize,
     snapshot_every: usize,
     schedule: &FaultSchedule,
+    tile_bits: usize,
 ) -> Result<Tape> {
     let n_local = validate_ranks(circuit.n_qubits(), n_ranks)?;
     let gates = circuit
@@ -380,6 +437,8 @@ fn compile_tape(
         n_local,
         steps: Vec::with_capacity(circuit.len() + 1),
         naive: Vec::with_capacity(circuit.len() + 1),
+        passes: Vec::new(),
+        tile_bits,
         faults: FaultPlan::default(),
         snapshots_planned: 0,
         local_gates: 0,
@@ -442,6 +501,7 @@ fn compile_tape(
     for step in layout.restore() {
         tape.push(step, Naive::default());
     }
+    tape.passes = group_passes(&tape.steps, n_local, tile_bits);
     Ok(tape)
 }
 
@@ -461,7 +521,7 @@ pub(crate) fn plan_lean(circuit: &Circuit, params: &[f64], n_ranks: usize) -> Re
     } else {
         params
     };
-    let tape = compile_tape(circuit, params, n_ranks, 0, &FaultSchedule::none())?;
+    let tape = compile_tape(circuit, params, n_ranks, 0, &FaultSchedule::none(), 0)?;
     let n = n_ranks as u64;
     let part_bytes = 16u64 << tape.n_local;
     let swaps = tape
@@ -635,8 +695,7 @@ impl ExchangeIo<'_> {
             // on a 22-qubit, 2-rank run, measured with glibc).
             buf = Vec::with_capacity(shard.len());
         }
-        buf.resize(shard.len() / 2, C_ZERO);
-        copy_half(shard, &mut buf, lo, v, true);
+        pack_half(shard, &mut buf, lo, v);
         if !self.skip_sends {
             self.mesh.send(self.rank, partner, step, buf)?;
             self.messages += 1;
@@ -645,40 +704,47 @@ impl ExchangeIo<'_> {
         if self.die_mid_exchange {
             return Err(killed(self.rank, step, true));
         }
-        let mut theirs =
-            self.mesh
-                .recv(self.rank, partner, step, shard.len() / 2, self.deadline)?;
-        copy_half(shard, &mut theirs, lo, v, false);
+        let theirs = self
+            .mesh
+            .recv(self.rank, partner, step, shard.len() / 2, self.deadline)?;
+        unpack_half(shard, &theirs, lo, v);
         self.spare = theirs;
         Ok(())
     }
 }
 
-/// Copies between the `lo`-bit == `v` half of `shard` and `packed`, that
-/// half in ascending index order: into `packed` when `pack`, back into the
-/// shard otherwise.
-fn copy_half(shard: &mut [C64], packed: &mut [C64], lo: usize, v: usize, pack: bool) {
-    let s_lo = 1usize << lo;
-    let runs = shard
-        .chunks_exact_mut(s_lo << 1)
-        .map(|c| &mut c[v * s_lo..(v + 1) * s_lo]);
-    if s_lo == 1 {
+/// Replaces `packed`'s contents with the `lo`-bit == `v` half of `shard`,
+/// in ascending index order. Each amplitude is written once: the buffer
+/// is never zero-filled first (that fill cost 9-11 ms on a 32 MiB shard's
+/// first swap, 2-vCPU host).
+fn pack_half(shard: &[C64], packed: &mut Vec<C64>, lo: usize, v: usize) {
+    packed.clear();
+    if lo == 0 {
         // Runs of one amplitude: an element loop, not a copy call per run
         // (2-3x faster on the 2-vCPU host).
-        for (run, p) in runs.zip(packed.iter_mut()) {
-            if pack {
-                *p = run[0];
-            } else {
-                run[0] = *p;
-            }
+        packed.extend(shard.chunks_exact(2).map(|pair| pair[v]));
+    } else {
+        let s_lo = 1usize << lo;
+        for c in shard.chunks_exact(s_lo << 1) {
+            packed.extend_from_slice(&c[v * s_lo..(v + 1) * s_lo]);
+        }
+    }
+}
+
+/// Writes `packed` back over the `lo`-bit == `v` half of `shard`: the
+/// inverse of [`pack_half`].
+fn unpack_half(shard: &mut [C64], packed: &[C64], lo: usize, v: usize) {
+    if lo == 0 {
+        for (pair, p) in shard.chunks_exact_mut(2).zip(packed) {
+            pair[v] = *p;
         }
     } else {
-        for (run, p) in runs.zip(packed.chunks_exact_mut(s_lo)) {
-            if pack {
-                p.copy_from_slice(run);
-            } else {
-                run.copy_from_slice(p);
-            }
+        let s_lo = 1usize << lo;
+        for (c, p) in shard
+            .chunks_exact_mut(s_lo << 1)
+            .zip(packed.chunks_exact(s_lo))
+        {
+            c[v * s_lo..(v + 1) * s_lo].copy_from_slice(p);
         }
     }
 }
@@ -690,8 +756,20 @@ fn transpose(shard: &mut [C64], hi: usize, lo: usize) {
     let (s_hi, s_lo) = (1usize << hi, 1usize << lo);
     for block in shard.chunks_mut(s_hi << 1) {
         let (h0, h1) = block.split_at_mut(s_hi);
-        for (a, b) in h0.chunks_mut(s_lo << 1).zip(h1.chunks_mut(s_lo << 1)) {
-            a[s_lo..].swap_with_slice(&mut b[..s_lo]);
+        let pairs = h0
+            .chunks_exact_mut(s_lo << 1)
+            .zip(h1.chunks_exact_mut(s_lo << 1));
+        if s_lo == 1 {
+            // Runs of one amplitude: an element loop, as in `pack_half`
+            // (slots (1, 0) of a 32 MiB shard: 1.7-2.0 against 2.8-3.6 ms
+            // with a `swap_with_slice` call per run, 2-vCPU host).
+            for (a, b) in pairs {
+                std::mem::swap(&mut a[1], &mut b[0]);
+            }
+        } else {
+            for (a, b) in pairs {
+                a[s_lo..].swap_with_slice(&mut b[..s_lo]);
+            }
         }
     }
 }
@@ -716,12 +794,66 @@ fn local_factor(f: &DiagFactor, rank: usize, n_local: usize) -> DiagFactor {
     }
 }
 
-/// The body of one rank's worker thread: replay the tape from
+/// Runs one rank-local step on `amps` — the whole shard or one aligned
+/// tile of it that holds every slot the step acts on — in `parts` parts.
+fn apply_local(amps: &mut [C64], step: &Step, rank: usize, n_local: usize, parts: usize) {
+    match step {
+        Step::Local1(q, m) => kernels::apply_mat2_parts(amps, *q, m, parts),
+        Step::Local2(a, b, m) => kernels::apply_mat4_parts(amps, *a, *b, m, parts),
+        Step::Phase(f) => {
+            let f = local_factor(f, rank, n_local);
+            kernels::apply_diag_sweep_parts(amps, &[f], parts);
+        }
+        Step::LocalApply { gbit, lo, sub } => {
+            let (k, m) = sub[(rank >> gbit) & 1];
+            if k != SubKind::Identity {
+                kernels::apply_mat2_parts(amps, *lo, &m, parts);
+            }
+        }
+        Step::Swap { .. } | Step::Transpose(..) | Step::Snapshot { .. } => {
+            unreachable!("data moves and barriers are not rank-local steps")
+        }
+    }
+}
+
+/// A tiled pass: every step of `steps` runs on one `tile`-amplitude block
+/// of the shard before the next block starts. Each step acts below the
+/// tile width, so it pairs amplitudes only inside a tile and every
+/// amplitude sees the same arithmetic in the same order as step by step
+/// over the whole shard. With `parts > 1` the pool's threads take whole
+/// tiles, in `parts` contiguous groups.
+fn run_tiled(
+    shard: &mut [C64],
+    steps: &[Step],
+    tile: usize,
+    rank: usize,
+    n_local: usize,
+    parts: usize,
+) {
+    let each = |t: &mut [C64]| {
+        for step in steps {
+            apply_local(t, step, rank, n_local, 1);
+        }
+    };
+    if parts <= 1 {
+        shard.chunks_mut(tile).for_each(each);
+    } else {
+        let group = shard.len().div_ceil(tile).div_ceil(parts) * tile;
+        shard
+            .par_chunks_mut(group)
+            .for_each(|g| g.chunks_mut(tile).for_each(each));
+    }
+}
+
+/// The body of one rank's worker thread: replay the tape's passes from
 /// `start_step` (0 for a fresh run, the restored cut's resume step after
-/// a recovery) against the owned shard — arm the step's faults, run it,
-/// book its naive cost. Every channel failure and every exhausted exchange
-/// deadline maps to [`Error::Backend`] — a dead or wedged partner aborts
-/// this rank cleanly instead of deadlocking or panicking.
+/// a recovery, which always starts a pass) against the owned shard — arm
+/// the faults of the pass's steps, run it, book its naive cost. The faults
+/// of a tiled run's steps fire before the run starts: a killed rank's
+/// shard is discarded and the replay resumes at a cut, so where in the
+/// run it dies does not matter. Every channel failure and every exhausted
+/// exchange deadline maps to [`Error::Backend`] — a dead or wedged partner
+/// aborts this rank cleanly instead of deadlocking or panicking.
 fn worker(
     rank: usize,
     tape: &Tape,
@@ -757,29 +889,30 @@ fn worker(
         elided: 0,
         naive_bytes: 0,
     };
-    for s in start_step..tape.steps.len() {
-        let step = &tape.steps[s];
-        io.arm_faults(&tape.faults, s, matches!(step, Step::Swap { .. }))?;
-        match step {
-            Step::Local1(q, m) => kernels::apply_mat2_parts(&mut shard, *q, m, parts),
-            Step::Local2(a, b, m) => kernels::apply_mat4_parts(&mut shard, *a, *b, m, parts),
-            Step::Phase(f) => {
-                let f = local_factor(f, rank, n_local);
-                kernels::apply_diag_sweep_parts(&mut shard, &[f], parts);
-            }
-            Step::LocalApply { gbit, lo, sub } => {
-                let (k, m) = sub[(rank >> gbit) & 1];
-                if k != SubKind::Identity {
-                    kernels::apply_mat2_parts(&mut shard, *lo, &m, parts);
-                }
+    let first = tape.passes.partition_point(|p| p.start < start_step);
+    debug_assert!(tape
+        .passes
+        .get(first)
+        .map_or(start_step == tape.steps.len(), |p| p.start == start_step));
+    for pass in &tape.passes[first..] {
+        for s in pass.clone() {
+            io.arm_faults(&tape.faults, s, matches!(tape.steps[s], Step::Swap { .. }))?;
+        }
+        let s = pass.start;
+        match &tape.steps[s] {
+            _ if pass.len() > 1 => {
+                let steps = &tape.steps[pass.clone()];
+                run_tiled(&mut shard, steps, 1 << tape.tile_bits, rank, n_local, parts);
             }
             Step::Swap { gbit, lo } => io.swap(s, &mut shard, *gbit, *lo)?,
             Step::Transpose(hi, lo) => transpose(&mut shard, *hi, *lo),
             Step::Snapshot { version } => snapshots.deposit(*version, s, rank, &shard)?,
+            step => apply_local(&mut shard, step, rank, n_local, parts),
         }
-        let naive = tape.naive[s];
-        io.elided += u64::from(naive.elided);
-        io.naive_bytes += u64::from(naive.sends) * (part_len * 16) as u64;
+        for naive in &tape.naive[pass.clone()] {
+            io.elided += u64::from(naive.elided);
+            io.naive_bytes += u64::from(naive.sends) * (part_len * 16) as u64;
+        }
     }
     Ok(WorkerReport {
         shard,
@@ -1004,8 +1137,31 @@ pub fn run_sharded_resilient(
     recovery: &RecoveryOptions,
     schedule: &FaultSchedule,
 ) -> Result<(DistStateVector, RecoveryReport)> {
+    run_resilient_tiled(
+        circuit, params, n_ranks, opts, recovery, schedule, TILE_BITS,
+    )
+}
+
+/// [`run_sharded_resilient`] with the tape's tile width given in index
+/// bits (0 tiles nothing): the tests sweep it.
+fn run_resilient_tiled(
+    circuit: &Circuit,
+    params: &[f64],
+    n_ranks: usize,
+    opts: &ShardOptions,
+    recovery: &RecoveryOptions,
+    schedule: &FaultSchedule,
+    tile_bits: usize,
+) -> Result<(DistStateVector, RecoveryReport)> {
     let _span = nwq_telemetry::span!("dist.run");
-    let tape = compile_tape(circuit, params, n_ranks, recovery.snapshot_every, schedule)?;
+    let tape = compile_tape(
+        circuit,
+        params,
+        n_ranks,
+        recovery.snapshot_every,
+        schedule,
+        tile_bits,
+    )?;
     let store = SnapshotStore::new(
         n_ranks,
         recovery.keep_versions,
@@ -1198,7 +1354,7 @@ mod tests {
             .ry(2, 0.7)
             .ry(3, 0.9)
             .cx(4, 0);
-        let tape = compile_tape(&c, &[], 4, 0, &FaultSchedule::none()).unwrap();
+        let tape = compile_tape(&c, &[], 4, 0, &FaultSchedule::none(), TILE_BITS).unwrap();
         assert!(tape
             .steps
             .iter()
@@ -1247,7 +1403,8 @@ mod tests {
             .count();
         assert_eq!(neg_zero, 16);
         for n_ranks in [2usize, 4] {
-            let tape = compile_tape(&c, &[], n_ranks, 0, &FaultSchedule::none()).unwrap();
+            let tape =
+                compile_tape(&c, &[], n_ranks, 0, &FaultSchedule::none(), TILE_BITS).unwrap();
             let at = tape
                 .steps
                 .iter()
@@ -1262,7 +1419,7 @@ mod tests {
 
     /// `(swaps before the last gate, steps after it, of which swaps)`.
     fn tape_shape(c: &Circuit, n_ranks: usize) -> (usize, usize, usize) {
-        let tape = compile_tape(c, &[], n_ranks, 0, &FaultSchedule::none()).unwrap();
+        let tape = compile_tape(c, &[], n_ranks, 0, &FaultSchedule::none(), TILE_BITS).unwrap();
         let is_swap = |s: &&Step| matches!(s, Step::Swap { .. });
         let last = tape
             .steps
@@ -1284,19 +1441,171 @@ mod tests {
             (14, 4, 2, (10, 6, 2)),
             (24, 4, 1, (6, 2, 1)),
         ] {
-            let mut c = Circuit::new(n);
+            assert_eq!(
+                tape_shape(&hea(n, layers), n_ranks),
+                want,
+                "{n}q {n_ranks} ranks"
+            );
+        }
+    }
+
+    /// The ledger's and `nwq dist`'s HEA: H wall, then per layer an RY
+    /// wall and a CX ring.
+    fn hea(n: usize, layers: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        for l in 0..layers {
             for q in 0..n {
-                c.h(q);
+                c.ry(q, 0.3 + 0.1 * (l * n + q) as f64 / n as f64);
             }
-            for l in 0..layers {
-                for q in 0..n {
-                    c.ry(q, 0.3 + 0.1 * (l * n + q) as f64 / n as f64);
-                }
-                for q in 0..n {
-                    c.cx(q, (q + 1) % n);
+            for q in 0..n {
+                c.cx(q, (q + 1) % n);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn hea22_ranks_make_50_passes_at_the_production_tile_width() {
+        // 110 gates + 6 swaps + 2 transpositions = 118 steps, one pass
+        // each untiled. At 2^15-amplitude tiles: 5 tiled runs, the 8 data
+        // moves, and 37 steps on slots 15..21.
+        let c = hea(22, 2);
+        let untiled = compile_tape(&c, &[], 2, 0, &FaultSchedule::none(), 0).unwrap();
+        assert_eq!((untiled.steps.len(), untiled.passes.len()), (118, 118));
+        let tape = compile_tape(&c, &[], 2, 0, &FaultSchedule::none(), TILE_BITS).unwrap();
+        assert_eq!(TILE_BITS, 15);
+        assert_eq!(tape.passes.len(), 50);
+        let runs = tape.passes.iter().filter(|p| p.len() > 1).count();
+        let moves = tape
+            .passes
+            .iter()
+            .filter(|p| matches!(tape.steps[p.start], Step::Swap { .. } | Step::Transpose(..)))
+            .count();
+        assert_eq!((runs, moves), (5, 8));
+        // Every step sits in exactly one pass, in tape order.
+        let covered: Vec<usize> = tape.passes.iter().flat_map(|p| p.clone()).collect();
+        assert_eq!(covered, (0..tape.steps.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tiled_passes_give_step_by_step_bits_in_any_part_count() {
+        // Every tiled pass of an 8-qubit 1-rank tape at 2^3-amplitude
+        // tiles, on a dense shard: whole tiles handed out in 1..=4 parts
+        // (what a one-rank run on a wide pool does) give the bits of the
+        // pass's steps run one by one over the whole shard.
+        let c = hea(8, 2);
+        let tape = compile_tape(&c, &[], 1, 0, &FaultSchedule::none(), 3).unwrap();
+        let shard: Vec<C64> = (0..256)
+            .map(|i| C64::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+            .collect();
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+        };
+        let mut runs = 0;
+        for pass in tape.passes.iter().filter(|p| p.len() > 1) {
+            let steps = &tape.steps[pass.clone()];
+            let mut want = shard.clone();
+            for step in steps {
+                apply_local(&mut want, step, 0, tape.n_local, 1);
+            }
+            for parts in 1..=4 {
+                let mut got = shard.clone();
+                run_tiled(&mut got, steps, 8, 0, tape.n_local, parts);
+                assert_eq!(bits(&got), bits(&want), "pass {pass:?} parts {parts}");
+            }
+            runs += 1;
+        }
+        assert!(runs >= 2, "{runs} tiled passes");
+    }
+
+    mod tiled {
+        use super::*;
+        use crate::proptests::{arb_circuit, same_bits};
+        use proptest::prelude::*;
+
+        fn run_at(
+            c: &Circuit,
+            n_ranks: usize,
+            schedule: &FaultSchedule,
+            tile_bits: usize,
+        ) -> (DistStateVector, RecoveryReport) {
+            run_resilient_tiled(
+                c,
+                &[],
+                n_ranks,
+                &test_opts(),
+                &test_recovery(3),
+                schedule,
+                tile_bits,
+            )
+            .unwrap()
+        }
+
+        /// The gate whose step sits second or later in a tiled run of the
+        /// tape at `tile_bits`, if there is one: gate steps are the tape's
+        /// rank-local steps, one per gate, in gate order.
+        fn gate_inside_a_run(c: &Circuit, n_ranks: usize, tile_bits: usize) -> Option<usize> {
+            let tape = compile_tape(c, &[], n_ranks, 3, &FaultSchedule::none(), tile_bits).unwrap();
+            let pass = tape.passes.iter().find(|p| p.len() > 1)?;
+            let at = pass.start + 1;
+            Some(
+                tape.steps[..at]
+                    .iter()
+                    .filter(|s| s.local_top(tape.n_local).is_some())
+                    .count(),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn tiled_tape_is_bitwise_the_untiled_one(
+                c in (5usize..=6).prop_flat_map(|n| arb_circuit(n, 24)),
+                kill_seed in 0usize..1000,
+            ) {
+                let single = nwq_statevec::simulate(&c, &[]).unwrap();
+                for n_ranks in [1usize, 2, 4, 8] {
+                    let (untiled, _) = run_at(&c, n_ranks, &FaultSchedule::none(), 0);
+                    prop_assert!(same_bits(&untiled.gather(), &single), "untiled ranks={}", n_ranks);
+                    let n_local = validate_ranks(c.n_qubits(), n_ranks).unwrap();
+                    for tile_bits in 1..=n_local {
+                        let ctx = format!("ranks={n_ranks} tile_bits={tile_bits}");
+                        let (d, report) = run_at(&c, n_ranks, &FaultSchedule::none(), tile_bits);
+                        prop_assert!(same_bits(&d.gather(), &single), "{}", ctx);
+                        prop_assert_eq!(d.comm_stats(), untiled.comm_stats());
+                        prop_assert_eq!(report.recoveries, 0);
+                        if let Some(gate) = gate_inside_a_run(&c, n_ranks, tile_bits) {
+                            let kill = FaultSchedule::kill(gate, kill_seed % n_ranks);
+                            let (d, report) = run_at(&c, n_ranks, &kill, tile_bits);
+                            prop_assert!(same_bits(&d.gather(), &single), "killed {}", ctx);
+                            prop_assert_eq!(report.recoveries, 1);
+                        }
+                    }
                 }
             }
-            assert_eq!(tape_shape(&c, n_ranks), want, "{n}q {n_ranks} ranks");
+        }
+    }
+
+    #[test]
+    fn transpose_moves_amplitudes_at_every_slot_pair() {
+        let n = 5;
+        let amps: Vec<C64> = (0..1usize << n)
+            .map(|i| C64::new(i as f64, -(i as f64)))
+            .collect();
+        for hi in 1..n {
+            for lo in 0..hi {
+                let mut t = amps.clone();
+                transpose(&mut t, hi, lo);
+                for (i, a) in t.iter().enumerate() {
+                    let (bh, bl) = ((i >> hi) & 1, (i >> lo) & 1);
+                    let j = i & !(1 << hi) & !(1 << lo) | bl << hi | bh << lo;
+                    assert_eq!(a.re, j as f64, "({hi}, {lo}) at {i}");
+                }
+            }
         }
     }
 

@@ -22,17 +22,18 @@
 //! which is the quantity paper Fig 3 compares.
 
 use crate::executor::Executor;
-use crate::kernels::dispatches;
+use crate::kernels::{dispatches, parallel_dispatch_enabled};
 use crate::plan::ExecPlan;
 use crate::state::StateVector;
 use nwq_circuit::basis::group_basis_circuit;
 use nwq_circuit::Circuit;
-use nwq_common::{bits::masked_parity, Error, Result, C64, C_ZERO};
+use nwq_common::{bits::masked_parity, Error, Result, C64, C_ZERO, PAR_MIN_AMPS};
 use nwq_pauli::grouping::MeasurementGroup;
 use nwq_pauli::prepared::PhaseTable;
 pub use nwq_pauli::prepared::{FlipGroup, PreparedObservable};
 use nwq_pauli::PauliOp;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Block width (amplitudes) of the serial batched-expectation sweep: big
 /// enough to amortize the SIMD dispatch and fill vector lanes, small
@@ -130,35 +131,6 @@ impl<'a> GroupPhase<'a> {
     pub fn mask(&self) -> u64 {
         self.group.mask
     }
-
-    /// `f(x)` at one (global) amplitude index.
-    #[inline]
-    fn at(&self, x: u64) -> C64 {
-        match self.table {
-            Some(t) => C64::new(t.get(x as usize), 0.0),
-            None => {
-                let mut f = C_ZERO;
-                for &(c, z) in &self.group.terms {
-                    let sign = 1.0 - 2.0 * ((x & z).count_ones() & 1) as f64;
-                    f += c.scale(sign);
-                }
-                f
-            }
-        }
-    }
-
-    /// `out[j] = f(base + j)` for a block of consecutive indices: the
-    /// streamed fold's phase block.
-    fn fill(&self, out: &mut [C64], base: usize) {
-        match self.table {
-            Some(_) => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = self.at((base + j) as u64);
-                }
-            }
-            None => crate::simd::group_phase_block(out, base, &self.group.terms),
-        }
-    }
 }
 
 /// Records one evaluation's sweep accounting: `term_sweeps` is what the
@@ -216,9 +188,44 @@ fn energy_prepared(
     ensure_finite_energy(total, "batched direct expectation")
 }
 
-/// One shard's contribution to the real part of a flip group's sum — the
-/// one fold every §4.2 reduction runs (a single-node state is the
-/// one-shard case):
+/// Amplitudes per leaf of the readout's reduction tree: a leaf is one
+/// serial fold, and leaves are what the pool runs in parallel.
+const LEAF: usize = PAR_MIN_AMPS;
+
+/// One flip group's real part over a whole register held as `shards`
+/// (rank order, `2^n_local` amplitudes each; a single-node state is one
+/// shard):
+///
+/// `Re Σ_x conj(ψ[x⊕m]) ψ[x] · f_m(x)`
+///
+/// The sum is a fixed binary tree over aligned leaves of
+/// [`PAR_MIN_AMPS`] amplitudes in global index order: each leaf is one
+/// serial fold (see [`shard_group_partial`]), and sibling values are added
+/// pairwise in index order. A shard of at least one leaf is its own
+/// subtree; shards smaller than a leaf are chained inside it in rank
+/// order, the fold's accumulator carried from one shard to the next. So
+/// the value depends neither on the rank count nor on the pool width, and
+/// a register of at most one leaf is the serial fold. Subtrees run in
+/// parallel when the pool can run them concurrently.
+pub fn group_value(shards: &[&[C64]], n_local: usize, phase: GroupPhase<'_>) -> f64 {
+    debug_assert!(shards.iter().all(|s| s.len() == 1usize << n_local));
+    let fold = Fold::new(phase, n_local);
+    let partner = (phase.mask() >> n_local) as usize;
+    let leaf_len = LEAF.min(shards.len() << n_local);
+    fold.tree((shards.len() << n_local) / leaf_len, |i| {
+        let (start, end) = (i * leaf_len, (i + 1) * leaf_len);
+        let mut acc = 0.0;
+        for r in start >> n_local..=(end - 1) >> n_local {
+            let shard = r << n_local;
+            let range = start.max(shard) - shard..end.min(shard + (1 << n_local)) - shard;
+            acc = fold.chain(acc, shards[r], shards[r ^ partner], r, range);
+        }
+        acc
+    })
+}
+
+/// One shard's contribution to the real part of a flip group's sum —
+/// its subtree of [`group_value`]'s tree:
 ///
 /// `Re Σ_{x ∈ shard} conj(ψ[x⊕m]) ψ[x] · f_m(x)`
 ///
@@ -226,19 +233,17 @@ fn energy_prepared(
 /// `partner` the shard holding the `x⊕m` side (the own shard again when
 /// the mask's rank bits are zero).
 ///
-/// The products are added in index order, whichever f source `phase`
-/// is. Shards the one dispatch rule sends to the pool
-/// ([`crate::kernels::dispatches`]: a multi-thread pool and at least
-/// `PAR_MIN_AMPS` amplitudes) are reduced per element in the pool's
-/// contiguous parts, so there — and only there — the sum's association
-/// depends on the pool width. Every smaller shard, on every host, takes
-/// the serial sweep: with a table, one fused multiply-add chain per run of
-/// the table; without, fill a block of phases `f` and pair weights `w`
-/// (both vectorize), then fold `w·f`. The diagonal (`m = 0`) group reads
-/// one amplitude per index via `norm_sqr` instead of a conjugate product
-/// (`Re(conj(a)·a)` computes `re·re − im·(−im)`, bitwise `norm_sqr`).
-/// NaN/Inf amplitudes poison the sum through the weights and surface in
-/// the callers' finiteness check.
+/// A shard of at most one leaf is one serial fold, in index order
+/// whichever f source `phase` is: with a table, one multiply-add chain per
+/// run of the table; without, fill a block of phases `f` (one multiply-add
+/// per term and lane, no popcount: see [`crate::simd::group_phase_block`])
+/// and pair weights `w` (both vectorize), then fold `w·f`. A larger shard
+/// folds each aligned [`PAR_MIN_AMPS`] leaf that way and adds the leaves
+/// pairwise in index order, so its value does not depend on the pool
+/// width. The diagonal (`m = 0`) group reads one amplitude per index via
+/// `norm_sqr` instead of a conjugate product (`Re(conj(a)·a)` computes
+/// `re·re − im·(−im)`, bitwise `norm_sqr`). NaN/Inf amplitudes poison the
+/// sum through the weights and surface in the callers' finiteness check.
 pub fn shard_group_partial(
     own: &[C64],
     partner: &[C64],
@@ -248,68 +253,143 @@ pub fn shard_group_partial(
 ) -> f64 {
     debug_assert_eq!(own.len(), partner.len());
     debug_assert_eq!(own.len(), 1usize << n_local);
-    let mask = phase.mask();
-    let flip = (mask != 0).then_some((mask & ((1u64 << n_local) - 1)) as usize);
-    let base = rank << n_local;
-    if dispatches(own.len()) {
-        let body = |k: usize| -> C64 {
-            let w = match flip {
-                None => C64::new(own[k].norm_sqr(), 0.0),
-                Some(m) => partner[k ^ m].conj() * own[k],
-            };
-            w * phase.at((base | k) as u64)
-        };
-        return (0..own.len())
-            .into_par_iter()
-            .map(body)
-            .reduce(|| C_ZERO, |a, b| a + b)
-            .re;
+    let fold = Fold::new(phase, n_local);
+    let leaf_len = LEAF.min(own.len());
+    fold.tree(own.len() / leaf_len, |i| {
+        fold.chain(0.0, own, partner, rank, i * leaf_len..(i + 1) * leaf_len)
+    })
+}
+
+/// One group's fold, ready to run over any aligned range of any shard:
+/// the f source, the flip's shard-local bits, and (for a streamed phase)
+/// the per-term sign patterns, built once per fold call.
+struct Fold<'a> {
+    phase: GroupPhase<'a>,
+    n_local: usize,
+    flip: Option<usize>,
+    patterns: Vec<f64>,
+}
+
+impl<'a> Fold<'a> {
+    #[inline]
+    fn new(phase: GroupPhase<'a>, n_local: usize) -> Self {
+        let mask = phase.mask();
+        Fold {
+            phase,
+            n_local,
+            flip: (mask != 0).then_some((mask & ((1u64 << n_local) - 1)) as usize),
+            patterns: match phase.table {
+                Some(_) => Vec::new(),
+                None => crate::simd::sign_patterns(&phase.group.terms),
+            },
+        }
     }
-    let Some(table) = phase.table else {
+
+    /// The pairwise tree over `n` (a power of two) leaf values in index
+    /// order: the leaves on the pool when there are several and it can
+    /// run them concurrently, then each level's siblings added in order.
+    #[inline]
+    fn tree(&self, n: usize, leaf: impl Fn(usize) -> f64 + Sync + Send) -> f64 {
+        debug_assert!(n.is_power_of_two());
+        if n == 1 {
+            return leaf(0);
+        }
+        let mut level: Vec<f64> = if parallel_dispatch_enabled() {
+            (0..n).into_par_iter().map(leaf).collect()
+        } else {
+            (0..n).map(leaf).collect()
+        };
+        while level.len() > 1 {
+            level = level.chunks_exact(2).map(|p| p[0] + p[1]).collect();
+        }
+        level[0]
+    }
+
+    /// The serial fold over `own[range]`, continuing from `acc`.
+    #[inline]
+    fn chain(
+        &self,
+        acc: f64,
+        own: &[C64],
+        partner: &[C64],
+        rank: usize,
+        range: Range<usize>,
+    ) -> f64 {
+        let base = rank << self.n_local;
+        match self.phase.table {
+            Some(table) => self.table_chain(acc, table, own, partner, base, range),
+            None => self.stream_chain(acc, own, partner, base, range),
+        }
+    }
+
+    /// [`Fold::chain`] through the group's phase table.
+    #[inline]
+    fn table_chain(
+        &self,
+        mut acc: f64,
+        table: PhaseTable<'_>,
+        own: &[C64],
+        partner: &[C64],
+        base: usize,
+        range: Range<usize>,
+    ) -> f64 {
+        // `f` is real here, so only `Re(w)·f` reaches the real part: the
+        // streamed fold adds `w.re·f.re − w.im·(+0.0)`, which differs from
+        // `w.re·f` at most in the sign of a zero, and an accumulator that
+        // starts at `+0.0` never holds `−0.0` — same bits, half the
+        // arithmetic. A run of the table is contiguous up to a fixed xor `c`
+        // (as is the partner side), so nothing is gathered or buffered and the
+        // add chain is the only serial dependency; `j ^ c < run` because both
+        // are below the power of two `run`, the `&` only tells the compiler.
+        let run = range.len().min(table.max_run());
+        for k0 in range.step_by(run) {
+            let (f, cf) = table.run(base + k0, run);
+            let own = &own[k0..k0 + run];
+            match self.flip {
+                None => {
+                    for (j, a) in own.iter().enumerate() {
+                        acc += a.norm_sqr() * f[(j ^ cf) & (run - 1)];
+                    }
+                }
+                Some(m) => {
+                    let p0 = (k0 ^ m) & !(run - 1);
+                    let (partner, cm) = (&partner[p0..p0 + run], m & (run - 1));
+                    for (j, b) in own.iter().enumerate() {
+                        // Re(conj(a)·b) = a.re·b.re − (−a.im)·b.im, exactly.
+                        let a = partner[(j ^ cm) & (run - 1)];
+                        acc += (a.re * b.re + a.im * b.im) * f[(j ^ cf) & (run - 1)];
+                    }
+                }
+            }
+        }
+        acc
+    }
+
+    /// [`Fold::chain`] with the phase streamed: fill a block of phases and
+    /// pair weights, then fold them. Only the real part of the complex
+    /// accumulator reaches the result, and it never reads the imaginary
+    /// part, so carrying `acc` alone continues the fold exactly.
+    fn stream_chain(
+        &self,
+        mut acc: f64,
+        own: &[C64],
+        partner: &[C64],
+        base: usize,
+        range: Range<usize>,
+    ) -> f64 {
         let mut fbuf = [C_ZERO; EXPVAL_BLOCK];
         let mut wbuf = [C_ZERO; EXPVAL_BLOCK];
-        let mut acc = C_ZERO;
-        for k0 in (0..own.len()).step_by(EXPVAL_BLOCK) {
-            let blk = EXPVAL_BLOCK.min(own.len() - k0);
-            phase.fill(&mut fbuf[..blk], base + k0);
-            crate::simd::flip_weights_block(&mut wbuf[..blk], own, partner, k0, flip);
+        let terms = &self.phase.group.terms;
+        for k0 in range.clone().step_by(EXPVAL_BLOCK) {
+            let blk = EXPVAL_BLOCK.min(range.end - k0);
+            crate::simd::group_phase_block(&mut fbuf[..blk], base + k0, terms, &self.patterns);
+            crate::simd::flip_weights_block(&mut wbuf[..blk], own, partner, k0, self.flip);
             for j in 0..blk {
-                acc += wbuf[j] * fbuf[j];
+                acc += (wbuf[j] * fbuf[j]).re;
             }
         }
-        return acc.re;
-    };
-    // `f` is real here, so only `Re(w)·f` reaches the real part: the
-    // streamed fold adds `w.re·f.re − w.im·(+0.0)`, which differs from
-    // `w.re·f` at most in the sign of a zero, and an accumulator that
-    // starts at `+0.0` never holds `−0.0` — same bits, half the
-    // arithmetic. A run of the table is contiguous up to a fixed xor `c`
-    // (as is the partner side), so nothing is gathered or buffered and the
-    // add chain is the only serial dependency; `j ^ c < run` because both
-    // are below the power of two `run`, the `&` only tells the compiler.
-    let run = own.len().min(table.max_run());
-    let mut acc = 0.0;
-    for k0 in (0..own.len()).step_by(run) {
-        let (f, cf) = table.run(base + k0, run);
-        let own = &own[k0..k0 + run];
-        match flip {
-            None => {
-                for (j, a) in own.iter().enumerate() {
-                    acc += a.norm_sqr() * f[(j ^ cf) & (run - 1)];
-                }
-            }
-            Some(m) => {
-                let p0 = (k0 ^ m) & !(run - 1);
-                let (partner, cm) = (&partner[p0..p0 + run], m & (run - 1));
-                for (j, b) in own.iter().enumerate() {
-                    // Re(conj(a)·b) = a.re·b.re − (−a.im)·b.im, exactly.
-                    let a = partner[(j ^ cm) & (run - 1)];
-                    acc += (a.re * b.re + a.im * b.im) * f[(j ^ cf) & (run - 1)];
-                }
-            }
-        }
+        acc
     }
-    acc
 }
 
 /// Result of a full energy evaluation, with the gate accounting that

@@ -763,8 +763,8 @@ pub fn mat2_pairs(lo: &mut [C64], hi: &mut [C64], m: &Mat2) {
 
 /// The `4×4` update over four equal-length quadrant runs, on interleaved
 /// lanes: each output is `((row0·v0 + row1·v1) + row2·v2) + row3·v3`, the
-/// left-associated order every exchanged quad kernel in
-/// `kernels` repeats.
+/// left-associated order the explicit AVX2 quad kernels in `avx`
+/// reproduce bit for bit.
 #[inline(always)]
 fn mat4_quads_body(c00: &mut [C64], c01: &mut [C64], c10: &mut [C64], c11: &mut [C64], m: &Mat4) {
     let n = c00.len();
@@ -864,8 +864,7 @@ pub fn mat4_half_pair(half0: &mut [C64], half1: &mut [C64], s_lo: usize, m: &Mat
 /// One 2×2 sub-block across a (low, high) stripe pair: `Identity`
 /// touches nothing (multiplying by exact `1+0i` is not a bitwise no-op
 /// for `-0.0` parts), `Diag` multiplies in place, `Dense` runs the pair
-/// update — the per-element expressions every sharded lean-exchange
-/// kernel mirrors.
+/// update.
 #[inline(always)]
 fn sub_pairwise_body(lo: &mut [C64], hi: &mut [C64], k: SubKind, m: &Mat2) {
     match k {
@@ -1027,32 +1026,109 @@ simd_dispatch! {
 // Expectation-value flip-mask sign sweep.
 // ---------------------------------------------------------------------------
 
-/// Fills `out[j]` with the group phase `Σ_t c_t·(−1)^{|(base+j) ∧ z_t|}`
-/// for a block of consecutive amplitude indices. The term loop runs
-/// *outer* so each `out[j]` receives its `c·sign` contributions in group
-/// order — the accumulation sequence of the per-index scalar loop
-/// ([`crate::expval::GroupPhase`]) — while the index loop becomes a
-/// branch-free lane sweep LLVM can vectorize: `x & z`, popcount parity,
-/// `sign = 1 − 2·parity`, two multiply-adds.
+/// Width of the per-term sign patterns of [`group_phase_block`]: index
+/// `x = hi + j` with `hi` a multiple of this and `j` below it has sign
+/// `(−1)^{|x ∧ z|} = (−1)^{|hi ∧ z|}·(−1)^{|j ∧ z|}`.
+const SIGN_WINDOW: usize = 128;
+
+/// Terms whose window signs one pass of [`group_phase_block`] keeps on
+/// the stack.
+const TERM_BATCH: usize = 32;
+
+/// `f64` lanes (8 amplitudes) one pass of [`group_phase_block`] keeps in
+/// registers while it adds a batch of terms.
+const LANE_CHUNK: usize = 16;
+
+/// The per-term sign patterns [`group_phase_block`] reads, weighted by
+/// the coefficients: for term `t = (c, z)` and low index `j < 128`,
+/// entries `t·256 + 2j` and `t·256 + 2j + 1` are `c.re·p` and `c.im·p`
+/// with `p = (−1)^{|j ∧ z|}` — exactly `±c`. Built once per fold, not per
+/// block.
+pub fn sign_patterns(terms: &[(C64, u64)]) -> Vec<f64> {
+    terms
+        .iter()
+        .flat_map(|&(c, z)| {
+            (0..SIGN_WINDOW as u64).flat_map(move |j| {
+                let p = parity_sign(j & z);
+                [c.re * p, c.im * p]
+            })
+        })
+        .collect()
+}
+
+/// `(−1)^{popcount(v)}` as `±1.0`.
 #[inline(always)]
-fn group_phase_block_body(out: &mut [C64], base: usize, terms: &[(C64, u64)]) {
-    for o in out.iter_mut() {
-        *o = C64::default();
-    }
-    for &(c, z) in terms {
-        for (j, o) in out.iter_mut().enumerate() {
-            let x = (base + j) as u64;
-            let sign = 1.0 - 2.0 * ((x & z).count_ones() & 1) as f64;
-            o.re += c.re * sign;
-            o.im += c.im * sign;
+fn parity_sign(v: u64) -> f64 {
+    1.0 - 2.0 * (v.count_ones() & 1) as f64
+}
+
+/// Fills `out[j]` with the group phase `Σ_t c_t·(−1)^{|(base+j) ∧ z_t|}`
+/// for a block of consecutive amplitude indices, `patterns` being
+/// [`sign_patterns`] of `terms`. Each `out[j]` receives its `c·sign`
+/// contributions in group order from `+0.0` — the accumulation sequence
+/// of the per-index term sum. Within one aligned 128-index window a
+/// term's sign is the window's high-bit sign `s` times its low-bit
+/// pattern, so a term costs one multiply-add per lane and no popcount:
+/// `(c·p)·s` is exactly `±c`, the value the per-index `c·sign` adds (sign
+/// flips commute, signed zeros included), so the fill is bitwise that
+/// sum, complex coefficients included. The lanes of a window are summed
+/// over a batch of terms in registers, 8 amplitudes at a time. A block
+/// may start anywhere and cross windows.
+#[inline(always)]
+fn group_phase_block_body(out: &mut [C64], base: usize, terms: &[(C64, u64)], patterns: &[f64]) {
+    const ROW: usize = 2 * SIGN_WINDOW;
+    assert_eq!(patterns.len(), terms.len() * ROW);
+    let n = out.len();
+    let out = lanes_mut(out);
+    out.fill(0.0);
+    let mut j0 = 0;
+    while j0 < n {
+        let lo = (base + j0) % SIGN_WINDOW;
+        let hi = (base + j0 - lo) as u64;
+        let seg = (SIGN_WINDOW - lo).min(n - j0);
+        let window = &mut out[2 * j0..2 * (j0 + seg)];
+        for (terms, rows) in terms
+            .chunks(TERM_BATCH)
+            .zip(patterns.chunks(TERM_BATCH * ROW))
+        {
+            let mut signs = [0.0; TERM_BATCH];
+            for (s, &(_, z)) in signs.iter_mut().zip(terms) {
+                *s = parity_sign(hi & z);
+            }
+            let signs = &signs[..terms.len()];
+            let mut chunks = window.chunks_exact_mut(LANE_CHUNK);
+            let mut off = 2 * lo;
+            for o in chunks.by_ref() {
+                let mut acc = [0.0; LANE_CHUNK];
+                acc.copy_from_slice(o);
+                for (&s, row) in signs.iter().zip(rows.chunks_exact(ROW)) {
+                    let q = &row[off..off + LANE_CHUNK];
+                    for l in 0..LANE_CHUNK {
+                        acc[l] += q[l] * s;
+                    }
+                }
+                o.copy_from_slice(&acc);
+                off += LANE_CHUNK;
+            }
+            let rest = chunks.into_remainder();
+            for (&s, row) in signs.iter().zip(rows.chunks_exact(ROW)) {
+                for (o, &q) in rest.iter_mut().zip(&row[off..]) {
+                    *o += q * s;
+                }
+            }
         }
+        j0 += seg;
     }
 }
 
 simd_dispatch! {
     /// Group-phase block fill for the batched direct expectation.
-    pub fn group_phase_block(out: &mut [C64], base: usize, terms: &[(C64, u64)]) =
-        group_phase_block_body
+    pub fn group_phase_block(
+        out: &mut [C64],
+        base: usize,
+        terms: &[(C64, u64)],
+        patterns: &[f64],
+    ) = group_phase_block_body
 }
 
 /// Fills `out[j]` with the flip-group pair weight of local index
@@ -1359,19 +1435,81 @@ mod tests {
         assert_instantiations_agree(|a| diag2_sweep(a, 0, 7, 2, &d), 10, 6);
     }
 
+    /// The per-index term sum with a popcount per index and term: the
+    /// fill before sign patterns, kept as the reference.
+    fn popcount_phase_block(out: &mut [C64], base: usize, terms: &[(C64, u64)]) {
+        for o in out.iter_mut() {
+            *o = C64::default();
+        }
+        for &(c, z) in terms {
+            for (j, o) in out.iter_mut().enumerate() {
+                let x = (base + j) as u64;
+                let sign = 1.0 - 2.0 * ((x & z).count_ones() & 1) as f64;
+                o.re += c.re * sign;
+                o.im += c.im * sign;
+            }
+        }
+    }
+
     #[test]
     fn group_phase_instantiations_bitwise_identical() {
         let terms: Vec<(C64, u64)> = (0..7)
             .map(|t| (C64::new(0.1 * t as f64, -0.02 * t as f64), 0b1011 << t))
             .collect();
+        let patterns = sign_patterns(&terms);
         let mut fast = vec![C64::default(); 64];
         let mut slow = vec![C64::default(); 64];
         set_force_scalar(false);
-        group_phase_block(&mut fast, 128, &terms);
+        group_phase_block(&mut fast, 128, &terms, &patterns);
         set_force_scalar(true);
-        group_phase_block(&mut slow, 128, &terms);
+        group_phase_block(&mut slow, 128, &terms, &patterns);
         set_force_scalar(false);
         assert_eq!(bits(&fast), bits(&slow));
+    }
+
+    #[test]
+    fn block_sign_fill_is_bitwise_the_popcount_fill() {
+        // Complex and signed-zero coefficients, masks reaching past the
+        // window bits, and blocks that start off a window boundary, are
+        // shorter than a window, or cross one.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for case in 0..200 {
+            let n_terms = 1 + (next() % 30) as usize;
+            let terms: Vec<(C64, u64)> = (0..n_terms)
+                .map(|t| {
+                    let c = match t % 5 {
+                        0 => C64::new(-0.0, 0.0),
+                        1 => C64::new(0.25, -0.0),
+                        _ => C64::new(
+                            (next() % 2001) as f64 / 1000.0 - 1.0,
+                            (next() % 2001) as f64 / 977.0 - 1.0,
+                        ),
+                    };
+                    (c, next() & ((1 << (next() % 24)) - 1))
+                })
+                .collect();
+            let patterns = sign_patterns(&terms);
+            let base = match case % 3 {
+                0 => (next() % (1 << 20)) as usize & !127,
+                _ => (next() % (1 << 20)) as usize,
+            };
+            let len = 1 + (next() % 300) as usize;
+            let mut want = vec![C64::default(); len];
+            popcount_phase_block(&mut want, base, &terms);
+            for scalar in [false, true] {
+                set_force_scalar(scalar);
+                let mut got = vec![C64::new(7.0, 7.0); len];
+                group_phase_block(&mut got, base, &terms, &patterns);
+                assert_eq!(bits(&got), bits(&want), "case {case} base {base} len {len}");
+            }
+            set_force_scalar(false);
+        }
     }
 
     /// The safe entry points check the bounds their raw-pointer bodies
